@@ -10,7 +10,8 @@ hand-editing SASS:
    control-notation assignment — and show the per-pass report;
 3. simulate the naive, hand-allocated and pipeline-optimized kernels on the
    GTX580 and GTX680 models and compare cycle counts;
-4. run a small parallel autotune sweep over variants × pass configs.
+4. run a small parallel autotune sweep over the SGEMM transpose variants ×
+   {naive, pipeline}.
 
 Run:  python examples/opt_pipeline_demo.py
       python examples/opt_pipeline_demo.py --quick   (skip the sweep)
@@ -22,14 +23,15 @@ import argparse
 
 from repro.arch import fermi_gtx580, kepler_gtx680
 from repro.opt import (
-    autotune,
-    default_candidates,
+    WorkloadCandidate,
+    autotune_workloads,
     format_leaderboard,
     optimize_kernel,
     simulate_one_block,
 )
 from repro.sgemm import (
     SgemmKernelConfig,
+    SgemmVariant,
     analyse_ffma_conflicts,
     generate_naive_sgemm_kernel,
     generate_sgemm_kernel,
@@ -71,9 +73,20 @@ def main() -> None:
             print(f"  {label:10s} {simulate_cycles(gpu, kernel):10.0f} cycles")
 
     if not args.quick:
-        print("\n== 4. Autotune sweep (variants x pass configs, parallel) ==")
-        outcomes = autotune("gtx680", default_candidates())
-        print(format_leaderboard(outcomes))
+        print("\n== 4. Autotune sweep (variants x {naive, pipeline}, parallel) ==")
+        candidates = [
+            WorkloadCandidate(
+                "sgemm",
+                SgemmKernelConfig(
+                    m=96, n=96, k=16, variant=variant, conflict_free_allocation=False
+                ),
+                optimize=optimize,
+                label=f"{variant.value.lower()}:{'pipeline' if optimize else 'naive'}",
+            )
+            for variant in SgemmVariant
+            for optimize in (False, True)
+        ]
+        print(format_leaderboard(autotune_workloads("gtx680", candidates)))
 
 
 if __name__ == "__main__":

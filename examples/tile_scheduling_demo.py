@@ -16,13 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch import fermi_gtx580, kepler_gtx680
-from repro.opt import format_leaderboard
+from repro.opt import autotune_workloads, format_leaderboard
 from repro.opt.autotune import simulate_one_block
 from repro.opt.pipeline import optimize_kernel
 from repro.sgemm.config import SgemmKernelConfig
 from repro.sgemm.generator import generate_sgemm_kernel
 from repro.tile import interpret, library, lower
-from repro.tile.autotune import schedule_candidates, autotune_schedules
+from repro.tile.autotune import schedule_space
 
 
 def main() -> None:
@@ -71,8 +71,8 @@ def main() -> None:
 
     # 4. Sweep the schedule space (a small serial slice for demo purposes).
     print("=== schedule sweep on Fermi (staging / pipelining / windowing)")
-    candidates = [c for c in schedule_candidates() if c.workload == "tile_sgemm"]
-    print(format_leaderboard(autotune_schedules(fermi_gtx580(), candidates, workers=1)))
+    candidates = [c for c in schedule_space() if c.workload == "tile_sgemm"]
+    print(format_leaderboard(autotune_workloads(fermi_gtx580(), candidates, workers=1)))
 
 
 if __name__ == "__main__":

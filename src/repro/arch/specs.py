@@ -350,6 +350,15 @@ def get_gpu_spec(name: str) -> GpuSpec:
     return GPU_SPECS[key]
 
 
+def normalize_gpu(name: str) -> str:
+    """Canonical short GPU key (``"GeForce GTX 580"`` → ``"gtx580"``).
+
+    The one spelling every layer keys GPUs by: the throughput database,
+    autotune outcomes, run-ledger records and kernel-cache routine keys.
+    """
+    return name.lower().replace("geforce ", "").replace(" ", "")
+
+
 def architecture_evolution_table() -> list[dict[str, object]]:
     """Reproduce the rows of paper Table 1 ("Architecture Evolution").
 

@@ -3,9 +3,9 @@
 A seeded :class:`FaultPlan` (rules over named fault points) installs
 process-wide — :func:`install_faults` / :func:`faults_session`, strict no-op
 when uninstalled — and the filesystem operations of ``kcache.store``,
-``kcache.locks``, ``kcache.simstore`` and ``telemetry.ledger`` pass through
-it: injected ``EIO``/``ENOSPC``/``EROFS``, torn payloads, delays and
-simulated crashes, replayable from one seed.
+``kcache.locks`` and ``telemetry.ledger`` pass through it: injected
+``EIO``/``ENOSPC``/``EROFS``, torn payloads, delays and simulated crashes,
+replayable from one seed.
 
 See ``docs/faults.md`` for the site catalogue and the chaos-harness
 invariants this layer exists to check.

@@ -3,12 +3,12 @@
 The kernel cache is only as good as its failure paths, and failure paths
 that only fire when a disk actually fills are failure paths that have never
 run.  This module makes them run on demand: the filesystem operations of
-:mod:`repro.kcache.store`, :mod:`repro.kcache.locks`,
-:mod:`repro.kcache.simstore` and :mod:`repro.telemetry.ledger` each pass
-through a named *fault point*, and an installed :class:`FaultPlan` decides —
-deterministically, from a seed — whether that point raises ``EIO``, reports
-a full (``ENOSPC``) or read-only (``EROFS``) filesystem, tears the bytes
-being written, sleeps, or dies outright mid-operation.
+:mod:`repro.kcache.store`, :mod:`repro.kcache.locks` and
+:mod:`repro.telemetry.ledger` each pass through a named *fault point*, and
+an installed :class:`FaultPlan` decides — deterministically, from a seed —
+whether that point raises ``EIO``, reports a full (``ENOSPC``) or read-only
+(``EROFS``) filesystem, tears the bytes being written, sleeps, or dies
+outright mid-operation.
 
 The facade follows the contract of :mod:`repro.telemetry.metrics`: library
 code calls :func:`fault_point` / :func:`fault_mutate` unconditionally, and

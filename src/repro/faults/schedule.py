@@ -34,8 +34,6 @@ SITES = (
     "kcache.locks.claim",
     "kcache.locks.read",
     "kcache.locks.release",
-    "kcache.simstore.read",
-    "kcache.simstore.write",
     "telemetry.ledger.append",
 )
 

@@ -13,7 +13,8 @@ encoders small while covering everything the analysis touches:
 * special registers: S2R
 
 Instructions are plain frozen dataclasses; semantics live in
-:mod:`repro.sim.functional` and timing lives in :mod:`repro.sim`.
+:mod:`repro.sim.vectorized` (with :mod:`repro.sim.reference` as the scalar
+oracle) and timing lives in :mod:`repro.sim`.
 """
 
 from __future__ import annotations

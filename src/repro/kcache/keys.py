@@ -14,7 +14,7 @@ Key grammar::
 * ``workload`` — the registry name (``tile_sgemm``, ``sgemv``, ...);
 * ``shape`` — the problem dimensions present on the configuration, in
   ``m193_n161_k97`` form (dimension letters are fixed: ``m``/``n``/``k``);
-* ``gpu`` — the short GPU key (:func:`repro.telemetry.ledger.normalize_gpu`:
+* ``gpu`` — the short GPU key (:func:`repro.arch.specs.normalize_gpu`:
   ``"GeForce GTX 580"`` → ``gtx580``), or ``any`` for GPU-independent
   artifacts (scheduling and lowering do not consult the machine model);
 * ``db`` — present when the configuration double-buffers, the one schedule
@@ -76,7 +76,7 @@ def routine_key(workload: str, config: object, gpu: object = None) -> str:
     ``gpu`` may be a machine description, a GPU name, or None/``"any"`` for
     GPU-independent artifacts (scheduled procs and lowered kernels).
     """
-    from repro.telemetry.ledger import normalize_gpu
+    from repro.arch.specs import normalize_gpu
 
     if gpu is None:
         gpu_key = "any"

@@ -85,16 +85,6 @@ _TRANSIENT_ERRNOS = frozenset(
     {errno.EIO, errno.EAGAIN, errno.EBUSY, errno.EINTR, errno.ESTALE}
 )
 
-#: Which :func:`repro.tile.autotune.schedule_space` keyword carries each
-#: tunable workload's base configuration.  Workloads outside this map fall
-#: back to a direct build at the requested configuration.
-_SPACE_FIELD = {
-    "tile_sgemm": "sgemm",
-    "tile_transpose": "transpose",
-    "tile_sgemv": "sgemv",
-}
-
-
 class Deadline:
     """One monotonic per-request time budget.
 
@@ -288,9 +278,8 @@ class KernelReply:
 
 def _resolve(workload, config, gpu):
     """Normalise the request triple to (workload obj, name, config, spec, gpu key)."""
-    from repro.arch.specs import get_gpu_spec
+    from repro.arch.specs import get_gpu_spec, normalize_gpu
     from repro.kernels.registry import get_workload
-    from repro.telemetry.ledger import normalize_gpu
 
     obj = get_workload(workload) if isinstance(workload, str) else workload
     if config is None:
@@ -376,11 +365,16 @@ def _build_tuned(
     publish, store, key, workload, name, config, spec, gpu_key,
     *, max_cycles, keep_within, workers, warm_start, space,
 ):
-    """Cold-miss path with tuning: warm-started sweep over the problem size."""
-    from repro.opt.autotune import simulate_one_block
-    from repro.tile.autotune import run_generative_sweep
+    """Cold-miss path with tuning: warm-started sweep over the problem size.
 
-    space_field = _SPACE_FIELD.get(name)
+    Workloads without a :data:`repro.tile.autotune.SPACE_BASE_FIELD` entry
+    have no schedule space to sweep and fall back to a direct build at the
+    requested configuration.
+    """
+    from repro.opt.autotune import simulate_one_block
+    from repro.tile.autotune import SPACE_BASE_FIELD, run_generative_sweep
+
+    space_field = SPACE_BASE_FIELD.get(name)
     if space_field is None:
         return _build_direct(
             publish, key, workload, name, config, spec, gpu_key, max_cycles=max_cycles

@@ -44,9 +44,9 @@ tmp files, dead claims and expired poison, and (with ``repair=True``)
 removes them.
 
 Like the metrics facade and the run ledger, the store has a process-wide
-install point: :func:`install_store` / :func:`store_session` make the tile
-schedule memos and the autotuner publish to (and serve from) the durable
-store; without one installed, everything stays in-process exactly as before.
+install point: :func:`install_store` / :func:`store_session` set the store
+that :func:`repro.kcache.get_kernel` requests naming none use, and that
+warm-started sweeps read their neighbours from.
 """
 
 from __future__ import annotations
@@ -696,7 +696,7 @@ class KernelStore:
 # The process-wide install point.                                              #
 # --------------------------------------------------------------------------- #
 
-#: The installed store instrumented code consults (None = in-process only).
+#: The installed default store (None = requests fall back to the default root).
 _CURRENT: KernelStore | None = None
 
 
@@ -709,7 +709,7 @@ def install_store(store: KernelStore | None) -> KernelStore | None:
 
 
 def current_store() -> KernelStore | None:
-    """The installed store, or None when durable kernel caching is off."""
+    """The installed store, or None when none is installed."""
     return _CURRENT
 
 

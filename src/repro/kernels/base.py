@@ -29,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.arch.specs import GpuSpec
+from repro.arch.specs import GpuSpec, normalize_gpu
 from repro.errors import ReproError
 from repro.isa.assembler import Kernel
 from repro.model.workload_bounds import (
@@ -41,7 +41,7 @@ from repro.sim.launch import BlockGrid, LaunchConfig
 from repro.sim.memory import GlobalMemory, KernelParams
 from repro.sim.results import SimResult
 from repro.sim.sm_sim import SmSimulator
-from repro.telemetry.ledger import config_digest, current_ledger, normalize_gpu, record_run
+from repro.telemetry.ledger import config_digest, current_ledger, record_run
 from repro.telemetry.metrics import counter_inc, current_metrics, gauge_set
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.arch.specs import GpuSpec
+from repro.arch.specs import GpuSpec, normalize_gpu
 from repro.errors import ModelError
 from repro.isa.assembler import Kernel
 from repro.microbench.database import PerfDatabase
@@ -50,11 +50,6 @@ class MixMeasurement:
     ffma_per_cycle: float
 
 
-def _gpu_key(gpu: GpuSpec) -> str:
-    """Stable database key for a machine description."""
-    return gpu.name.lower().replace("geforce ", "").replace(" ", "")
-
-
 class MicrobenchRunner:
     """Runs micro-benchmark kernels on the timing simulator."""
 
@@ -72,7 +67,7 @@ class MicrobenchRunner:
     @property
     def gpu_key(self) -> str:
         """Database key used for measurements from this runner."""
-        return _gpu_key(self._gpu)
+        return normalize_gpu(self._gpu.name)
 
     # ------------------------------------------------------------------ #
     # Raw measurement.                                                     #

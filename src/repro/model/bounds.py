@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.arch.occupancy import OccupancyCalculator
-from repro.arch.specs import GpuSpec
+from repro.arch.specs import GpuSpec, normalize_gpu
 from repro.errors import ModelError
 from repro.microbench.database import PerfDatabase
 from repro.model.blocking import ffma_to_lds_ratio, register_requirement
@@ -135,7 +135,7 @@ class UpperBoundModel:
     def __init__(self, gpu: GpuSpec, database: PerfDatabase, *, gpu_key: str | None = None) -> None:
         self._gpu = gpu
         self._database = database
-        self._gpu_key = gpu_key or gpu.name.lower().replace("geforce ", "").replace(" ", "")
+        self._gpu_key = gpu_key or normalize_gpu(gpu.name)
         self._occupancy = OccupancyCalculator(gpu)
 
     @property

@@ -13,22 +13,19 @@ any assembled :class:`~repro.isa.assembler.Kernel`:
 * :mod:`repro.opt.control_hints` — per-instruction Kepler control-notation
   assignment;
 * :mod:`repro.opt.pipeline` — the pass pipeline with invariant checking;
-* :mod:`repro.opt.autotune` — a parallel sweep of pass configurations ×
-  SGEMM variants with kernel-hash-keyed result caching.
+* :mod:`repro.opt.autotune` — the parallel sweep over
+  :class:`~repro.opt.autotune.WorkloadCandidate` points (any registered
+  workload and configuration, naive or through the pipeline) with
+  kernel-hash-keyed result caching.
 """
 
 from repro.opt.autotune import (
     AutotuneCache,
-    TuneCandidate,
     TuneOutcome,
     WorkloadCandidate,
-    autotune,
     autotune_workloads,
-    default_candidates,
-    evaluate_candidate,
     evaluate_workload_candidate,
     format_leaderboard,
-    schedule_sweep_candidates,
     simulate_one_block,
     workload_candidates,
 )
@@ -64,19 +61,14 @@ __all__ = [
     "ReallocationResult",
     "RegisterReallocationPass",
     "ScheduleStats",
-    "TuneCandidate",
     "TuneOutcome",
     "WorkloadCandidate",
     "analyse_liveness",
     "assign_control_hints",
-    "autotune",
     "autotune_workloads",
-    "schedule_sweep_candidates",
-    "default_candidates",
     "default_pipeline",
     "def_use",
     "derive_ffma_lds_ratio",
-    "evaluate_candidate",
     "evaluate_workload_candidate",
     "format_leaderboard",
     "kernel_hash",

@@ -1,78 +1,40 @@
-"""Parallel autotuner: sweep pass configurations × kernel configurations.
+"""Parallel autotuner: one candidate type, one sweep harness.
 
 Section 5.5 of the paper argues the upper-bound analysis tells an auto-tuner
 *where* to look; this module supplies the *how*: every candidate is one
-(kernel configuration, pass-pipeline configuration) pair, evaluated by
-generating the kernel, running the optimization pipeline, simulating one
-block on :class:`~repro.sim.sm_sim.SmSimulator` (timing mode) and comparing
-against the analytic bound of :class:`~repro.model.bounds.UpperBoundModel`.
-
-Two candidate kinds share the harness: :class:`TuneCandidate` sweeps the
-SGEMM-specific space (transpose variants × pass toggles × interleave
-steers), and :class:`WorkloadCandidate` sweeps any workload registered in
-:mod:`repro.kernels` — the per-workload configuration space crossed with
-{naive, pipeline}, bounded by :func:`repro.model.analyse_workload_bound`.
+:class:`WorkloadCandidate` — a workload registered in :mod:`repro.kernels`,
+one of its configurations, and whether the pass pipeline runs — evaluated by
+generating the kernel, optimizing it, simulating one block on
+:class:`~repro.sim.sm_sim.SmSimulator` (timing mode) and comparing against
+the workload's analytic bound (:func:`repro.model.analyse_workload_bound`).
+The hand SGEMM generator is the ``"sgemm"`` workload, so sweeping its
+transpose variants is sweeping :class:`~repro.sgemm.config.SgemmKernelConfig`
+values like any other configuration.
 
 Evaluations are independent, so the sweep fans out over a
 ``multiprocessing`` pool (``workers=1`` runs serially in-process, which the
-tests use).  Simulation results are cached keyed by the **kernel content
-hash** (see :func:`repro.opt.rewrite.kernel_hash`): two candidates that
-generate byte-identical kernels — or the same candidate re-evaluated in a
-later sweep against a persisted cache file — share one simulation.
+tests use).  Simulation results are memoized in an in-memory
+:class:`AutotuneCache` keyed by the **kernel content hash** (see
+:func:`repro.opt.rewrite.kernel_hash`): two candidates that generate
+byte-identical kernels — or the same candidate re-evaluated in a later sweep
+sharing the cache — share one simulation.  The durable tier is the kernel
+store (:mod:`repro.kcache`), which keeps tuned winners, not simulations.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
-from repro.arch.specs import GpuSpec, get_gpu_spec
-from repro.errors import ModelError, ReproError
-from repro.model.params import SgemmConfig
-from repro.opt.pipeline import default_pipeline
+from repro.arch.specs import GpuSpec, get_gpu_spec, normalize_gpu
+from repro.errors import ReproError
 from repro.opt.rewrite import kernel_hash
 from repro.prof.trace import trace_instant, trace_span
-from repro.sgemm.config import SgemmKernelConfig, SgemmVariant
 from repro.sgemm.conflict_analysis import analyse_ffma_conflicts
-from repro.sgemm.generator import generate_naive_sgemm_kernel, generate_sgemm_kernel
 from repro.sim.launch import BlockGrid, LaunchConfig
 from repro.sim.sm_sim import SmSimulator
 from repro.telemetry.metrics import counter_inc, current_metrics
-
-
-@dataclass(frozen=True)
-class TuneCandidate:
-    """One point of the sweep: a kernel config plus a pipeline config.
-
-    Attributes
-    ----------
-    config:
-        The SGEMM kernel configuration to generate.
-    optimize:
-        Whether to run the pass pipeline over the generated kernel.
-    reallocate / schedule / control_hints:
-        Pipeline toggles (ignored when ``optimize`` is false).
-    ffma_per_lds:
-        Scheduler interleave steer (None → pure critical-path priority).
-    label:
-        Human-readable name used in reports.
-    """
-
-    config: SgemmKernelConfig
-    optimize: bool = True
-    reallocate: bool = True
-    schedule: bool = True
-    control_hints: bool = True
-    ffma_per_lds: float | None = None
-    label: str = ""
-
-    @property
-    def display_label(self) -> str:
-        if self.label:
-            return self.label
-        suffix = "opt" if self.optimize else "asis"
-        return f"{self.config.kernel_name}:{suffix}"
 
 
 @dataclass(frozen=True)
@@ -104,61 +66,18 @@ class TuneOutcome:
 
 @dataclass
 class AutotuneCache:
-    """Simulation results keyed by kernel hash (optionally persisted).
+    """In-memory simulation results keyed by kernel hash.
 
     The key includes the GPU and the cycle cap, so one cache can hold sweeps
-    over several machines.  Persistence is backed by the sharded, write-once
-    :class:`repro.kcache.simstore.SimRecordStore` rooted at ``path`` —
-    concurrent sweeps append records atomically instead of racing to rewrite
-    one JSON file, and ``save`` only touches disk for *new* results.  A
-    legacy monolithic cache file at ``path`` is read and migrated in place.
+    over several machines.  Pass the same cache to successive sweeps to let
+    later ones skip every kernel an earlier one already simulated.
     """
 
-    path: str | None = None
     entries: dict[str, dict[str, float]] = field(default_factory=dict)
 
     @staticmethod
     def key_for(kernel_digest: str, gpu_key: str, max_cycles: int) -> str:
         return f"{kernel_digest}:{gpu_key}:{max_cycles}"
-
-    @classmethod
-    def load(cls, path: str) -> "AutotuneCache":
-        """Load the records under ``path`` (empty when nothing is there yet)."""
-        from repro.kcache.simstore import SimRecordStore
-
-        return cls(path=path, entries=SimRecordStore(path).load_all())
-
-    def save(self) -> None:
-        """Persist new records when a path was configured."""
-        if self.path is None:
-            return
-        from repro.kcache.simstore import SimRecordStore
-
-        SimRecordStore(self.path).save(self.entries)
-
-
-def _gpu_key(gpu: GpuSpec) -> str:
-    return gpu.name.lower().replace("geforce ", "").replace(" ", "")
-
-
-def _analytic_bound(gpu: GpuSpec, config: SgemmKernelConfig) -> float | None:
-    """Potential-peak GFLOPS of the configuration, None when unavailable."""
-    from repro.microbench import paper_database
-    from repro.model.bounds import UpperBoundModel
-
-    try:
-        model_config = SgemmConfig(
-            register_blocking=config.register_blocking,
-            lds_width_bits=config.lds_width_bits,
-            threads_per_block=config.threads_per_block,
-            stride=config.stride,
-        )
-        breakdown = UpperBoundModel(gpu, paper_database(), gpu_key=_gpu_key(gpu)).analyse(
-            model_config
-        )
-    except (ModelError, ReproError, KeyError):
-        return None
-    return breakdown.potential_gflops
 
 
 def simulate_one_block(
@@ -183,93 +102,6 @@ def simulate_one_block(
         max_cycles=max_cycles,
     )
     return simulator.run(launch, block_indices=[(0, 0)], collect_profile=collect_profile)
-
-
-def evaluate_candidate(
-    gpu: GpuSpec | str,
-    candidate: TuneCandidate,
-    *,
-    max_cycles: int = 2_000_000,
-    cache_entries: dict[str, dict[str, float]] | None = None,
-) -> TuneOutcome:
-    """Generate, optimize and simulate one candidate (picklable worker fn).
-
-    ``gpu`` may be a machine description (preserving any caller
-    customisation) or a name resolved via :func:`get_gpu_spec`.
-    ``cache_entries`` is a read-only snapshot; on a hash hit the simulation
-    is skipped and the cached cycle count reused.
-    """
-    label = candidate.display_label
-    try:
-        spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
-        gpu_key = _gpu_key(spec)
-    except ReproError as exc:
-        return _error_outcome(label, candidate.config.kernel_name, str(gpu), exc)
-    try:
-        if candidate.optimize:
-            kernel = generate_naive_sgemm_kernel(candidate.config)
-            pipeline = default_pipeline(
-                spec,
-                reallocate=candidate.reallocate,
-                schedule=candidate.schedule,
-                control_hints=candidate.control_hints,
-                options={"schedule.ffma_per_lds": candidate.ffma_per_lds},
-            )
-            kernel = pipeline.run(kernel).kernel
-        else:
-            kernel = generate_sgemm_kernel(candidate.config)
-        return _measure_kernel(
-            spec,
-            gpu_key,
-            label,
-            kernel,
-            _analytic_bound(spec, candidate.config),
-            max_cycles=max_cycles,
-            cache_entries=cache_entries,
-        )
-    except ReproError as exc:
-        return _error_outcome(label, candidate.config.kernel_name, gpu_key, exc)
-
-
-def _measure_kernel(
-    spec: GpuSpec,
-    gpu_key: str,
-    label: str,
-    kernel,
-    bound_gflops: float | None,
-    *,
-    max_cycles: int,
-    cache_entries: dict[str, dict[str, float]] | None,
-) -> TuneOutcome:
-    """Hash, cache-check and (if needed) simulate one generated kernel."""
-    digest = kernel_hash(kernel)
-    conflicts = analyse_ffma_conflicts(kernel)
-    cache_key = AutotuneCache.key_for(digest, gpu_key, max_cycles)
-    cached = (cache_entries or {}).get(cache_key)
-    if cached is not None:
-        cycles = float(cached["cycles"])
-        gflops = float(cached["gflops"])
-        efficiency = float(cached["efficiency"])
-        from_cache = True
-    else:
-        result = simulate_one_block(spec, kernel, max_cycles=max_cycles)
-        cycles = result.cycles
-        gflops = result.gflops(spec)
-        efficiency = result.efficiency(spec)
-        from_cache = False
-    return TuneOutcome(
-        label=label,
-        kernel_name=kernel.name,
-        kernel_hash=digest,
-        gpu_key=gpu_key,
-        cycles=cycles,
-        gflops=gflops,
-        efficiency=efficiency,
-        ffma_conflicts=conflicts.two_way + conflicts.three_way,
-        register_count=kernel.register_count,
-        bound_gflops=bound_gflops,
-        from_cache=from_cache,
-    )
 
 
 def _error_outcome(label: str, kernel_name: str, gpu_key: str, exc: Exception) -> TuneOutcome:
@@ -325,15 +157,19 @@ def evaluate_workload_candidate(
     max_cycles: int = 2_000_000,
     cache_entries: dict[str, dict[str, float]] | None = None,
 ) -> TuneOutcome:
-    """Generate, (optionally) optimize and simulate one registry workload.
+    """Generate, (optionally) optimize and simulate one candidate.
 
     Picklable worker function: the workload is resolved by name inside the
-    call so candidates can cross process boundaries.
+    call so candidates can cross process boundaries.  ``gpu`` may be a
+    machine description (preserving any caller customisation) or a name
+    resolved via :func:`get_gpu_spec`.  ``cache_entries`` is a read-only
+    snapshot of an :class:`AutotuneCache`; on a kernel-hash hit the
+    simulation is skipped and the cached result reused.
     """
     label = candidate.display_label
     try:
         spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
-        gpu_key = _gpu_key(spec)
+        gpu_key = normalize_gpu(spec.name)
     except ReproError as exc:
         return _error_outcome(label, candidate.workload, str(gpu), exc)
     try:
@@ -349,14 +185,30 @@ def evaluate_workload_candidate(
             bound = workload.bound(config, spec).potential_gflops
         except ReproError:
             bound = None
-        return _measure_kernel(
-            spec,
-            gpu_key,
-            label,
-            kernel,
-            bound,
-            max_cycles=max_cycles,
-            cache_entries=cache_entries,
+        digest = kernel_hash(kernel)
+        conflicts = analyse_ffma_conflicts(kernel)
+        cached = (cache_entries or {}).get(AutotuneCache.key_for(digest, gpu_key, max_cycles))
+        if cached is not None:
+            cycles = float(cached["cycles"])
+            gflops = float(cached["gflops"])
+            efficiency = float(cached["efficiency"])
+        else:
+            result = simulate_one_block(spec, kernel, max_cycles=max_cycles)
+            cycles = result.cycles
+            gflops = result.gflops(spec)
+            efficiency = result.efficiency(spec)
+        return TuneOutcome(
+            label=label,
+            kernel_name=kernel.name,
+            kernel_hash=digest,
+            gpu_key=gpu_key,
+            cycles=cycles,
+            gflops=gflops,
+            efficiency=efficiency,
+            ffma_conflicts=conflicts.two_way + conflicts.three_way,
+            register_count=kernel.register_count,
+            bound_gflops=bound,
+            from_cache=cached is not None,
         )
     except ReproError as exc:
         return _error_outcome(label, candidate.workload, gpu_key, exc)
@@ -390,75 +242,45 @@ def workload_candidates(
     return candidates
 
 
-def schedule_sweep_candidates(**kwargs) -> list[WorkloadCandidate]:
-    """Tile-IR schedule sweep: every DSL workload's schedule space.
-
-    Delegates to :func:`repro.tile.autotune.schedule_candidates` (imported
-    lazily — the tile layer sits above the optimizer); the returned
-    candidates run through :func:`autotune_workloads` like any others, so
-    tuning *schedules* and tuning generator knobs share one harness.
-    """
-    from repro.tile.autotune import schedule_candidates
-
-    return schedule_candidates(**kwargs)
-
-
-def default_candidates(
-    *,
-    variants: tuple[SgemmVariant, ...] = tuple(SgemmVariant),
-    k: int = 16,
-    include_unoptimized: bool = True,
-    include_golden: bool = True,
-) -> list[TuneCandidate]:
-    """The standard sweep: every variant × {naive, pipeline, hand allocation}.
-
-    All candidates use the paper's Fermi-point geometry (B_R=6, 256 threads,
-    L=16, LDS.64) on a single-tile problem so one simulated block covers the
-    whole grid.
-    """
-    candidates: list[TuneCandidate] = []
-    for variant in variants:
-        base = SgemmKernelConfig(
-            m=96, n=96, k=k, variant=variant, conflict_free_allocation=False
-        )
-        if include_unoptimized:
-            candidates.append(
-                TuneCandidate(
-                    config=base, optimize=False, label=f"{variant.value.lower()}:naive"
-                )
-            )
-        candidates.append(
-            TuneCandidate(config=base, optimize=True, label=f"{variant.value.lower()}:pipeline")
-        )
-        if include_golden:
-            golden = replace(base, conflict_free_allocation=True)
-            candidates.append(
-                TuneCandidate(
-                    config=golden, optimize=False, label=f"{variant.value.lower()}:hand"
-                )
-            )
-    return candidates
-
-
 def _evaluate_star(packed: tuple) -> TuneOutcome:
     gpu, candidate, max_cycles, cache_entries = packed
-    evaluate = (
-        evaluate_workload_candidate
-        if isinstance(candidate, WorkloadCandidate)
-        else evaluate_candidate
+    return evaluate_workload_candidate(
+        gpu, candidate, max_cycles=max_cycles, cache_entries=cache_entries
     )
-    return evaluate(gpu, candidate, max_cycles=max_cycles, cache_entries=cache_entries)
 
 
-def _sweep(
-    spec: GpuSpec,
-    candidates: list,
+def autotune_workloads(
+    gpu: GpuSpec | str,
+    candidates: list[WorkloadCandidate] | None = None,
     *,
-    workers: int | None,
-    cache: AutotuneCache,
-    max_cycles: int,
+    workers: int | None = None,
+    cache: AutotuneCache | None = None,
+    max_cycles: int = 2_000_000,
 ) -> list[TuneOutcome]:
-    """Evaluate ``candidates`` (of either kind) with pooling and caching."""
+    """Evaluate ``candidates`` on ``gpu``, best (fewest cycles) first.
+
+    Parameters
+    ----------
+    gpu:
+        Machine description or its name (``"gtx580"``, ``"gtx680"``, …).
+    candidates:
+        Sweep points; defaults to :func:`workload_candidates` (every
+        registered workload's configuration space × {naive, pipeline}).
+    workers:
+        Process count for the multiprocessing pool; ``None`` uses the CPU
+        count (capped by the candidate count), ``1`` runs serially
+        in-process.
+    cache:
+        Simulation cache; hits skip the simulator entirely, and new results
+        are added to it.
+    max_cycles:
+        Per-simulation cycle cap.
+    """
+    spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
+    if candidates is None:
+        candidates = workload_candidates()
+    if cache is None:
+        cache = AutotuneCache()
     if workers is None:
         workers = min(len(candidates), os.cpu_count() or 1)
     workers = max(1, min(workers, len(candidates)))
@@ -506,65 +328,7 @@ def _sweep(
                 "gflops": outcome.gflops,
                 "efficiency": outcome.efficiency,
             }
-    cache.save()
     return sorted(outcomes, key=lambda o: (not o.ok, o.cycles, o.label))
-
-
-def autotune(
-    gpu: GpuSpec | str,
-    candidates: list[TuneCandidate] | None = None,
-    *,
-    workers: int | None = None,
-    cache: AutotuneCache | None = None,
-    max_cycles: int = 2_000_000,
-) -> list[TuneOutcome]:
-    """Evaluate ``candidates`` on ``gpu``, best (fewest cycles) first.
-
-    Parameters
-    ----------
-    gpu:
-        Machine description or its name (``"gtx580"``, ``"gtx680"``, …).
-    candidates:
-        Sweep points; defaults to :func:`default_candidates`.
-    workers:
-        Process count for the multiprocessing pool; ``None`` uses the CPU
-        count (capped by the candidate count), ``1`` runs serially
-        in-process.
-    cache:
-        Simulation cache; hits skip the simulator entirely.  New results are
-        added and, when the cache has a path, persisted.
-    max_cycles:
-        Per-simulation cycle cap.
-    """
-    spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
-    if candidates is None:
-        candidates = default_candidates()
-    if cache is None:
-        cache = AutotuneCache()
-    return _sweep(spec, candidates, workers=workers, cache=cache, max_cycles=max_cycles)
-
-
-def autotune_workloads(
-    gpu: GpuSpec | str,
-    candidates: list[WorkloadCandidate] | None = None,
-    *,
-    workers: int | None = None,
-    cache: AutotuneCache | None = None,
-    max_cycles: int = 2_000_000,
-) -> list[TuneOutcome]:
-    """Evaluate registry workloads on ``gpu``, best (fewest cycles) first.
-
-    The registry analogue of :func:`autotune`: candidates default to
-    :func:`workload_candidates` (every registered workload's configuration
-    space × {naive, pipeline}) and share the same kernel-hash cache, pool
-    fan-out and leaderboard ordering.
-    """
-    spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
-    if candidates is None:
-        candidates = workload_candidates()
-    if cache is None:
-        cache = AutotuneCache()
-    return _sweep(spec, candidates, workers=workers, cache=cache, max_cycles=max_cycles)
 
 
 def format_leaderboard(outcomes: list[TuneOutcome]) -> str:

@@ -168,7 +168,7 @@ def tracing(clock: Callable[[], float] | None = None) -> Iterator[Tracer]:
     nest without leaking state into later code::
 
         with tracing() as tracer:
-            autotune_schedules(gpu, candidates)
+            autotune_workloads(gpu, candidates)
         tracer.dump("sweep.trace.json")
     """
     tracer = Tracer(clock=clock)

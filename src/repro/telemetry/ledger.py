@@ -39,6 +39,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
+from repro.arch.specs import normalize_gpu
+
 __all__ = [
     "DEFAULT_LEDGER_ROOT",
     "LEDGER_SCHEMA",
@@ -78,11 +80,6 @@ def config_digest(config: object) -> str:
     exactly — the same identity the in-process schedule caches key on.
     """
     return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()[:16]
-
-
-def normalize_gpu(name: str) -> str:
-    """Canonical short GPU key (``"GeForce GTX 580"`` → ``"gtx580"``)."""
-    return name.lower().replace("geforce ", "").replace(" ", "")
 
 
 def environment_provenance() -> dict[str, object]:

@@ -20,9 +20,10 @@ This module closes the paper's §5.5 loop mechanically:
   :func:`repro.model.analyse_workload_bound`) and discards everything whose
   bound is hopeless before any simulation runs — the "where to look" half of
   the paper's argument;
-* :func:`schedule_candidates` chains the two (pruning whenever a GPU is
-  given), and :func:`autotune_schedules` runs the surviving candidates
-  through the shared simulation harness.
+* :func:`repro.opt.autotune.autotune_workloads` simulates the survivors —
+  the one sweep harness every candidate goes through;
+* :func:`run_generative_sweep` chains the three, timing each phase and
+  optionally warm-starting from the kernel store's nearest tuned shapes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.arch.specs import GpuSpec, get_gpu_spec
+from repro.arch.specs import GpuSpec, get_gpu_spec, normalize_gpu
 from repro.errors import ReproError, ResourceLimitError
 from repro.opt.autotune import (
     AutotuneCache,
@@ -39,7 +40,7 @@ from repro.opt.autotune import (
     autotune_workloads,
 )
 from repro.prof.trace import trace_span
-from repro.telemetry.ledger import config_digest, current_ledger, normalize_gpu, record_run
+from repro.telemetry.ledger import config_digest, current_ledger, record_run
 from repro.telemetry.metrics import counter_inc, current_metrics, observe
 from repro.tile.resources import proc_occupancy
 from repro.tile.workloads import TileSgemmConfig, TileSgemvConfig, TileTransposeConfig
@@ -48,8 +49,7 @@ __all__ = [
     "PruneReport",
     "schedule_space",
     "prune_by_bound",
-    "schedule_candidates",
-    "autotune_schedules",
+    "run_generative_sweep",
     "sweep_summary",
 ]
 
@@ -275,8 +275,6 @@ def prune_by_bound(
     alignment hole — is discarded outright (recorded with an infinite
     bound), because it cannot launch, let alone win.
     """
-    from repro.kernels.registry import get_workload
-
     started = time.perf_counter()
     spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
     if keep_within < 1.0:
@@ -344,53 +342,6 @@ def _prune_by_bound(
             for position in sorted(pruned)
         ),
         elapsed_s=time.perf_counter() - started,
-    )
-
-
-def schedule_candidates(
-    *,
-    sgemm: TileSgemmConfig | None = None,
-    transpose: TileTransposeConfig | None = None,
-    sgemv: TileSgemvConfig | None = None,
-    include_naive: bool = False,
-    gpu: GpuSpec | str | None = None,
-    keep_within: float = 1.2,
-    **space_kwargs,
-) -> list[WorkloadCandidate]:
-    """The generative sweep, bound-pruned when a ``gpu`` is given.
-
-    Without a GPU the full validity-filtered space is returned (nothing to
-    price the bound against); with one, only candidates whose analytic bound
-    is within ``keep_within×`` of their group's best survive to simulation.
-    """
-    space = schedule_space(
-        sgemm=sgemm, transpose=transpose, sgemv=sgemv,
-        include_naive=include_naive, **space_kwargs,
-    )
-    if gpu is None:
-        return space
-    return list(prune_by_bound(gpu, space, keep_within=keep_within).kept)
-
-
-def autotune_schedules(
-    gpu,
-    candidates: list[WorkloadCandidate] | None = None,
-    *,
-    workers: int | None = None,
-    cache: AutotuneCache | None = None,
-    max_cycles: int = 2_000_000,
-) -> list[TuneOutcome]:
-    """Evaluate DSL schedule candidates on ``gpu``, best first.
-
-    A thin veneer over :func:`repro.opt.autotune.autotune_workloads` with the
-    bound-pruned generative sweep as the default candidate set.
-    """
-    return autotune_workloads(
-        gpu,
-        candidates if candidates is not None else schedule_candidates(gpu=gpu),
-        workers=workers,
-        cache=cache,
-        max_cycles=max_cycles,
     )
 
 
@@ -502,8 +453,9 @@ class SweepReport:
 
 
 #: Which :func:`schedule_space` keyword carries each workload's base config
-#: (the shape the warm-start policy measures neighbour distance against).
-_WARM_BASE_FIELD = {
+#: (the shape the warm-start policy measures neighbour distance against, and
+#: the requested configuration a tuned kernel-cache miss sweeps around).
+SPACE_BASE_FIELD = {
     "tile_sgemm": "sgemm",
     "tile_transpose": "transpose",
     "tile_sgemv": "sgemv",
@@ -587,7 +539,7 @@ def run_generative_sweep(
     """Generate, prune and simulate the schedule space, timing each phase.
 
     The single-entry-point version of the :func:`schedule_space` →
-    :func:`prune_by_bound` → :func:`autotune_schedules` chain, with wall
+    :func:`prune_by_bound` → :func:`autotune_workloads` chain, with wall
     times captured where benchmarks need them.  ``workload`` restricts the
     space to one workload's candidates (e.g. ``"tile_sgemm"``);
     ``include_tails=False`` additionally drops the ``@``-labelled tail
@@ -610,13 +562,13 @@ def run_generative_sweep(
 
     seed_candidates: list[WorkloadCandidate] = []
     seed_outcomes: list[TuneOutcome] = []
-    if warm_start and workload in _WARM_BASE_FIELD:
+    if warm_start and workload in SPACE_BASE_FIELD:
         if store is None:
             from repro.kcache.store import current_store
 
             store = current_store()
         if store is not None:
-            base_field = _WARM_BASE_FIELD[workload]
+            base_field = SPACE_BASE_FIELD[workload]
             base = space_kwargs.get(base_field)
             if base is None:
                 from repro.kernels.registry import get_workload
@@ -628,14 +580,14 @@ def run_generative_sweep(
 
     started = time.perf_counter()
     if seed_candidates:
-        seed_outcomes = autotune_schedules(
+        seed_outcomes = autotune_workloads(
             spec, seed_candidates, workers=workers, cache=cache, max_cycles=max_cycles
         )
     seed_sim_s = time.perf_counter() - started
     report = prune_by_bound(spec, candidates, keep_within=keep_within)
     kept, warm_pruned = _warm_prune(list(report.kept), seed_candidates, seed_outcomes, spec)
     started = time.perf_counter()
-    outcomes = autotune_schedules(
+    outcomes = autotune_workloads(
         spec, kept, workers=workers, cache=cache, max_cycles=max_cycles
     )
     if seed_candidates:

@@ -50,36 +50,6 @@ _LOWERED_KERNELS: dict[tuple[str, object], Kernel] = {}
 _SCHEDULED_LABELS = (("cache", "scheduled_procs"),)
 _LOWERED_LABELS = (("cache", "lowered_kernels"),)
 
-#: Label set of the durable kernel-store tier behind the memos.
-_BUILD_LABELS = (("kind", "build"),)
-
-
-def _durable_store():
-    """The installed :class:`repro.kcache.store.KernelStore`, or None.
-
-    The memos sit in front of the durable store: a memo miss consults the
-    store before rebuilding, and every build is published back, so a *new
-    process* starts warm.  Without an installed store the memos behave
-    exactly as before (imported lazily — the kcache layer sits above tile).
-    """
-    from repro.kcache.store import current_store
-
-    return current_store()
-
-
-def _store_publish(store, key: str, **kwargs) -> None:
-    """Best-effort durable publish of one memo-tier build.
-
-    The memos are caches in front of a cache: a publish that cannot land
-    (read-only or failing store, injected fault) costs the *next* process a
-    rebuild, never this one its result — so failures become a counter, not
-    an exception.
-    """
-    try:
-        store.put(key, **kwargs)
-    except OSError:
-        counter_inc("kcache.memo.publish_errors", 1)
-
 
 def _cache_put(cache: dict, key, value, labels):
     if len(cache) >= _SCHEDULE_CACHE_LIMIT:
@@ -113,43 +83,17 @@ class TileWorkload(Workload):
         """The golden schedule applied to the naive proc."""
         raise NotImplementedError
 
-    def _build_key(self, config) -> str:
-        """The GPU-independent routine key of this schedule point's artifacts."""
-        from repro.kcache.keys import routine_key
-
-        return routine_key(self.name, config, None)
-
     def cached_scheduled_proc(self, config) -> Proc:
-        """The scheduled proc, memoized by schedule hash and durably stored."""
+        """The scheduled proc, memoized by schedule hash."""
         key = (self.name, config)
         proc = _SCHEDULED_PROCS.get(key)
         if proc is not None:
             counter_inc("tile.schedule_cache.hits", 1, _SCHEDULED_LABELS)
             return proc
         counter_inc("tile.schedule_cache.misses", 1, _SCHEDULED_LABELS)
-        store = _durable_store()
-        if store is not None:
-            entry = store.load(self._build_key(config))
-            if entry is not None and "proc" in entry.artifacts:
-                counter_inc("kcache.hits", 1, _BUILD_LABELS)
-                return _cache_put(
-                    _SCHEDULED_PROCS, key, entry.artifacts["proc"], _SCHEDULED_LABELS
-                )
-            counter_inc("kcache.misses", 1, _BUILD_LABELS)
-        proc = _cache_put(
+        return _cache_put(
             _SCHEDULED_PROCS, key, self.scheduled_proc(config), _SCHEDULED_LABELS
         )
-        if store is not None:
-            _store_publish(
-                store,
-                self._build_key(config),
-                kind="build",
-                artifacts={"proc": proc},
-                workload=self.name,
-                gpu="any",
-                config=config,
-            )
-        return proc
 
     def lds_width_bits(self, config) -> int:
         return 64
@@ -164,34 +108,11 @@ class TileWorkload(Workload):
             counter_inc("tile.schedule_cache.hits", 1, _LOWERED_LABELS)
             return kernel
         counter_inc("tile.schedule_cache.misses", 1, _LOWERED_LABELS)
-        store = _durable_store()
-        if store is not None:
-            entry = store.load(self._build_key(config))
-            if entry is not None and "kernel" in entry.artifacts:
-                counter_inc("kcache.hits", 1, _BUILD_LABELS)
-                if "proc" in entry.artifacts:
-                    _SCHEDULED_PROCS.setdefault(key, entry.artifacts["proc"])
-                return _cache_put(
-                    _LOWERED_KERNELS, key, entry.artifacts["kernel"], _LOWERED_LABELS
-                )
-            counter_inc("kcache.misses", 1, _BUILD_LABELS)
-        proc = self.cached_scheduled_proc(config)
-        kernel = _cache_put(_LOWERED_KERNELS, key, lower(
-            proc,
+        return _cache_put(_LOWERED_KERNELS, key, lower(
+            self.cached_scheduled_proc(config),
             lds_width_bits=self.lds_width_bits(config),
             ld_width_bits=self.ld_width_bits(config),
         ), _LOWERED_LABELS)
-        if store is not None:
-            _store_publish(
-                store,
-                self._build_key(config),
-                kind="build",
-                artifacts={"proc": proc, "kernel": kernel},
-                workload=self.name,
-                gpu="any",
-                config=config,
-            )
-        return kernel
 
     def oracle(self, config, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Interpret the *naive* proc on ``inputs`` — the ground truth."""

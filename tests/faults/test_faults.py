@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from repro.errors import ReproError
+import repro.faults
 from repro.faults import (
     DESTRUCTIVE_KINDS,
     FAULT_KINDS,
@@ -195,6 +197,19 @@ class TestRandomPlan:
     def test_same_seed_same_schedule(self):
         a, b = random_plan(123), random_plan(123)
         assert a.rules == b.rules
+
+    def test_every_catalogued_site_is_named_by_a_library_module(self):
+        """A catalogue entry no library code passes through is a rule that
+        can never fire; :func:`random_plan` must not draw it."""
+        faults_dir = Path(repro.faults.__file__).parent
+        literals: set[str] = set()
+        for path in faults_dir.parent.rglob("*.py"):
+            if faults_dir in path.parents:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    literals.add(node.value)
+        assert sorted(set(SITES + MUTATE_SITES) - literals) == []
 
     def test_rules_stay_inside_the_site_catalogue(self):
         for seed in range(50):

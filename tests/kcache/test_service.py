@@ -71,19 +71,16 @@ class TestWarmHit:
 
 
 class TestMemoStoreTier:
-    def test_new_process_equivalent_starts_warm_from_the_store(self, tmp_path, fermi):
-        """Clearing the memos (a fresh process) still avoids re-scheduling."""
-        from repro.kernels.registry import get_workload
-
-        workload = get_workload("tile_sgemm")
-        with store_session(tmp_path / "kcache"):
-            first = workload.generate_naive(TINY)
-            clear_schedule_caches()  # simulate a brand-new process
-            with metrics_session() as registry:
-                second = workload.generate_naive(TINY)
-            snapshot = registry.snapshot()
-            assert snapshot.counter_total("kcache.hits") >= 1
-        assert kernel_hash(first) == kernel_hash(second)
+    def test_installed_store_keeps_only_the_tuned_entry(self, tmp_path, fermi):
+        """The kernel store is the only durable tier: the schedule memos a
+        tuned build runs through publish nothing of their own."""
+        space = {"tiles": (4, 8), "register_blockings": (2, 4),
+                 "strides": (2, 4), "b_windows": (1, 2)}
+        with store_session(tmp_path / "kcache") as store:
+            reply = get_kernel("tile_sgemm", TINY, fermi, tune=True, space=space)
+        assert reply.source == "built"
+        assert store.keys() == [reply.key]
+        assert store.stats().by_kind == {"tuned": 1}
 
     def test_without_a_store_memos_behave_as_before(self, fermi):
         from repro.kernels.registry import get_workload

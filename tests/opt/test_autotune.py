@@ -6,10 +6,9 @@ import pytest
 
 from repro.opt.autotune import (
     AutotuneCache,
-    TuneCandidate,
-    autotune,
-    default_candidates,
-    evaluate_candidate,
+    WorkloadCandidate,
+    autotune_workloads,
+    evaluate_workload_candidate,
     format_leaderboard,
 )
 from repro.opt.rewrite import kernel_hash
@@ -18,8 +17,14 @@ from repro.sgemm.config import SgemmKernelConfig, SgemmVariant
 
 @pytest.fixture(scope="module")
 def nn_candidates():
-    """A small sweep: NN variant, naive vs pipeline vs hand allocation."""
-    return default_candidates(variants=(SgemmVariant.NN,))
+    """A small sweep: the NN hand SGEMM, naive vs pipeline."""
+    config = SgemmKernelConfig(
+        m=96, n=96, k=16, variant=SgemmVariant.NN, conflict_free_allocation=False
+    )
+    return [
+        WorkloadCandidate("sgemm", config, optimize=False, label="nn:naive"),
+        WorkloadCandidate("sgemm", config, optimize=True, label="nn:pipeline"),
+    ]
 
 
 class TestKernelHash:
@@ -42,10 +47,10 @@ class TestKernelHash:
 
 class TestEvaluation:
     def test_single_candidate_evaluates(self):
-        candidate = TuneCandidate(
-            config=SgemmKernelConfig(m=96, n=96, k=16), optimize=True, label="probe"
+        candidate = WorkloadCandidate(
+            "sgemm", SgemmKernelConfig(m=96, n=96, k=16), optimize=True, label="probe"
         )
-        outcome = evaluate_candidate("gtx680", candidate)
+        outcome = evaluate_workload_candidate("gtx680", candidate)
         assert outcome.ok
         assert outcome.cycles > 0
         assert outcome.ffma_conflicts == 0
@@ -53,7 +58,7 @@ class TestEvaluation:
         assert outcome.bound_gflops is not None
 
     def test_serial_sweep_ranks_pipeline_first(self, nn_candidates):
-        outcomes = autotune("gtx680", nn_candidates, workers=1)
+        outcomes = autotune_workloads("gtx680", nn_candidates, workers=1)
         assert [o.ok for o in outcomes] == [True] * len(outcomes)
         assert outcomes[0].label == "nn:pipeline"
         naive = next(o for o in outcomes if o.label == "nn:naive")
@@ -61,21 +66,21 @@ class TestEvaluation:
         assert naive.ffma_conflicts > 0
 
     def test_parallel_sweep_matches_serial(self, nn_candidates):
-        serial = autotune("gtx680", nn_candidates, workers=1)
-        parallel = autotune("gtx680", nn_candidates, workers=2)
+        serial = autotune_workloads("gtx680", nn_candidates, workers=1)
+        parallel = autotune_workloads("gtx680", nn_candidates, workers=2)
         assert [(o.label, o.cycles) for o in serial] == [
             (o.label, o.cycles) for o in parallel
         ]
 
 
 class TestCache:
-    def test_cache_hit_skips_simulation(self, nn_candidates, tmp_path):
-        path = tmp_path / "cache.json"
-        first = autotune("gtx680", nn_candidates, workers=1, cache=AutotuneCache.load(str(path)))
+    def test_cache_hit_skips_simulation(self, nn_candidates):
+        cache = AutotuneCache()
+        first = autotune_workloads("gtx680", nn_candidates, workers=1, cache=cache)
         assert all(not o.from_cache for o in first)
-        assert path.exists()
+        assert len(cache.entries) == len(nn_candidates)
 
-        second = autotune("gtx680", nn_candidates, workers=1, cache=AutotuneCache.load(str(path)))
+        second = autotune_workloads("gtx680", nn_candidates, workers=1, cache=cache)
         assert all(o.from_cache for o in second)
         assert [(o.label, o.cycles) for o in first] == [(o.label, o.cycles) for o in second]
 
@@ -87,13 +92,13 @@ class TestCache:
 
 class TestReporting:
     def test_leaderboard_renders_every_candidate(self, nn_candidates):
-        outcomes = autotune("gtx680", nn_candidates, workers=1)
+        outcomes = autotune_workloads("gtx680", nn_candidates, workers=1)
         table = format_leaderboard(outcomes)
         for outcome in outcomes:
             assert outcome.label in table
 
     def test_unknown_gpu_name_reported_not_raised(self, nn_candidates):
-        outcome = evaluate_candidate("gtx9000", nn_candidates[0])
+        outcome = evaluate_workload_candidate("gtx9000", nn_candidates[0])
         assert not outcome.ok
         assert "gtx9000" in (outcome.error or "")
 
@@ -104,20 +109,21 @@ class TestReporting:
         from repro.arch import kepler_gtx680
 
         custom = replace(kepler_gtx680(), name="Custom GK104")
-        candidate = TuneCandidate(
-            config=SgemmKernelConfig(m=96, n=96, k=16), label="custom"
+        candidate = WorkloadCandidate(
+            "sgemm", SgemmKernelConfig(m=96, n=96, k=16), label="custom"
         )
-        outcome = evaluate_candidate(custom, candidate)
+        outcome = evaluate_workload_candidate(custom, candidate)
         assert outcome.ok
         assert outcome.gpu_key == "customgk104"
 
     def test_failed_candidate_reported_not_raised(self):
-        bad = TuneCandidate(
+        bad = WorkloadCandidate(
+            "sgemm",
             # B_R=7 needs registers beyond R62: rejected at generation time.
-            config=SgemmKernelConfig(m=224, n=224, k=16, register_blocking=7),
+            SgemmKernelConfig(m=224, n=224, k=16, register_blocking=7),
             label="impossible",
         )
-        outcome = evaluate_candidate("gtx580", bad)
+        outcome = evaluate_workload_candidate("gtx580", bad)
         assert not outcome.ok
         assert "Error" in (outcome.error or "")
         table = format_leaderboard([outcome])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.kernels import get_workload, run_workload, workload_cycles
-from repro.opt import autotune_workloads, schedule_sweep_candidates
-from repro.tile.autotune import prune_by_bound, schedule_candidates, schedule_space
+from repro.opt import autotune_workloads
+from repro.tile.autotune import prune_by_bound, schedule_space
 from repro.tile.workloads import TileSgemmConfig, TileSgemvConfig, TileTransposeConfig
 
 TILE_WORKLOADS = ("tile_sgemm", "tile_transpose", "tile_sgemv")
@@ -111,7 +111,7 @@ class TestImperfectSizes:
 
 class TestScheduleAutotuning:
     def test_candidate_set_covers_every_tile_workload(self):
-        labels = [c.label for c in schedule_candidates()]
+        labels = [c.label for c in schedule_space()]
         for name in TILE_WORKLOADS:
             assert any(label.startswith(name) for label in labels)
         # The sweep varies genuine schedule decisions, not just sizes.
@@ -119,16 +119,11 @@ class TestScheduleAutotuning:
         assert any("noprefetch" in label for label in labels)
         assert any(":w1" in label for label in labels)
 
-    def test_opt_layer_reexports_the_sweep(self):
-        ours = [c.label for c in schedule_candidates()]
-        theirs = [c.label for c in schedule_sweep_candidates()]
-        assert ours == theirs
-
     def test_sweep_evaluates_and_ranks(self, fermi):
         # A small slice of the sweep keeps the test fast; the full sweep runs
         # in benchmarks/bench_tile.py.
         candidates = [
-            c for c in schedule_candidates()
+            c for c in schedule_space()
             if c.label in ("tile_transpose:golden", "tile_transpose:nopad",
                            "tile_sgemv:golden", "tile_sgemv:w1")
         ]
@@ -170,6 +165,6 @@ class TestGenerativeSweep:
                 assert bound_time > best
 
     def test_gpu_argument_prunes_schedule_candidates(self, fermi):
-        full = schedule_candidates()
-        pruned = schedule_candidates(gpu=fermi)
+        full = schedule_space()
+        pruned = prune_by_bound(fermi, full).kept
         assert len(pruned) < len(full)
