@@ -5,14 +5,16 @@ allocates named buffers (matrices A, B, C for SGEMM), obtains their base
 addresses, passes them to the kernel through the constant bank
 (:class:`KernelParams`), and reads results back after simulation.
 :class:`SharedMemoryArray` is the per-block scratchpad the same kernels stage
-tiles through.
+tiles through; :class:`PackedSharedMemory` packs the resident blocks' arrays
+into one buffer so the vectorized engine can address all of them at once.
 
 Both memories expose two word-level access paths with identical semantics:
 
 * ``load_words`` / ``store_words`` — vectorised masked gather/scatter over
-  NumPy index arrays (any shape: one warp's 32 lanes, or a whole block's
+  NumPy index arrays (any shape: one warp's 32 lanes, or the resident warps'
   ``(warps, 32)`` lane matrix).  This is the fast path used by
-  :mod:`repro.sim.vectorized`.
+  :mod:`repro.sim.vectorized`, which reaches shared memory through the same
+  methods of :class:`PackedSharedMemory`.
 * ``load_words_reference`` / ``store_words_reference`` — the original
   per-lane Python loops, kept verbatim as the oracle for the differential
   test harness (:mod:`repro.sim.reference`).
@@ -145,6 +147,55 @@ class SharedMemoryArray:
             self._data[address : address + 4] = (
                 np.array([values[lane]], dtype=np.uint32).view(np.uint8)
             )
+
+
+class PackedSharedMemory:
+    """Several blocks' shared memories packed into one buffer for lock-step access.
+
+    Row ``r`` of an access matrix belongs to block ``blocks[r]``, an index into
+    ``memories``.  Its addresses are bounds-checked against that block's own
+    size *before* the block's offset into the packed buffer is added, so no
+    block can reach another block's words.  :meth:`writeback` copies the
+    packed contents back into the ``memories`` it was built from.
+    """
+
+    def __init__(self, memories: list[SharedMemoryArray]) -> None:
+        self._memories = memories
+        # Each block's segment is its padded backing store, so every base is
+        # word aligned and the uint32 fast path of the gather/scatter applies.
+        sizes = [memory._data.size for memory in memories]
+        self._base = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+        self._limit = np.array([memory._limit for memory in memories], dtype=np.int64)
+        self._data = np.concatenate([memory._data for memory in memories])
+
+    def _packed(
+        self, addresses: np.ndarray, mask: np.ndarray, blocks: np.ndarray, what: str
+    ) -> np.ndarray:
+        """Block-local ``(rows, lanes)`` addresses -> packed-buffer addresses."""
+        bad = mask & ((addresses < 0) | (addresses + 4 > self._limit[blocks][:, None]))
+        if bad.any():
+            address = int(addresses.reshape(-1)[int(np.argmax(bad))])
+            raise SimulationError(f"{what} out of bounds at {address:#x}")
+        return addresses + self._base[blocks][:, None]
+
+    def load_words(self, addresses: np.ndarray, mask: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Gather one 32-bit word per lane from each row's block (masked lanes read 0)."""
+        what = "shared-memory load"
+        packed = self._packed(addresses, mask, blocks, what)
+        return _gather_words(self._data, self._data.size, packed, mask, what)
+
+    def store_words(
+        self, addresses: np.ndarray, values: np.ndarray, mask: np.ndarray, blocks: np.ndarray
+    ) -> None:
+        """Scatter one 32-bit word per lane into each row's block (masked lanes skipped)."""
+        what = "shared-memory store"
+        packed = self._packed(addresses, mask, blocks, what)
+        _scatter_words(self._data, self._data.size, packed, values, mask, what)
+
+    def writeback(self) -> None:
+        """Copy every block's packed segment back into its ``SharedMemoryArray``."""
+        for memory, base in zip(self._memories, self._base):
+            memory._data[:] = self._data[base : base + memory._data.size]
 
 
 class GlobalMemory:

@@ -14,13 +14,15 @@ round-robin) order and issues at most one instruction per warp, subject to:
 Functional execution comes in two interchangeable flavours selected by the
 ``executor`` argument:
 
-* ``"vectorized"`` (default): each block is executed ahead of the timing loop
-  by :class:`repro.sim.vectorized.VectorizedEngine` — lock-step across warps,
-  one NumPy op per instruction — which records per-warp traces of the
-  functional decisions (branches, EXIT masks, bank-conflict replay degrees,
-  DRAM lane counts).  The timing loop then replays those traces; for the
-  race-free programs the simulator supports this is cycle-identical to
-  executing at issue time, at a fraction of the cost.
+* ``"vectorized"`` (default): all resident blocks are executed ahead of the
+  timing loop in one pass of :class:`repro.sim.vectorized.VectorizedEngine` —
+  lock-step across the warps of every block, one NumPy op per instruction —
+  which records per-warp traces of the functional decisions (branches, EXIT
+  masks, bank-conflict replay degrees, DRAM lane counts).  The timing loop
+  then replays those traces; for the race-free programs the simulator
+  supports (no block writes a global word another block reads or writes)
+  this is cycle-identical to executing at issue time, at a fraction of the
+  cost.
 * ``"reference"``: the scalar oracle (:mod:`repro.sim.reference`) executes
   every instruction at issue time, exactly as dependences resolve.  This is
   the behavioural baseline the differential test harness compares against.
@@ -288,10 +290,11 @@ class SmSimulator:
         executor: ReferenceExecutor | None = None
         traces: dict[int, WarpTrace] = {}
         if vectorized:
-            # Functional pre-pass: execute every block lock-step ahead of the
-            # timing loop, recording the per-warp decision traces the loop
-            # replays below.  A warp issues at most one instruction per cycle,
-            # so the cycle cap bounds the dynamic instruction count too.
+            # Functional pre-pass: execute all blocks in one lock-step pass
+            # ahead of the timing loop, recording the per-warp decision traces
+            # the loop replays below.  A warp issues at most one instruction
+            # per cycle, so the cycle cap bounds the dynamic instruction count
+            # too.
             engine = VectorizedEngine(
                 self._kernel,
                 shared_spec=self._gpu.shared_memory,
@@ -299,13 +302,11 @@ class SmSimulator:
                 params=self._params,
                 grid_dim=(config.grid.grid_x, config.grid.grid_y),
             )
-            limit = min(1_000_000, int(config.max_cycles) + 1)
-            for block in blocks:
-                traces.update(
-                    engine.run_block(
-                        block.warps, block.shared_memory, max_instructions=limit
-                    )
-                )
+            traces = engine.run_block(
+                all_warps,
+                [block.shared_memory for block in blocks],
+                max_instructions=min(1_000_000, int(config.max_cycles) + 1),
+            )
         elif functional:
             executor = ReferenceExecutor(
                 self._global_memory,

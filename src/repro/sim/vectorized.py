@@ -1,30 +1,39 @@
-"""Vectorized functional execution: whole-block lock-step, one op per instruction.
+"""Vectorized functional execution: whole-grid lock-step, one op per instruction.
 
 The reference executor (:mod:`repro.sim.reference`) steps one warp, one
-instruction, one lane at a time.  This engine executes a *block* ahead of the
-timing loop: warps at the same pc are grouped and advanced lock-step through
-straight-line regions (everything up to the next BRA/BAR/EXIT), so each
-instruction becomes one NumPy operation over a ``(warps, 32)`` lane matrix.
-Guard predicates and active masks are 2-D lane masks; memory accesses become
-the masked gather/scatters of :mod:`repro.sim.memory`.  Per-instruction
-operand decoding (`isinstance` dispatch on every step in the reference
-executor) happens once: each pc is compiled to a closure over pre-resolved
-register indices, immediates and constant-bank values, cached per engine.
+instruction, one lane at a time.  This engine executes *every resident block*
+ahead of the timing loop in one pass: warps at the same pc, whichever block
+they belong to, are grouped and advanced lock-step through straight-line
+regions (everything up to the next BRA/BAR/EXIT), so each instruction becomes
+one NumPy operation over a ``(warps, 32)`` lane matrix.  Guard predicates and
+active masks are 2-D lane masks; memory accesses become the masked
+gather/scatters of :mod:`repro.sim.memory`.  CTAID is read per row, and each
+block keeps its own shared memory (a :class:`~repro.sim.memory.PackedSharedMemory`
+segment chosen by ``WarpState.block_id`` and bounds-checked against that
+block's size).  Per-instruction operand decoding (`isinstance` dispatch on
+every step in the reference executor) happens once: each pc is compiled to a
+closure over pre-resolved register indices, immediates and constant-bank
+values, cached per engine.
 
-Lock-step batching is only defined for race-free programs — different warps
-may not write the same shared/global location between two barriers (ordinary
-correct CUDA kernels; the differential fuzz harness generates only such
-programs).  For race-free programs every warp interleaving produces the same
-architectural state, so executing a block ahead of the cycle-level schedule
-is sound.  The timing loop still needs the *functional decisions* at the
-cycles it issues instructions, so the engine records a :class:`WarpTrace` per
-warp — branch outcomes, EXIT lane-mask results, shared-memory bank-conflict
-replay degrees and DRAM active-lane counts in dynamic program order — which
-:class:`repro.sim.sm_sim.SmSimulator` then replays.  Because per-warp
-register and predicate trajectories are interleaving-independent, the
-recorded values equal what live execution would have produced and the cycle,
-stall and profile accounting is bit-identical to the reference executor (the
-differential harness asserts exactly that).
+Lock-step batching is only defined for race-free programs.  Within a block,
+different warps may not write the same shared/global location between two
+barriers.  Across blocks, which run lock-step with each other too, no block
+may write a global word that another block reads or writes.  Ordinary CUDA
+kernels without grid-wide synchronisation meet both conditions, the
+differential fuzz harness generates only such programs, and the registry
+differential checks every registry workload against the reference engine.
+For race-free programs every warp interleaving produces the same
+architectural state, so executing the blocks ahead of the cycle-level
+schedule is sound.  The timing loop still needs the *functional decisions*
+at the cycles it issues instructions, so the engine records a
+:class:`WarpTrace` per warp — branch outcomes, EXIT lane-mask results,
+shared-memory bank-conflict replay degrees and DRAM active-lane counts in
+dynamic program order — which :class:`repro.sim.sm_sim.SmSimulator` then
+replays.  Because per-warp register and predicate trajectories are
+interleaving-independent, the recorded values equal what live execution
+would have produced and the cycle, stall and profile accounting is
+bit-identical to the reference executor (the differential harness asserts
+exactly that).
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from repro.errors import ArchitectureError, SimulationError
 from repro.isa.assembler import Kernel
 from repro.isa.instructions import ConstRef, Immediate, Instruction, Opcode
 from repro.isa.registers import Register, SpecialRegister
-from repro.sim.memory import GlobalMemory, KernelParams, SharedMemoryArray
+from repro.sim.memory import GlobalMemory, KernelParams, PackedSharedMemory, SharedMemoryArray
 from repro.sim.warp import PREDICATE_COUNT, REGISTER_COUNT, WARP_SIZE, WarpState
 
 #: Opcodes that terminate a straight-line region.
@@ -101,10 +110,16 @@ class WarpTrace:
         return self._next(self.dram_lanes, 3, "DRAM-lane")
 
 
-class _BlockState:
-    """Stacked architectural state of one block: ``(warps, ...)`` arrays."""
+class _ResidentState:
+    """Stacked architectural state of the resident warps: ``(warps, ...)`` arrays.
 
-    __slots__ = ("regs", "preds", "active", "tid_x", "tid_y", "block_idx", "warp_ids")
+    Rows may come from different blocks: ``ctaid_x``/``ctaid_y`` hold each
+    row's block coordinates and ``block_ids`` its index into the packed
+    shared memory.
+    """
+
+    __slots__ = ("regs", "preds", "active", "tid_x", "tid_y", "ctaid_x", "ctaid_y",
+                 "block_ids", "warp_ids")
 
     def __init__(self, warps: list[WarpState]) -> None:
         self.regs = np.stack([w.registers for w in warps])  # (W, 64, 32) uint32
@@ -112,7 +127,10 @@ class _BlockState:
         self.active = np.stack([w.active_mask for w in warps])  # (W, 32) bool
         self.tid_x = np.stack([w.lane_tid_x for w in warps])  # (W, 32) int64
         self.tid_y = np.stack([w.lane_tid_y for w in warps])
-        self.block_idx = warps[0].block_idx
+        ctaid = np.array([w.block_idx for w in warps], dtype=np.int64).astype(np.uint32)
+        self.ctaid_x = np.repeat(ctaid[:, :1], WARP_SIZE, axis=1)  # (W, 32) uint32
+        self.ctaid_y = np.repeat(ctaid[:, 1:], WARP_SIZE, axis=1)
+        self.block_ids = np.array([w.block_id for w in warps], dtype=np.intp)
         self.warp_ids = np.array([w.warp_id for w in warps], dtype=np.int64)
 
     def read_u32(self, g: np.ndarray, index: int) -> np.ndarray:
@@ -153,32 +171,29 @@ class _BlockState:
 
 
 def _conflict_degrees(
-    spec: SharedMemorySpec, addresses: np.ndarray, active: np.ndarray, access_bytes: int
+    spec: SharedMemorySpec, addresses: np.ndarray, active: np.ndarray
 ) -> list[int]:
-    """Per-warp bank-conflict replay degrees, matching ``conflict_degree``.
+    """Per-row bank-conflict replay degrees, matching ``conflict_degree``.
 
-    ``addresses``/``active`` are ``(warps, 32)``; inactive lanes do not
-    participate.  Negative active addresses raise like ``bank_of`` does.
+    ``addresses``/``active`` are ``(rows, 32)``; inactive lanes do not
+    participate, and a row without active lanes reads 1.  Negative active
+    addresses raise like ``bank_of`` does.  The access width does not enter:
+    ``conflict_degree``'s phase ``p`` of a wide access touches the words
+    ``w + p``, the phase-0 distinct words shifted by ``p``, which only
+    rotates the per-bank counts, so every phase has the phase-0 maximum.
     """
-    bank_width = spec.bank_width_bytes
+    if (active & (addresses < 0)).any():
+        raise ArchitectureError("shared memory address must be non-negative")
     bank_count = spec.bank_count
-    words_per_thread = max(1, access_bytes // bank_width)
-    degrees: list[int] = []
-    for row in range(addresses.shape[0]):
-        lane_addresses = addresses[row][active[row]]
-        if lane_addresses.size == 0:
-            degrees.append(1)
-            continue
-        if (lane_addresses < 0).any():
-            raise ArchitectureError("shared memory address must be non-negative")
-        worst = 1
-        for phase in range(words_per_thread):
-            words = (lane_addresses + phase * bank_width) // bank_width
-            unique_words = np.unique(words)
-            per_bank = np.bincount(unique_words % bank_count)
-            worst = max(worst, int(per_bank.max()))
-        degrees.append(worst)
-    return degrees
+    words = np.where(active, addresses // spec.bank_width_bytes, -1)
+    words.sort(axis=1)
+    # Each distinct active word of a row counts once, in its bank.
+    distinct = words >= 0
+    distinct[:, 1:] &= words[:, 1:] != words[:, :-1]
+    rows = words.shape[0]
+    keys = (np.arange(rows)[:, None] * bank_count + words % bank_count)[distinct]
+    per_bank = np.bincount(keys, minlength=rows * bank_count).reshape(rows, bank_count)
+    return np.maximum(per_bank.max(axis=1), 1).tolist()
 
 
 class VectorizedEngine:
@@ -210,14 +225,20 @@ class VectorizedEngine:
     def run_block(
         self,
         warps: list[WarpState],
-        shared_memory: SharedMemoryArray,
+        shared_memories: list[SharedMemoryArray],
         *,
         max_instructions: int = 1_000_000,
     ) -> dict[int, WarpTrace]:
-        """Functionally execute one block to completion, lock-step.
+        """Functionally execute the resident blocks to completion, lock-step.
+
+        ``warps`` are the warps of every resident block; each warp's
+        ``block_id`` indexes ``shared_memories``, one array per block.  Warps
+        at the same pc advance together whichever block they belong to, and
+        a barrier releases once no warp can run, which is when every block's
+        unfinished warps have all arrived.
 
         Returns the per-warp decision traces keyed by ``warp_id``.  Mutates
-        ``shared_memory``, the engine's global memory, and the warps' final
+        ``shared_memories``, the engine's global memory, and the warps' final
         registers/predicates; the warps' scheduling state (pc, finished,
         barrier) is left untouched for the timing loop.
         """
@@ -225,7 +246,8 @@ class VectorizedEngine:
             raise SimulationError("cannot execute an empty kernel")
         instructions = self._kernel.instructions
         count = len(instructions)
-        state = _BlockState(warps)
+        state = _ResidentState(warps)
+        shared_memory = PackedSharedMemory(shared_memories)
         traces = [WarpTrace() for _ in warps]
         pc = [w.pc for w in warps]
         finished = [w.finished for w in warps]
@@ -270,6 +292,7 @@ class VectorizedEngine:
                 )
 
         state.writeback(warps)
+        shared_memory.writeback()
         return {warps[i].warp_id: traces[i] for i in range(len(warps))}
 
     def _region_span(self, start: int) -> int:
@@ -287,7 +310,7 @@ class VectorizedEngine:
         self,
         instruction: Instruction,
         index: int,
-        state: _BlockState,
+        state: _ResidentState,
         group: list[int],
         g: np.ndarray,
         pc: list[int],
@@ -547,13 +570,9 @@ class VectorizedEngine:
         if special in (SpecialRegister.TID_Z, SpecialRegister.CTAID_Z):
             return lambda st, g: np.zeros((g.size, WARP_SIZE), dtype=np.uint32)
         if special is SpecialRegister.CTAID_X:
-            return lambda st, g: np.full(
-                (g.size, WARP_SIZE), st.block_idx[0], dtype=np.int64
-            ).astype(np.uint32)
+            return lambda st, g: st.ctaid_x[g]
         if special is SpecialRegister.CTAID_Y:
-            return lambda st, g: np.full(
-                (g.size, WARP_SIZE), st.block_idx[1], dtype=np.int64
-            ).astype(np.uint32)
+            return lambda st, g: st.ctaid_y[g]
         if special is SpecialRegister.LANEID:
             return lambda st, g: np.tile(_LANES.astype(np.uint32), (g.size, 1))
         if special is SpecialRegister.WARPID:
@@ -573,7 +592,6 @@ class VectorizedEngine:
         is_shared = opcode in (Opcode.LDS, Opcode.STS)
         is_load = opcode in (Opcode.LDS, Opcode.LD)
         spec = self._shared_spec if is_shared else None
-        access_bytes = instruction.width // 8
         global_memory = self._global_memory
         mnemonic = instruction.mnemonic
 
@@ -593,7 +611,7 @@ class VectorizedEngine:
             if spec is not None:
                 # Replay degrees use the raw active mask (not the guard),
                 # exactly like SmSimulator._shared_memory_replays.
-                degrees = _conflict_degrees(spec, addresses, st.active[g], access_bytes)
+                degrees = _conflict_degrees(spec, addresses, st.active[g])
                 for row, i in enumerate(g):
                     traces[i].replays.append(degrees[row])
             mask = guard(st, g)
@@ -607,13 +625,15 @@ class VectorizedEngine:
                 for row, i in enumerate(g):
                     traces[i].dram_lanes.append(int(lanes[row]))
             target = shared if is_shared else global_memory
+            # A shared access also names each row's block.
+            rows = (st.block_ids[g],) if is_shared else ()
             for word in range(words):
                 word_addresses = addresses + 4 * word
                 if is_load:
-                    values = target.load_words(word_addresses, mask)
+                    values = target.load_words(word_addresses, mask, *rows)
                     st.write_u32(g, dest + word, values, mask)
                 else:
                     values = st.read_u32(g, data_index + word)
-                    target.store_words(word_addresses, values, mask)
+                    target.store_words(word_addresses, values, mask, *rows)
 
         return fn

@@ -342,7 +342,7 @@ def _run_vectorized(spec: ProgramSpec):
     shared = SharedMemoryArray(spec.shared_bytes)
     engine = VectorizedEngine(spec.kernel, global_memory=memory, params=params)
     with np.errstate(all="ignore"):
-        engine.run_block(warps, shared)
+        engine.run_block(warps, [shared])
     return warps, shared, memory
 
 

@@ -24,8 +24,10 @@ from conftest import (
     program_from_seed,
 )
 
+from repro.arch.specs import get_gpu_spec
 from repro.kernels.registry import get_workload, workload_names
 from repro.sim import LaunchConfig, SmSimulator
+from repro.tile.workloads import TileSgemmConfig
 
 #: Seed count of the full differential sweep (the CI acceptance gate).
 FULL_SWEEP_SEEDS = 500
@@ -81,7 +83,8 @@ class TestSeededPrograms:
         assert len(set(instruction_counts)) > 10
 
 
-def _workload_result(gpu, workload, config, kernel, executor: str):
+def _workload_result(gpu, workload, config, kernel, executor: str, *,
+                     collect_profile: bool = False):
     """One functional simulation of a workload with the given engine."""
     inputs = workload.prepare_inputs(config, seed=0)
     launch = workload.build_launch(config, inputs)
@@ -92,9 +95,23 @@ def _workload_result(gpu, workload, config, kernel, executor: str):
     result = simulator.run(
         LaunchConfig(grid=launch.grid, functional=True, max_cycles=20_000_000),
         block_indices=launch.grid.block_indices(),
+        collect_profile=collect_profile,
     )
     output = workload.read_output(config, launch.memory)
     return result, output, launch.memory
+
+
+def _assert_same_counters(reference, vectorized):
+    """Every ``collect_profile`` counter array is identical."""
+    assert np.array_equal(reference.issues, vectorized.issues)
+    assert np.array_equal(reference.issue_cycles, vectorized.issue_cycles)
+    assert np.array_equal(reference.smem_replays, vectorized.smem_replays)
+    assert np.array_equal(reference.dram_bytes, vectorized.dram_bytes)
+    for reason in reference.stall_events:
+        assert np.array_equal(reference.stall_events[reason],
+                              vectorized.stall_events[reason]), reason
+        assert np.array_equal(reference.stall_cycles[reason],
+                              vectorized.stall_cycles[reason]), reason
 
 
 @pytest.mark.slow
@@ -145,28 +162,40 @@ def test_profile_counters_differential(fermi):
     workload = get_workload("tile_sgemm")
     config = workload.default_config()
     kernel, _ = workload.generate_optimized(config, fermi)
-    counters = []
-    for executor in ("reference", "vectorized"):
-        inputs = workload.prepare_inputs(config, seed=0)
-        launch = workload.build_launch(config, inputs)
-        simulator = SmSimulator(
-            fermi, kernel,
-            global_memory=launch.memory, params=launch.params, executor=executor,
-        )
-        result = simulator.run(
-            LaunchConfig(grid=launch.grid, functional=True,
-                         max_cycles=20_000_000),
-            block_indices=launch.grid.block_indices(),
-            collect_profile=True,
-        )
-        counters.append(result.counters)
-    reference, vectorized = counters
-    assert np.array_equal(reference.issues, vectorized.issues)
-    assert np.array_equal(reference.issue_cycles, vectorized.issue_cycles)
-    assert np.array_equal(reference.smem_replays, vectorized.smem_replays)
-    assert np.array_equal(reference.dram_bytes, vectorized.dram_bytes)
-    for reason in reference.stall_events:
-        assert np.array_equal(reference.stall_events[reason],
-                              vectorized.stall_events[reason]), reason
-        assert np.array_equal(reference.stall_cycles[reason],
-                              vectorized.stall_cycles[reason]), reason
+    counters = [
+        _workload_result(fermi, workload, config, kernel, executor,
+                         collect_profile=True)[0].counters
+        for executor in ("reference", "vectorized")
+    ]
+    _assert_same_counters(*counters)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("gpu_name", ("gtx580", "gtx680"))
+def test_multi_block_tail_differential(gpu_name):
+    """A 2x2 ``tile_sgemm`` grid clipped in m and n, on both executors.
+
+    The vectorized engine runs the four blocks in one lock-step pass, with
+    per-block CTAID, per-block shared memory and tail guards that differ
+    between blocks; every observable must still match the reference engine,
+    which executes each warp at issue time.
+    """
+    gpu = get_gpu_spec(gpu_name)
+    workload = get_workload("tile_sgemm")
+    config = TileSgemmConfig(m=100, n=100, k=20)
+    kernel, _ = workload.generate_optimized(config, gpu)
+    reference, ref_output, ref_memory = _workload_result(
+        gpu, workload, config, kernel, "reference", collect_profile=True)
+    vectorized, vec_output, vec_memory = _workload_result(
+        gpu, workload, config, kernel, "vectorized", collect_profile=True)
+
+    assert vectorized.blocks_simulated == 4
+    assert np.array_equal(ref_output, vec_output)
+    assert np.array_equal(ref_memory.data, vec_memory.data)
+    assert ref_memory.load_bytes == vec_memory.load_bytes
+    assert ref_memory.store_bytes == vec_memory.store_bytes
+    assert reference.cycles == vectorized.cycles
+    assert reference.warp_instructions == vectorized.warp_instructions
+    assert reference.instruction_histogram == vectorized.instruction_histogram
+    assert reference.stalls.as_dict() == vectorized.stalls.as_dict()
+    _assert_same_counters(reference.counters, vectorized.counters)

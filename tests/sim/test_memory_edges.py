@@ -1,6 +1,6 @@
 """Memory edge cases, pinned identically on both functional executors.
 
-Four families of behaviour the differential fuzzer relies on but deserves
+Five families of behaviour the differential fuzzer relies on but deserves
 explicit, named coverage:
 
 * **Out-of-bounds diagnostics** — a global or shared access past the end of
@@ -13,7 +13,12 @@ explicit, named coverage:
   overlap between adjacent lanes; stores resolve in ascending-lane order
   (last lane wins), bit-identically across executors;
 * **constant-bank reads** — ``KernelParams`` ints, floats and pointers read
-  through ``c[0][offset]`` with identical values from both engines.
+  through ``c[0][offset]`` with identical values from both engines;
+* **per-block shared memory** — the vectorized engine runs every block in one
+  lock-step pass over packed shared memories, yet an address past a block's
+  own shared memory raises instead of reaching the next block's, a store to
+  a block's last word leaves every other block's memory untouched, and each
+  block reads back its own writes.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ from repro.isa import KernelBuilder
 from repro.isa.instructions import ConstRef, MemRef
 from repro.isa.registers import SpecialRegister, predicate, reg
 from repro.sim import BlockGrid, GlobalMemory, KernelParams, simulate_kernel
+from repro.sim.memory import SharedMemoryArray
+from repro.sim.reference import run_block_reference
+from repro.sim.vectorized import VectorizedEngine
+from repro.sim.warp import build_warps_for_block
 
 EXECUTORS = ("reference", "vectorized")
 
@@ -255,6 +264,80 @@ class TestOverlappingWideShared:
         assert np.array_equal(outputs[0], outputs[1])
         # lo word of lane i == hi word of lane i-1 (they alias).
         assert np.array_equal(outputs[0][2::2], outputs[0][1:-1:2])
+
+
+class TestPerBlockSharedMemory:
+    SHARED_BYTES = 4096
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("flip", (False, True), ids=("ctaid", "one_minus_ctaid"))
+    def test_store_past_own_block_raises(self, fermi, executor, flip):
+        """A store at ``ctaid.x * shared_bytes`` (or ``(1 - ctaid.x) * ...``).
+
+        Block 1 (or, flipped, block 0) stores one word past its own shared
+        memory.  Packed behind each other, block 0's out-of-bounds word would
+        be block 1's first word, so the check must use the block's own size.
+        """
+        def body(b):
+            b.s2r(1, SpecialRegister.CTAID_X)
+            if flip:
+                b.lop_xor(1, 1, 1)
+            b.shl(1, 1, 12)                  # * SHARED_BYTES
+            b.mov32i(2, 7)
+            b.sts(MemRef(base=reg(1)), 2)
+
+        with pytest.raises(SimulationError,
+                           match=r"shared-memory store out of bounds at 0x1000"):
+            simulate_kernel(fermi, _kernel(body, shared_bytes=self.SHARED_BYTES),
+                            BlockGrid(grid_x=2, block_x=32), executor=executor)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_last_word_store_leaves_other_block_zero(self, fermi, executor):
+        def body(b):
+            b.s2r(1, SpecialRegister.CTAID_X)
+            b.isetp(predicate(0), "EQ", 1, 0)
+            b.mov32i(2, self.SHARED_BYTES - 4)
+            b.mov32i(3, 0xDEADBEEF)
+            with b.guarded(predicate(0)):
+                b.sts(MemRef(base=reg(2)), 3)
+
+        kernel = _kernel(body, shared_bytes=self.SHARED_BYTES)
+        blocks = [build_warps_for_block(block, (block, 0), (32, 1), block) for block in (0, 1)]
+        shared = [SharedMemoryArray(self.SHARED_BYTES) for _ in blocks]
+        if executor == "vectorized":
+            engine = VectorizedEngine(kernel, shared_spec=fermi.shared_memory)
+            engine.run_block(blocks[0] + blocks[1], shared)
+        else:
+            for warps, memory in zip(blocks, shared):
+                run_block_reference(kernel, warps, memory)
+        assert shared[0].data[-4:].view(np.uint32)[0] == 0xDEADBEEF
+        assert not shared[0].data[:-4].any()
+        assert not shared[1].data.any()
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_each_block_reads_its_own_writes(self, fermi, executor):
+        """Three blocks store ``ctaid.x + 1`` at the same address and read it back."""
+        memory = GlobalMemory(size_bytes=4096)
+        out = memory.allocate("out", 4 * 32 * 3)
+
+        def body(b):
+            b.s2r(1, SpecialRegister.CTAID_X)
+            b.iadd(2, 1, 1)
+            b.mov32i(3, 0)
+            b.sts(MemRef(base=reg(3)), 2)
+            b.bar()
+            b.lds(4, MemRef(base=reg(3)))
+            b.shl(5, 1, 7)                   # ctaid.x * 128 bytes
+            b.s2r(6, SpecialRegister.LANEID)
+            b.iscadd(5, 6, reg(5), 2)        # + laneid * 4
+            b.iadd(5, 5, out)
+            b.st(MemRef(base=reg(5)), 4)
+
+        simulate_kernel(fermi, _kernel(body, shared_bytes=self.SHARED_BYTES),
+                        BlockGrid(grid_x=3, block_x=32),
+                        global_memory=memory, executor=executor)
+        words = memory.read_array("out", np.uint32, (3, 32))
+        assert np.array_equal(words, np.repeat([[1], [2], [3]], 32, axis=1))
 
 
 class TestConstantBankReads:
