@@ -161,15 +161,15 @@ def test_bound_pruned_sweep_economics(benchmark, fermi):
 
     Tracks the sweep economics in BENCH_tile.json: how many candidates the
     analytic bound pruned without simulating, the host-side wall time of the
-    pruning pass, and how many simulations the kernel-hash cache absorbed.
-    The winner's cycles are recorded as ``best_cycles`` — deliberately not a
-    cycle-ladder key, since the sweep space (not the kernels) defines it.
+    pruning pass, and how many candidates were simulated.  The winner's
+    cycles are recorded as ``best_cycles`` — deliberately not a cycle-ladder
+    key, since the sweep space (not the kernels) defines it.
 
     The sweep runs under an installed metrics registry, so the schedule-memo
-    and simulation cache hit rates come from the telemetry facade — the
-    ``*hit_rate`` figures land in BENCH_summary.json's rate ladder.
+    hit rate comes from the telemetry facade — the ``hit_rate`` figure lands
+    in BENCH_summary.json's rate ladder.
     """
-    from repro.opt.autotune import AutotuneCache, autotune_workloads
+    from repro.opt.autotune import autotune_workloads
     from repro.telemetry.metrics import metrics_session
     from repro.tile.autotune import prune_by_bound, schedule_space, sweep_summary
     from repro.tile.workloads import clear_schedule_caches
@@ -194,12 +194,9 @@ def test_bound_pruned_sweep_economics(benchmark, fermi):
         assert report.kept and report.pruned
         assert report.elapsed_s > 0.0
 
-        cache = AutotuneCache()
-        outcomes = autotune_workloads(fermi, list(report.kept), workers=1,
-                                      cache=cache)
+        outcomes = autotune_workloads(fermi, list(report.kept), workers=1)
         assert all(outcome.ok for outcome in outcomes)
         summary_line = sweep_summary(report, outcomes)
-    cache_hits = sum(1 for o in outcomes if o.from_cache)
     best = outcomes[0]
 
     snapshot = registry.snapshot()
@@ -213,8 +210,6 @@ def test_bound_pruned_sweep_economics(benchmark, fermi):
         "kept": len(report.kept),
         "prune_elapsed_s": round(report.elapsed_s, 3),
         "simulated": len(outcomes),
-        "cache_hits": cache_hits,
-        "sim_cache_hit_rate": round(cache_hits / len(outcomes), 4),
         "schedule_cache": {
             "hits": memo_hits,
             "misses": memo_misses,

@@ -31,8 +31,8 @@ a fresh record more than the tolerance *below* the baseline fails, flagging
 a >2% simulator-throughput regression.
 
 Cache-economics rates recorded from the metrics facade
-(``benchmarks/bench_tile.py`` snapshots the schedule-memo and simulation
-cache hit rates of its sweep via :mod:`repro.telemetry`;
+(``benchmarks/bench_tile.py`` snapshots the schedule-memo hit rate of its
+sweep via :mod:`repro.telemetry`;
 ``benchmarks/bench_kcache.py`` records the persistent kernel cache's
 warm-hit speedup and warm-start simulation savings) are collected into
 a ``rate_ladder`` — tracked for trajectory, not gated: a hit rate moves
@@ -81,8 +81,8 @@ THROUGHPUT_KEYS = frozenset({
 })
 
 #: Leaf-key suffixes of cache-economics figures (``hit_rate``,
-#: ``sim_cache_hit_rate``, ``warm_speedup``, ``simulations_saved_rate``,
-#: ...) recorded from the metrics facade or the kernel-cache benchmark.
+#: ``warm_speedup``, ``simulations_saved_rate``, ...) recorded from the
+#: metrics facade or the kernel-cache benchmark.
 #: Collected into the rate ladder for trajectory but not regression-gated.
 RATE_SUFFIXES = ("_rate", "speedup")
 

@@ -12,7 +12,8 @@ Four outcomes, in order of preference:
   build;
 * **built** — the claim was won: the kernel is built (directly at the
   requested schedule point, or — with ``tune=True`` — by a warm-started
-  generative sweep over the requested problem size), published durably, and
+  generative sweep over the requested problem size, whose winner is
+  published with the sweep's own measurement of it), published durably, and
   the claim released;
 * **degraded** — the durable store is unusable (read-only, full, failing):
   the kernel is built anyway and served from an in-memory session store,
@@ -49,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.errors import BuildFailedError, KernelCacheError, StoreUnavailableError
+from repro.errors import BuildFailedError, KernelCacheError, ReproError, StoreUnavailableError
 from repro.kcache.keys import routine_key, shape_of
 from repro.kcache.locks import STALE_CLAIM_S, ClaimTimeout, claim_build, wait_for
 from repro.kcache.store import (
@@ -297,12 +298,15 @@ def _schedule_dict(config) -> dict:
     }
 
 
-def _entry_payload(workload, config, spec, winner_label: str, *, optimize: bool = True):
+def _entry_payload(workload, config, spec, *, optimize: bool = True):
     """Build the artifact dict and kernel hashes for one schedule point.
 
-    Uses the workload's own memoized build chain, so a build that the sweep
-    already performed in-process costs only the pickle.
+    Lowers once: the optimized kernel is the pass pipeline run over the very
+    naive kernel stored beside it.  The scheduled proc comes from the
+    workload's memo, so a point the sweep already scheduled in-process is
+    not scheduled again.
     """
+    from repro.opt.pipeline import optimize_kernel
     from repro.opt.rewrite import kernel_hash
 
     artifacts: dict = {}
@@ -314,20 +318,18 @@ def _entry_payload(workload, config, spec, winner_label: str, *, optimize: bool 
     artifacts["kernel"] = naive
     hashes["kernel"] = kernel_hash(naive)
     if optimize:
-        optimized, _ = workload.generate_optimized(config, spec)
+        optimized = optimize_kernel(naive, spec).kernel
         artifacts["kernel_opt"] = optimized
         hashes["kernel_opt"] = kernel_hash(optimized)
     return artifacts, hashes
 
 
-def _provenance_metrics(workload, config, spec, result) -> dict:
-    """Cycles plus compulsory-traffic provenance for the meta document."""
-    from repro.errors import ReproError
-
+def _provenance_metrics(workload, config, cycles, gflops, efficiency) -> dict:
+    """Measured cycles plus compulsory-traffic provenance for the meta document."""
     metrics = {
-        "cycles": float(result.cycles),
-        "gflops": float(result.gflops(spec)),
-        "efficiency": float(result.efficiency(spec)),
+        "cycles": float(cycles),
+        "gflops": float(gflops),
+        "efficiency": float(efficiency),
     }
     try:
         resources = workload.resources(config)
@@ -342,7 +344,7 @@ def _build_direct(publish, key, workload, name, config, spec, gpu_key, *, max_cy
     """Cold-miss path without tuning: build the requested point and publish."""
     from repro.opt.autotune import simulate_one_block
 
-    artifacts, hashes = _entry_payload(workload, config, spec, name)
+    artifacts, hashes = _entry_payload(workload, config, spec)
     result = simulate_one_block(spec, artifacts["kernel_opt"], max_cycles=max_cycles)
     return publish(
         key,
@@ -352,7 +354,9 @@ def _build_direct(publish, key, workload, name, config, spec, gpu_key, *, max_cy
         gpu=gpu_key,
         config=config,
         kernel_hashes=hashes,
-        metrics=_provenance_metrics(workload, config, spec, result),
+        metrics=_provenance_metrics(
+            workload, config, result.cycles, result.gflops(spec), result.efficiency(spec)
+        ),
         extra={
             "tune_mode": "direct",
             "winner_schedule": _schedule_dict(config),
@@ -370,8 +374,12 @@ def _build_tuned(
     Workloads without a :data:`repro.tile.autotune.SPACE_BASE_FIELD` entry
     have no schedule space to sweep and fall back to a direct build at the
     requested configuration.
+
+    The winner is not simulated again: its entry publishes the sweep's own
+    measurement once the rebuilt kernel's content hash matches the one the
+    sweep simulated.  A mismatch fails the build: the key is poisoned and
+    nothing is published.
     """
-    from repro.opt.autotune import simulate_one_block
     from repro.tile.autotune import SPACE_BASE_FIELD, run_generative_sweep
 
     space_field = SPACE_BASE_FIELD.get(name)
@@ -403,11 +411,19 @@ def _build_tuned(
     if candidate is None:
         raise KernelCacheError(f"sweep winner {winner.label!r} has no candidate for {key!r}")
     artifacts, hashes = _entry_payload(
-        workload, candidate.config, spec, winner.label, optimize=candidate.optimize
+        workload, candidate.config, spec, optimize=candidate.optimize
     )
-    measured = artifacts.get("kernel_opt") or artifacts["kernel"]
-    result = simulate_one_block(spec, measured, max_cycles=max_cycles)
-    metrics = _provenance_metrics(workload, candidate.config, spec, result)
+    rebuilt = hashes.get("kernel_opt", hashes["kernel"])
+    if rebuilt != winner.kernel_hash:
+        # A ReproError, not a KernelCacheError: _checked_build passes the
+        # latter through unpoisoned.
+        raise ReproError(
+            f"sweep winner {winner.label!r} rebuilt to kernel {rebuilt[:12]}, "
+            f"not the measured {winner.kernel_hash[:12]}"
+        )
+    metrics = _provenance_metrics(
+        workload, candidate.config, winner.cycles, winner.gflops, winner.efficiency
+    )
     metrics.update(
         sweep_candidates=float(sweep.prune.total),
         sweep_pruned=float(len(sweep.prune.pruned)),

@@ -127,18 +127,14 @@ class Workload(ABC):
     def generate_naive(self, config: Any) -> Kernel:
         """The compiler-like kernel: program order, sequential registers."""
 
-    def generate_optimized(
-        self, config: Any, gpu: GpuSpec | None = None, **pipeline_kwargs: object
-    ):
+    def generate_optimized(self, config: Any, gpu: GpuSpec | None = None):
         """The naive kernel run through the :mod:`repro.opt` pipeline.
 
-        Returns ``(kernel, PipelineResult)``.  Workloads may override to
-        steer pass options (e.g. an FFMA:LDS interleave target).
+        Returns ``(kernel, PipelineResult)``.
         """
         from repro.opt.pipeline import optimize_kernel
 
-        naive = self.generate_naive(config)
-        result = optimize_kernel(naive, gpu, **pipeline_kwargs)
+        result = optimize_kernel(self.generate_naive(config), gpu)
         return result.kernel, result
 
     # ------------------------------------------------------------------ #

@@ -20,10 +20,7 @@ from repro.kernels.base import Workload, WorkloadLaunch
 from repro.kernels.registry import register_workload
 from repro.model.workload_bounds import WorkloadResources
 from repro.sgemm.config import SgemmKernelConfig
-from repro.sgemm.generator import (
-    generate_naive_sgemm_kernel,
-    generate_optimized_sgemm_kernel,
-)
+from repro.sgemm.generator import generate_naive_sgemm_kernel
 from repro.sgemm.reference import expected_result, random_matrices
 from repro.sgemm.runner import build_launch as build_sgemm_launch
 from repro.sim.memory import GlobalMemory
@@ -50,9 +47,6 @@ class SgemmWorkload(Workload):
 
     def generate_naive(self, config: SgemmKernelConfig) -> Kernel:
         return generate_naive_sgemm_kernel(config)
-
-    def generate_optimized(self, config: SgemmKernelConfig, gpu=None, **pipeline_kwargs):
-        return generate_optimized_sgemm_kernel(config, gpu, **pipeline_kwargs)
 
     def prepare_inputs(
         self, config: SgemmKernelConfig, seed: int = 0

@@ -15,12 +15,10 @@ any assembled :class:`~repro.isa.assembler.Kernel`:
 * :mod:`repro.opt.pipeline` — the pass pipeline with invariant checking;
 * :mod:`repro.opt.autotune` — the parallel sweep over
   :class:`~repro.opt.autotune.WorkloadCandidate` points (any registered
-  workload and configuration, naive or through the pipeline) with
-  kernel-hash-keyed result caching.
+  workload and configuration, naive or through the pipeline).
 """
 
 from repro.opt.autotune import (
-    AutotuneCache,
     TuneOutcome,
     WorkloadCandidate,
     autotune_workloads,
@@ -48,7 +46,6 @@ from repro.opt.rewrite import kernel_hash, replace_instructions
 from repro.opt.scheduling import ScheduleStats, derive_ffma_lds_ratio, schedule_kernel
 
 __all__ = [
-    "AutotuneCache",
     "ControlHintPass",
     "DefUse",
     "LatencyAwareSchedulingPass",

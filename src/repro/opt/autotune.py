@@ -13,19 +13,19 @@ values like any other configuration.
 
 Evaluations are independent, so the sweep fans out over a
 ``multiprocessing`` pool (``workers=1`` runs serially in-process, which the
-tests use).  Simulation results are memoized in an in-memory
-:class:`AutotuneCache` keyed by the **kernel content hash** (see
-:func:`repro.opt.rewrite.kernel_hash`): two candidates that generate
-byte-identical kernels — or the same candidate re-evaluated in a later sweep
-sharing the cache — share one simulation.  The durable tier is the kernel
-store (:mod:`repro.kcache`), which keeps tuned winners, not simulations.
+tests use).  Each candidate is simulated exactly once per sweep, and its
+outcome carries the **kernel content hash** (see
+:func:`repro.opt.rewrite.kernel_hash`) of what was measured.  Nothing is
+memoized here: the only cache of tuning results is the kernel store
+(:mod:`repro.kcache`), which keeps tuned winners together with the sweep's
+own measurement of them.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.arch.specs import GpuSpec, get_gpu_spec, normalize_gpu
 from repro.errors import ReproError
@@ -51,7 +51,6 @@ class TuneOutcome:
     ffma_conflicts: int
     register_count: int
     bound_gflops: float | None
-    from_cache: bool = False
     error: str | None = None
 
     @property
@@ -62,22 +61,6 @@ class TuneOutcome:
     def as_dict(self) -> dict[str, object]:
         """JSON-serialisable view."""
         return asdict(self)
-
-
-@dataclass
-class AutotuneCache:
-    """In-memory simulation results keyed by kernel hash.
-
-    The key includes the GPU and the cycle cap, so one cache can hold sweeps
-    over several machines.  Pass the same cache to successive sweeps to let
-    later ones skip every kernel an earlier one already simulated.
-    """
-
-    entries: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    @staticmethod
-    def key_for(kernel_digest: str, gpu_key: str, max_cycles: int) -> str:
-        return f"{kernel_digest}:{gpu_key}:{max_cycles}"
 
 
 def simulate_one_block(
@@ -155,16 +138,13 @@ def evaluate_workload_candidate(
     candidate: WorkloadCandidate,
     *,
     max_cycles: int = 2_000_000,
-    cache_entries: dict[str, dict[str, float]] | None = None,
 ) -> TuneOutcome:
     """Generate, (optionally) optimize and simulate one candidate.
 
     Picklable worker function: the workload is resolved by name inside the
     call so candidates can cross process boundaries.  ``gpu`` may be a
     machine description (preserving any caller customisation) or a name
-    resolved via :func:`get_gpu_spec`.  ``cache_entries`` is a read-only
-    snapshot of an :class:`AutotuneCache`; on a kernel-hash hit the
-    simulation is skipped and the cached result reused.
+    resolved via :func:`get_gpu_spec`.
     """
     label = candidate.display_label
     try:
@@ -187,28 +167,18 @@ def evaluate_workload_candidate(
             bound = None
         digest = kernel_hash(kernel)
         conflicts = analyse_ffma_conflicts(kernel)
-        cached = (cache_entries or {}).get(AutotuneCache.key_for(digest, gpu_key, max_cycles))
-        if cached is not None:
-            cycles = float(cached["cycles"])
-            gflops = float(cached["gflops"])
-            efficiency = float(cached["efficiency"])
-        else:
-            result = simulate_one_block(spec, kernel, max_cycles=max_cycles)
-            cycles = result.cycles
-            gflops = result.gflops(spec)
-            efficiency = result.efficiency(spec)
+        result = simulate_one_block(spec, kernel, max_cycles=max_cycles)
         return TuneOutcome(
             label=label,
             kernel_name=kernel.name,
             kernel_hash=digest,
             gpu_key=gpu_key,
-            cycles=cycles,
-            gflops=gflops,
-            efficiency=efficiency,
+            cycles=result.cycles,
+            gflops=result.gflops(spec),
+            efficiency=result.efficiency(spec),
             ffma_conflicts=conflicts.two_way + conflicts.three_way,
             register_count=kernel.register_count,
             bound_gflops=bound,
-            from_cache=cached is not None,
         )
     except ReproError as exc:
         return _error_outcome(label, candidate.workload, gpu_key, exc)
@@ -243,10 +213,8 @@ def workload_candidates(
 
 
 def _evaluate_star(packed: tuple) -> TuneOutcome:
-    gpu, candidate, max_cycles, cache_entries = packed
-    return evaluate_workload_candidate(
-        gpu, candidate, max_cycles=max_cycles, cache_entries=cache_entries
-    )
+    gpu, candidate, max_cycles = packed
+    return evaluate_workload_candidate(gpu, candidate, max_cycles=max_cycles)
 
 
 def autotune_workloads(
@@ -254,7 +222,6 @@ def autotune_workloads(
     candidates: list[WorkloadCandidate] | None = None,
     *,
     workers: int | None = None,
-    cache: AutotuneCache | None = None,
     max_cycles: int = 2_000_000,
 ) -> list[TuneOutcome]:
     """Evaluate ``candidates`` on ``gpu``, best (fewest cycles) first.
@@ -270,46 +237,32 @@ def autotune_workloads(
         Process count for the multiprocessing pool; ``None`` uses the CPU
         count (capped by the candidate count), ``1`` runs serially
         in-process.
-    cache:
-        Simulation cache; hits skip the simulator entirely, and new results
-        are added to it.
     max_cycles:
         Per-simulation cycle cap.
     """
     spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
     if candidates is None:
         candidates = workload_candidates()
-    if cache is None:
-        cache = AutotuneCache()
     if workers is None:
         workers = min(len(candidates), os.cpu_count() or 1)
     workers = max(1, min(workers, len(candidates)))
 
-    snapshot = dict(cache.entries)
     # The whole sweep is one trace span; per-candidate results are recorded
     # as instants *after* the pool returns, so traces work identically for
     # serial and multiprocessing sweeps (worker processes never see the
     # parent's tracer).
     with trace_span(
         "autotune.sweep", category="autotune", candidates=len(candidates), workers=workers
-    ) as span:
+    ):
+        jobs = [(spec, candidate, max_cycles) for candidate in candidates]
         if workers == 1:
-            outcomes = [
-                _evaluate_star((spec, candidate, max_cycles, snapshot))
-                for candidate in candidates
-            ]
+            outcomes = [_evaluate_star(job) for job in jobs]
         else:
-            jobs = [(spec, candidate, max_cycles, snapshot) for candidate in candidates]
             with multiprocessing.Pool(processes=workers) as pool:
                 outcomes = pool.map(_evaluate_star, jobs)
-        span["cache_hits"] = sum(1 for o in outcomes if o.ok and o.from_cache)
     if current_metrics() is not None:
-        hits = sum(1 for o in outcomes if o.ok and o.from_cache)
-        errors = sum(1 for o in outcomes if not o.ok)
         counter_inc("autotune.candidates_evaluated", len(outcomes))
-        counter_inc("autotune.sim_cache.hits", hits)
-        counter_inc("autotune.sim_cache.misses", len(outcomes) - hits - errors)
-        counter_inc("autotune.candidate_errors", errors)
+        counter_inc("autotune.candidate_errors", sum(1 for o in outcomes if not o.ok))
     for outcome in outcomes:
         trace_instant(
             f"candidate.{outcome.label}",
@@ -317,17 +270,8 @@ def autotune_workloads(
             # Failed candidates carry cycles=inf, which strict JSON cannot
             # represent; record the error string instead.
             cycles=outcome.cycles if outcome.ok else None,
-            from_cache=outcome.from_cache,
             ok=outcome.ok,
         )
-
-    for outcome in outcomes:
-        if outcome.ok and not outcome.from_cache:
-            cache.entries[AutotuneCache.key_for(outcome.kernel_hash, outcome.gpu_key, max_cycles)] = {
-                "cycles": outcome.cycles,
-                "gflops": outcome.gflops,
-                "efficiency": outcome.efficiency,
-            }
     return sorted(outcomes, key=lambda o: (not o.ok, o.cycles, o.label))
 
 
@@ -335,7 +279,7 @@ def format_leaderboard(outcomes: list[TuneOutcome]) -> str:
     """Render autotune outcomes as an aligned text table."""
     header = (
         f"{'candidate':28s} {'cycles':>10s} {'GFLOPS':>8s} {'eff %':>7s} "
-        f"{'conf':>5s} {'regs':>5s} {'bound':>8s} {'cached':>6s}"
+        f"{'conf':>5s} {'regs':>5s} {'bound':>8s}"
     )
     lines = [header, "-" * len(header)]
     for outcome in outcomes:
@@ -346,6 +290,6 @@ def format_leaderboard(outcomes: list[TuneOutcome]) -> str:
         lines.append(
             f"{outcome.label:28s} {outcome.cycles:10.0f} {outcome.gflops:8.1f} "
             f"{100.0 * outcome.efficiency:7.2f} {outcome.ffma_conflicts:5d} "
-            f"{outcome.register_count:5d} {bound} {str(outcome.from_cache):>6s}"
+            f"{outcome.register_count:5d} {bound}"
         )
     return "\n".join(lines)

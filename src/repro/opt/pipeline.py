@@ -272,11 +272,6 @@ def default_pipeline(
     return PassPipeline(passes, gpu=gpu, options=options)
 
 
-def optimize_kernel(
-    kernel: Kernel,
-    gpu: GpuSpec | None = None,
-    **pipeline_kwargs: object,
-) -> PipelineResult:
+def optimize_kernel(kernel: Kernel, gpu: GpuSpec | None = None) -> PipelineResult:
     """Run the default pipeline over ``kernel`` for ``gpu``."""
-    pipeline = default_pipeline(gpu, **pipeline_kwargs)  # type: ignore[arg-type]
-    return pipeline.run(kernel)
+    return default_pipeline(gpu).run(kernel)

@@ -25,7 +25,6 @@ from repro.sgemm.conflict_analysis import ConflictReport, analyse_ffma_conflicts
 from repro.sgemm.generator import (
     SgemmKernelGenerator,
     generate_naive_sgemm_kernel,
-    generate_optimized_sgemm_kernel,
     generate_sgemm_kernel,
 )
 from repro.sgemm.reference import reference_sgemm, random_matrices, validate_result
@@ -61,7 +60,6 @@ __all__ = [
     "analyse_ffma_conflicts",
     "SgemmKernelGenerator",
     "generate_naive_sgemm_kernel",
-    "generate_optimized_sgemm_kernel",
     "generate_sgemm_kernel",
     "reference_sgemm",
     "random_matrices",

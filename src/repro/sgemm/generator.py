@@ -477,8 +477,8 @@ def generate_sgemm_kernel(config: SgemmKernelConfig) -> Kernel:
     With ``config.conflict_free_allocation`` set this emits the hand-crafted
     Figure 9 allocation directly — the *golden reference* the optimization
     pipeline is validated against.  The production path for optimized kernels
-    is :func:`generate_optimized_sgemm_kernel`, which starts from the naive
-    allocation and lets :mod:`repro.opt` recolor and reschedule it.
+    is the ``"sgemm"`` workload's ``generate_optimized``, which starts from
+    the naive allocation and lets :mod:`repro.opt` recolor and reschedule it.
     """
     return SgemmKernelGenerator(config).generate()
 
@@ -495,39 +495,3 @@ def generate_naive_sgemm_kernel(config: SgemmKernelConfig) -> Kernel:
     return SgemmKernelGenerator(
         replace(config, conflict_free_allocation=False)
     ).generate()
-
-
-def generate_optimized_sgemm_kernel(
-    config: SgemmKernelConfig,
-    gpu=None,
-    **pipeline_kwargs,
-):
-    """Generate a naive kernel and optimize it through :mod:`repro.opt`.
-
-    Emits the naive-allocation kernel for ``config`` and runs the default
-    optimization pipeline (register reallocation, latency-aware scheduling
-    and — on Kepler — control-notation assignment) over it.
-
-    Parameters
-    ----------
-    config:
-        Kernel configuration; ``conflict_free_allocation`` is ignored (the
-        pipeline always starts from the naive allocation).
-    gpu:
-        Optional :class:`~repro.arch.specs.GpuSpec` the pipeline targets.
-    pipeline_kwargs:
-        Forwarded to :func:`repro.opt.pipeline.default_pipeline`
-        (``reallocate=``, ``schedule=``, ``control_hints=``, ``options=``).
-
-    Returns
-    -------
-    tuple[Kernel, "repro.opt.pipeline.PipelineResult"]
-        The optimized kernel and the per-pass report.
-    """
-    # Imported lazily: repro.opt.autotune imports this module, and the
-    # generator must stay importable without pulling the whole opt package.
-    from repro.opt.pipeline import optimize_kernel
-
-    naive = generate_naive_sgemm_kernel(config)
-    result = optimize_kernel(naive, gpu, **pipeline_kwargs)
-    return result.kernel, result

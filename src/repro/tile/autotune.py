@@ -4,9 +4,8 @@ The tile workloads encode their *schedule* in the workload configuration
 (tile sizes, register blocking, staging stride, B-register window, staging
 and pipelining toggles), so sweeping schedules is sweeping configurations —
 the same :class:`~repro.opt.autotune.WorkloadCandidate` machinery that sweeps
-the hand generators' knobs evaluates DSL schedules, shares the kernel-hash
-simulation cache and the multiprocessing pool, and ranks everything on one
-leaderboard.
+the hand generators' knobs evaluates DSL schedules, shares the
+multiprocessing pool, and ranks everything on one leaderboard.
 
 This module closes the paper's §5.5 loop mechanically:
 
@@ -33,12 +32,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.arch.specs import GpuSpec, get_gpu_spec, normalize_gpu
 from repro.errors import ReproError, ResourceLimitError
-from repro.opt.autotune import (
-    AutotuneCache,
-    TuneOutcome,
-    WorkloadCandidate,
-    autotune_workloads,
-)
+from repro.opt.autotune import TuneOutcome, WorkloadCandidate, autotune_workloads
 from repro.prof.trace import trace_span
 from repro.telemetry.ledger import config_digest, current_ledger, record_run
 from repro.telemetry.metrics import counter_inc, current_metrics, observe
@@ -348,11 +342,10 @@ def _prune_by_bound(
 def schedule_cache_stats() -> dict[str, float] | None:
     """Schedule-memo economics read from the installed metrics facade.
 
-    The scheduled-proc and lowered-kernel memos (:mod:`repro.tile.workloads`)
-    report their hits, misses and FIFO evictions through
-    :mod:`repro.telemetry.metrics`; this aggregates both caches' series.
-    Returns None when no registry is installed — the caches' private dicts
-    are deliberately not consulted.
+    The scheduled-proc memo (:mod:`repro.tile.workloads`) reports its hits,
+    misses and FIFO evictions through :mod:`repro.telemetry.metrics`; this
+    reads those series back.  Returns None when no registry is installed —
+    the memo's private dict is deliberately not consulted.
     """
     registry = current_metrics()
     if registry is None:
@@ -369,25 +362,23 @@ def sweep_summary(report: PruneReport, outcomes: list[TuneOutcome]) -> str:
     """One-line sweep log: candidate economics at a glance.
 
     Surfaces the figures a sweep's cost is made of — how many candidates the
-    bound pruned (and how long pruning took), how many simulations the
-    kernel-hash cache absorbed, and the winner::
+    bound pruned (and how long pruning took), how many the simulator ran,
+    and the winner::
 
-        swept 63 candidates: pruned 41 by bound in 0.52s, simulated 22
-        (9 cache hits), best tile_sgemm:golden @ 8125 cycles
+        swept 63 candidates: pruned 41 by bound in 0.52s, simulated 22,
+        best tile_sgemm:golden @ 8125 cycles
 
     With a metrics registry installed (:func:`repro.telemetry.metrics
-    .metrics_session`), the schedule-memo economics — hits, misses and the
-    previously invisible FIFO evictions — ride along, read from the facade
-    rather than from the caches' private state::
+    .metrics_session`), the schedule-memo economics — hits, misses and FIFO
+    evictions — ride along, read from the facade rather than from the
+    memo's private state::
 
         ...; schedule cache 30 hits / 12 misses / 3 evictions
     """
-    cache_hits = sum(1 for outcome in outcomes if outcome.ok and outcome.from_cache)
     best = next((outcome for outcome in outcomes if outcome.ok), None)
     line = (
         f"swept {report.total} candidates: pruned {len(report.pruned)} by bound "
-        f"in {report.elapsed_s:.2f}s, simulated {len(outcomes)} "
-        f"({cache_hits} cache hit{'' if cache_hits == 1 else 's'})"
+        f"in {report.elapsed_s:.2f}s, simulated {len(outcomes)}"
     )
     if best is not None:
         line += f", best {best.label} @ {best.cycles:.0f} cycles"
@@ -528,7 +519,6 @@ def run_generative_sweep(
     workload: str | None = None,
     keep_within: float = 1.2,
     workers: int | None = 1,
-    cache: AutotuneCache | None = None,
     max_cycles: int = 2_000_000,
     include_tails: bool = True,
     warm_start: bool = False,
@@ -581,15 +571,13 @@ def run_generative_sweep(
     started = time.perf_counter()
     if seed_candidates:
         seed_outcomes = autotune_workloads(
-            spec, seed_candidates, workers=workers, cache=cache, max_cycles=max_cycles
+            spec, seed_candidates, workers=workers, max_cycles=max_cycles
         )
     seed_sim_s = time.perf_counter() - started
     report = prune_by_bound(spec, candidates, keep_within=keep_within)
     kept, warm_pruned = _warm_prune(list(report.kept), seed_candidates, seed_outcomes, spec)
     started = time.perf_counter()
-    outcomes = autotune_workloads(
-        spec, kept, workers=workers, cache=cache, max_cycles=max_cycles
-    )
+    outcomes = autotune_workloads(spec, kept, workers=workers, max_cycles=max_cycles)
     if seed_candidates:
         counter_inc("kcache.warm.seeds", len(seed_candidates), _WARM_LABELS)
         counter_inc("kcache.warm.pruned", warm_pruned, _WARM_LABELS)
@@ -637,7 +625,6 @@ def _ledger_sweep(
         "candidates": sweep.prune.total,
         "pruned": len(sweep.prune.pruned),
         "simulated": len(sweep.outcomes),
-        "sim_cache_hits": sum(1 for o in sweep.outcomes if o.ok and o.from_cache),
         "warm_seeds": len(sweep.seed_candidates),
         "warm_pruned": sweep.warm_pruned,
         "prune_seconds": sweep.prune.elapsed_s,

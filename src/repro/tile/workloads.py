@@ -35,34 +35,23 @@ from repro.tile.lower import launch_geometry, lower
 from repro.tile.resources import proc_resources
 
 
-#: Memoized schedule applications and lowerings, keyed by *schedule hash* —
-#: the (workload, frozen config) pair identifies the schedule point exactly.
-#: Procs and kernels are immutable, so the sweep machinery (bound pruning,
-#: candidate generation, benchmarks) can re-request the same point without
-#: re-running ~30 primitive applications and a full lowering each time.
+#: Memoized schedule applications, keyed by *schedule hash* — the (workload,
+#: frozen config) pair identifies the schedule point exactly, and a proc does
+#: not depend on the GPU.  Procs are immutable, so the sweep machinery (bound
+#: pruning, resource counting, lowering, launch plumbing) can re-request the
+#: same point without re-running ~30 primitive applications each time.
 #: Capped FIFO so a long sweep cannot grow memory without bound.
 _SCHEDULE_CACHE_LIMIT = 256
 _SCHEDULED_PROCS: dict[tuple[str, object], Proc] = {}
-_LOWERED_KERNELS: dict[tuple[str, object], Kernel] = {}
 
-#: Metrics-facade label sets of the two memo caches (constant tuples, so the
-#: uninstalled facade path allocates nothing at these call sites).
+#: Metrics-facade label set of the memo (a constant tuple, so the uninstalled
+#: facade path allocates nothing at these call sites).
 _SCHEDULED_LABELS = (("cache", "scheduled_procs"),)
-_LOWERED_LABELS = (("cache", "lowered_kernels"),)
-
-
-def _cache_put(cache: dict, key, value, labels):
-    if len(cache) >= _SCHEDULE_CACHE_LIMIT:
-        cache.pop(next(iter(cache)))
-        counter_inc("tile.schedule_cache.evictions", 1, labels)
-    cache[key] = value
-    return value
 
 
 def clear_schedule_caches() -> None:
-    """Drop both memo caches (tests isolating cache-economics measurements)."""
+    """Drop the scheduled-proc memo (tests isolating cache-economics measurements)."""
     _SCHEDULED_PROCS.clear()
-    _LOWERED_KERNELS.clear()
 
 
 class TileWorkload(Workload):
@@ -91,9 +80,12 @@ class TileWorkload(Workload):
             counter_inc("tile.schedule_cache.hits", 1, _SCHEDULED_LABELS)
             return proc
         counter_inc("tile.schedule_cache.misses", 1, _SCHEDULED_LABELS)
-        return _cache_put(
-            _SCHEDULED_PROCS, key, self.scheduled_proc(config), _SCHEDULED_LABELS
-        )
+        proc = self.scheduled_proc(config)
+        if len(_SCHEDULED_PROCS) >= _SCHEDULE_CACHE_LIMIT:
+            _SCHEDULED_PROCS.pop(next(iter(_SCHEDULED_PROCS)))
+            counter_inc("tile.schedule_cache.evictions", 1, _SCHEDULED_LABELS)
+        _SCHEDULED_PROCS[key] = proc
+        return proc
 
     def lds_width_bits(self, config) -> int:
         return 64
@@ -102,17 +94,11 @@ class TileWorkload(Workload):
         return 64
 
     def generate_naive(self, config) -> Kernel:
-        key = (self.name, config)
-        kernel = _LOWERED_KERNELS.get(key)
-        if kernel is not None:
-            counter_inc("tile.schedule_cache.hits", 1, _LOWERED_LABELS)
-            return kernel
-        counter_inc("tile.schedule_cache.misses", 1, _LOWERED_LABELS)
-        return _cache_put(_LOWERED_KERNELS, key, lower(
+        return lower(
             self.cached_scheduled_proc(config),
             lds_width_bits=self.lds_width_bits(config),
             ld_width_bits=self.ld_width_bits(config),
-        ), _LOWERED_LABELS)
+        )
 
     def oracle(self, config, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Interpret the *naive* proc on ``inputs`` — the ground truth."""

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import BuildFailedError
 from repro.kcache import KernelStore, get_kernel, install_store, routine_key, store_session
 from repro.opt.rewrite import kernel_hash
 from repro.telemetry.metrics import metrics_session
 from repro.tile.workloads import TileSgemmConfig, clear_schedule_caches
 
 TINY = TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2, stride=2, b_window=1)
+SPACE = {"tiles": (4, 8), "register_blockings": (2, 4), "strides": (2, 4), "b_windows": (1, 2)}
 
 
 @pytest.fixture(autouse=True)
@@ -114,3 +116,59 @@ class TestTunedRequests:
         # A tuned hit afterwards is served without a sweep.
         again = get_kernel("tile_sgemm", TINY, fermi, store=store, tune=True)
         assert again.source == "hit"
+
+
+class TestTunedBuildPublishesTheSweepMeasurement:
+    def test_winner_is_not_simulated_again(self, tmp_path, fermi, monkeypatch):
+        """Every simulation of a cold tuned build is a sweep evaluation, and
+        the published figures are the winner's own run."""
+        import repro.opt.autotune as autotune
+
+        runs = []
+        simulate = autotune.simulate_one_block
+
+        def recording(gpu, kernel, **kwargs):
+            result = simulate(gpu, kernel, **kwargs)
+            runs.append((kernel_hash(kernel), result))
+            return result
+
+        monkeypatch.setattr(autotune, "simulate_one_block", recording)
+        reply = get_kernel(
+            "tile_sgemm", TINY, fermi, store=KernelStore(tmp_path / "kcache"),
+            tune=True, warm_start=False, space=SPACE,
+        )
+        metrics = reply.entry.meta["metrics"]
+        assert len(runs) == metrics["sweep_simulated"]
+        winner = reply.entry.meta["kernel_hashes"]["kernel_opt"]
+        result = next(result for digest, result in runs if digest == winner)
+        assert metrics["cycles"] == result.cycles
+        assert metrics["gflops"] == result.gflops(fermi)
+        assert metrics["efficiency"] == result.efficiency(fermi)
+
+    def test_rebuild_differing_from_the_measured_kernel_poisons(
+        self, tmp_path, fermi, monkeypatch
+    ):
+        """A winner that rebuilds to another kernel is never published."""
+        import repro.tile.autotune as tile_autotune
+        from repro.tile.workloads import TileSgemmWorkload
+
+        sweep = tile_autotune.run_generative_sweep
+
+        def sweep_then_drift(*args, **kwargs):
+            report = sweep(*args, **kwargs)
+            # From here on shared loads lower 32 bits wide, so the winner's
+            # rebuild is not the kernel the sweep measured.
+            monkeypatch.setattr(TileSgemmWorkload, "lds_width_bits", lambda self, config: 32)
+            return report
+
+        monkeypatch.setattr(tile_autotune, "run_generative_sweep", sweep_then_drift)
+        store = KernelStore(tmp_path / "kcache")
+        key = routine_key("tile_sgemm", TINY, fermi.name)
+        with pytest.raises(BuildFailedError, match="not the measured"):
+            get_kernel(
+                "tile_sgemm", TINY, fermi, store=store, tune=True, warm_start=False,
+                space=SPACE,
+            )
+        assert store.load_poison(key) is not None
+        assert store.load(key) is None
+        assert store.keys() == []

@@ -1,11 +1,10 @@
-"""Tests for the parallel autotuner and its kernel-hash result cache."""
+"""Tests for the parallel autotuner and the kernel content hash it records."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.opt.autotune import (
-    AutotuneCache,
     WorkloadCandidate,
     autotune_workloads,
     evaluate_workload_candidate,
@@ -71,23 +70,6 @@ class TestEvaluation:
         assert [(o.label, o.cycles) for o in serial] == [
             (o.label, o.cycles) for o in parallel
         ]
-
-
-class TestCache:
-    def test_cache_hit_skips_simulation(self, nn_candidates):
-        cache = AutotuneCache()
-        first = autotune_workloads("gtx680", nn_candidates, workers=1, cache=cache)
-        assert all(not o.from_cache for o in first)
-        assert len(cache.entries) == len(nn_candidates)
-
-        second = autotune_workloads("gtx680", nn_candidates, workers=1, cache=cache)
-        assert all(o.from_cache for o in second)
-        assert [(o.label, o.cycles) for o in first] == [(o.label, o.cycles) for o in second]
-
-    def test_cache_key_distinguishes_gpus(self):
-        assert AutotuneCache.key_for("abc", "gtx580", 100) != AutotuneCache.key_for(
-            "abc", "gtx680", 100
-        )
 
 
 class TestReporting:

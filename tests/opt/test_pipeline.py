@@ -15,10 +15,7 @@ from repro.errors import AssemblyError
 from repro.opt import default_pipeline, optimize_kernel, simulate_one_block
 from repro.sgemm import analyse_ffma_conflicts
 from repro.sgemm.config import SgemmKernelConfig
-from repro.sgemm.generator import (
-    generate_naive_sgemm_kernel,
-    generate_optimized_sgemm_kernel,
-)
+from repro.sgemm.generator import generate_naive_sgemm_kernel
 from repro.sim.launch import LaunchConfig
 from repro.sim.sm_sim import SmSimulator
 
@@ -98,8 +95,10 @@ class TestPipelineMechanics:
             PassPipeline([BrokenPass()], gpu=kepler).run(naive_kernel)
 
     def test_generator_entry_point(self, kepler):
+        from repro.kernels.registry import get_workload
+
         config = SgemmKernelConfig(m=96, n=96, k=16)
-        kernel, report = generate_optimized_sgemm_kernel(config, kepler)
+        kernel, report = get_workload("sgemm").generate_optimized(config, kepler)
         assert analyse_ffma_conflicts(kernel).two_way == 0
         assert report.ffma_conflicts == 0
         assert kernel.metadata["opt.reallocated"] is True

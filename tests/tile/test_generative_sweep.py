@@ -91,23 +91,19 @@ def test_tiny_sweep_prunes_and_the_winner_beats_naive(fermi):
 
 def test_sweep_summary_one_liner(fermi):
     """The sweep log line names every cost figure: pruned count, prune wall
-    time, simulation count, cache absorption, and the winner."""
-    from repro.opt.autotune import AutotuneCache
+    time, simulation count, and the winner."""
     from repro.tile.autotune import sweep_summary
 
     _, space = _tiny_space()
     sgemm_space = [c for c in space if c.workload == "tile_sgemm"]
     report = prune_by_bound(fermi, sgemm_space)
-    cache = AutotuneCache()
-    autotune_workloads(fermi, list(report.kept), workers=1, cache=cache)
-    # Second pass over the same candidates: every simulation is a cache hit.
-    outcomes = autotune_workloads(fermi, list(report.kept), workers=1, cache=cache)
+    outcomes = autotune_workloads(fermi, list(report.kept), workers=1)
 
     line = sweep_summary(report, outcomes)
     assert "\n" not in line
     assert f"swept {report.total} candidates" in line
     assert f"pruned {len(report.pruned)} by bound" in line
     assert f"in {report.elapsed_s:.2f}s" in line
-    assert f"simulated {len(outcomes)} ({len(outcomes)} cache hits)" in line
+    assert f"simulated {len(outcomes)}," in line
     best = outcomes[0]
     assert f"best {best.label} @ {best.cycles:.0f} cycles" in line
