@@ -68,30 +68,6 @@ def latency_table_for(gpu: GpuSpec) -> LatencyTable:
     return LatencyTable(math=24.0, shared_load=38.0, global_load=500.0)
 
 
-@dataclass
-class PipelineState:
-    """Occupancy trackers for one SM's execution pipes."""
-
-    sp_free_at: float = 0.0
-    ldst_free_at: float = 0.0
-
-    def sp_available(self, cycle: float, lookahead: float = 1.0) -> bool:
-        """Whether the SP pipe can accept work issued at ``cycle``."""
-        return self.sp_free_at < cycle + lookahead
-
-    def ldst_available(self, cycle: float, lookahead: float = 1.0) -> bool:
-        """Whether the LD/ST pipe can accept work issued at ``cycle``."""
-        return self.ldst_free_at < cycle + lookahead
-
-    def occupy_sp(self, cycle: float, cost: float) -> None:
-        """Consume ``cost`` pipe-cycles of the SP pipe starting at ``cycle``."""
-        self.sp_free_at = max(self.sp_free_at, cycle) + cost
-
-    def occupy_ldst(self, cycle: float, cost: float) -> None:
-        """Consume ``cost`` pipe-cycles of the LD/ST pipe starting at ``cycle``."""
-        self.ldst_free_at = max(self.ldst_free_at, cycle) + cost
-
-
 class CostModel:
     """Converts instructions into issue/pipe costs for a particular GPU."""
 

@@ -19,21 +19,31 @@ Functional execution comes in two interchangeable flavours selected by the
   lock-step across the warps of every block, one NumPy op per instruction —
   which records per-warp traces of the functional decisions (branches, EXIT
   masks, bank-conflict replay degrees, DRAM lane counts).  The timing loop
-  then replays those traces; for the race-free programs the simulator
-  supports (no block writes a global word another block reads or writes)
-  this is cycle-identical to executing at issue time, at a fraction of the
-  cost.
+  then replays those traces through per-warp cursors and, after the run,
+  checks that every recorded decision was consumed; for the race-free
+  programs the simulator supports (no block writes a global word another
+  block reads or writes) this is cycle-identical to executing at issue time,
+  at a fraction of the cost.
 * ``"reference"``: the scalar oracle (:mod:`repro.sim.reference`) executes
   every instruction at issue time, exactly as dependences resolve.  This is
   the behavioural baseline the differential test harness compares against.
 
-Static per-instruction timing facts (issue cost, pipe occupancies, latencies,
-scoreboard register sets, control-notation stalls) are precompiled into
-``_InstrPlan`` records so the hot per-cycle loop does no operand decoding.
+The timing loop keeps its state in flat lists: static per-pc facts (issue
+cost, pipe and pipe occupancy, latency, scoreboard register sets,
+control-notation delay, control kind) in :class:`_PcFacts`, and per-warp
+rows for status, pc, the control-notation ready cycle and a *scoreboard wake
+cycle* — the latest pending release among the next instruction's registers.
+A warp's scoreboard changes only when it issues, so the wake is computed
+once per issue and a sleeping warp costs one comparison per visit.  Idle
+cycles are skipped by jumping to the earliest pending release; the jump is
+skipped outright when some runnable warp has no register pending and is past
+its ready cycle, since no jump is then possible.  ``docs/simulator.md``
+("The timing loop") walks through both.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +54,10 @@ from repro.isa.assembler import Kernel
 from repro.isa.instructions import Instruction, Opcode
 from repro.sim.launch import LaunchConfig
 from repro.sim.memory import GlobalMemory, KernelParams, SharedMemoryArray
-from repro.sim.pipelines import CostModel, PipelineState
+from repro.sim.pipelines import CostModel
 from repro.sim.reference import ReferenceExecutor
 from repro.sim.results import InstructionCounters, SimResult, StallBreakdown
-from repro.sim.vectorized import VectorizedEngine, WarpTrace
+from repro.sim.vectorized import VectorizedEngine
 from repro.sim.warp import REGISTER_COUNT, WarpState, build_warps_for_block
 
 #: Issue-efficiency derating applied to the ideal throughput model.  Real SMs
@@ -65,86 +75,121 @@ ISSUE_EFFICIENCY = {
 #: Valid values for the ``executor`` argument of :class:`SmSimulator`.
 EXECUTORS = ("vectorized", "reference")
 
+# Pipe an instruction occupies (``_PcFacts.pipe``).
+_NO_PIPE, _SP_PIPE, _LDST_PIPE = 0, 1, 2
 
-class _InstrPlan:
-    """Precompiled per-instruction timing facts (static, kernel-lifetime)."""
+# How an instruction moves its warp's pc (``_PcFacts.control``).
+_NEXT, _EXIT, _BAR, _BRA = 0, 1, 2, 3
+
+# Warp status rows of the timing loop.
+_RUNNABLE, _AT_BARRIER, _FINISHED = 0, 1, 2
+
+
+class _PcFacts:
+    """Static per-instruction timing facts as parallel lists indexed by pc.
+
+    ``wait`` has one extra, empty entry at index ``instruction_count``, so a
+    warp whose pc ran past the last instruction has a (vacuous) wait set.
+    """
 
     __slots__ = (
-        "instruction",
-        "opcode",
+        "instructions",
         "mnemonic",
-        "is_math",
-        "is_memory",
-        "is_shared",
         "is_ffma",
         "flops32",
-        "wait_indices",
-        "dest_indices",
+        "wait",
+        "dests",
+        "pipe",
+        "pipe_cost",
+        "is_shared",
         "issue_cost",
-        "sp_cost",
-        "ldst_cost_base",
         "latency",
-        "bytes_moved",
+        "dram_bytes",
         "width_bytes",
         "ready_delta",
+        "control",
+        "branch_target",
     )
 
-    def __init__(self, kernel: Kernel, pc: int, cost_model: CostModel) -> None:
-        instruction = kernel.instructions[pc]
-        self.instruction = instruction
-        self.opcode = instruction.opcode
-        self.mnemonic = instruction.mnemonic
-        self.is_math = instruction.is_math
-        self.is_memory = instruction.is_memory
-        self.is_shared = instruction.is_shared_load or instruction.is_shared_store
-        self.is_ffma = instruction.is_ffma
-        self.flops32 = instruction.flop_count * 32
-        # RZ (the last register index) is always ready and never tracked, so
-        # it is dropped at plan-build time; the issue loop can then test the
-        # scoreboard without per-index guards.  Duplicates wait identically.
-        source_indices = tuple(r.index for r in instruction.registers_read)
-        dest_indices = tuple(r.index for r in instruction.registers_written)
-        self.dest_indices = tuple(
-            i for i in dest_indices if i < REGISTER_COUNT - 1
-        )
-        wait: list[int] = []
-        for index in source_indices + dest_indices:
-            if index < REGISTER_COUNT - 1 and index not in wait:
-                wait.append(index)
-        self.wait_indices = tuple(wait)
-        self.issue_cost = cost_model.issue_cost_threads(instruction)
-        self.sp_cost = cost_model.sp_cost_cycles(instruction)
-        self.ldst_cost_base = cost_model.ldst_cost_cycles(instruction, 1)
-        self.latency = cost_model.result_latency(instruction)
-        self.bytes_moved = cost_model.global_memory_bytes(instruction)
-        self.width_bytes = instruction.width // 8
-        notation = kernel.control_notation_for(pc)
-        if notation is not None:
-            # Hints are charged at half weight, rounded up to keep wake cycles
-            # integral — a fractional ready_cycle used to leak into the
-            # scheduler's cycle arithmetic.
-            self.ready_delta = float(1 + (notation.stall_cycles(pc % 7) + 1) // 2)
-        else:
-            self.ready_delta = 1.0
+    def __init__(self, kernel: Kernel, cost_model: CostModel) -> None:
+        self.instructions = list(kernel.instructions)
+        self.mnemonic: list[str] = []
+        self.is_ffma: list[bool] = []
+        self.flops32: list[int] = []
+        self.wait: list[tuple[int, ...]] = []
+        self.dests: list[tuple[int, ...]] = []
+        self.pipe: list[int] = []
+        self.pipe_cost: list[float] = []
+        self.is_shared: list[bool] = []
+        self.issue_cost: list[float] = []
+        self.latency: list[float] = []
+        self.dram_bytes: list[int] = []
+        self.width_bytes: list[int] = []
+        self.ready_delta: list[float] = []
+        self.control: list[int] = []
+        self.branch_target: list[int] = []
+        for pc, instruction in enumerate(self.instructions):
+            self.mnemonic.append(instruction.mnemonic)
+            self.is_ffma.append(instruction.is_ffma)
+            self.flops32.append(instruction.flop_count * 32)
+            # RZ (the last register index) is always ready and never tracked,
+            # so it is dropped here; duplicates wait identically.
+            dests = tuple(
+                r.index for r in instruction.registers_written if r.index < REGISTER_COUNT - 1
+            )
+            wait: list[int] = []
+            for r in (*instruction.registers_read, *instruction.registers_written):
+                if r.index < REGISTER_COUNT - 1 and r.index not in wait:
+                    wait.append(r.index)
+            self.dests.append(dests)
+            self.wait.append(tuple(wait))
+            if instruction.is_math:
+                self.pipe.append(_SP_PIPE)
+                self.pipe_cost.append(cost_model.sp_cost_cycles(instruction))
+            elif instruction.is_memory:
+                self.pipe.append(_LDST_PIPE)
+                self.pipe_cost.append(cost_model.ldst_cost_cycles(instruction, 1))
+            else:
+                self.pipe.append(_NO_PIPE)
+                self.pipe_cost.append(0.0)
+            self.is_shared.append(instruction.is_shared_load or instruction.is_shared_store)
+            self.issue_cost.append(cost_model.issue_cost_threads(instruction))
+            self.latency.append(cost_model.result_latency(instruction))
+            self.dram_bytes.append(cost_model.global_memory_bytes(instruction))
+            self.width_bytes.append(instruction.width // 8)
+            notation = kernel.control_notation_for(pc)
+            if notation is not None:
+                # Hints are charged at half weight, rounded up to keep wake
+                # cycles integral — a fractional ready cycle used to leak into
+                # the scheduler's cycle arithmetic.
+                self.ready_delta.append(float(1 + (notation.stall_cycles(pc % 7) + 1) // 2))
+            else:
+                self.ready_delta.append(1.0)
+            opcode = instruction.opcode
+            self.control.append(
+                _EXIT if opcode is Opcode.EXIT
+                else _BAR if opcode is Opcode.BAR
+                else _BRA if opcode is Opcode.BRA
+                else _NEXT
+            )
+            self.branch_target.append(kernel.branch_targets.get(pc, pc + 1))
+        self.wait.append(())
 
 
 @dataclass
 class _BlockContext:
-    """Per-block bookkeeping: shared memory and barrier state."""
+    """Per-block bookkeeping: shared memory and the block's warps."""
 
     block_id: int
     shared_memory: SharedMemoryArray
     warps: list[WarpState] = field(default_factory=list)
 
-    def barrier_complete(self) -> bool:
-        """Whether every unfinished warp of the block has reached the barrier."""
-        waiting = [w for w in self.warps if not w.finished]
-        return all(w.at_barrier for w in waiting) and bool(waiting)
 
-    def release_barrier(self) -> None:
-        """Release all warps parked at the barrier."""
-        for warp in self.warps:
-            warp.at_barrier = False
+def _release_barrier(status: list[int], rows: list[int]) -> None:
+    """Release every warp of ``rows`` parked at the block's barrier."""
+    for row in rows:
+        if status[row] == _AT_BARRIER:
+            status[row] = _RUNNABLE
 
 
 class SmSimulator:
@@ -170,7 +215,7 @@ class SmSimulator:
         self._executor = executor
         self._cost_model = CostModel(gpu)
         self._issue_efficiency = ISSUE_EFFICIENCY.get(gpu.generation, 0.96)
-        self._plans: list[_InstrPlan] | None = None
+        self._facts: _PcFacts | None = None
 
     @property
     def gpu(self) -> GpuSpec:
@@ -215,17 +260,12 @@ class SmSimulator:
             blocks.append(context)
         return blocks
 
-    def _build_plans(self) -> list[_InstrPlan]:
-        if self._plans is None:
-            self._plans = [
-                _InstrPlan(self._kernel, pc, self._cost_model)
-                for pc in range(self._kernel.instruction_count)
-            ]
-        return self._plans
+    def _pc_facts(self) -> _PcFacts:
+        if self._facts is None:
+            self._facts = _PcFacts(self._kernel, self._cost_model)
+        return self._facts
 
-    def _shared_memory_replays(
-        self, warp: WarpState, instruction: Instruction, block: _BlockContext
-    ) -> int:
+    def _shared_memory_replays(self, warp: WarpState, instruction: Instruction) -> int:
         """Bank-conflict replay count for a shared-memory access (1 = conflict-free)."""
         operand = instruction.memory_operand
         if operand is None:
@@ -276,19 +316,15 @@ class SmSimulator:
         instruction_count = self._kernel.instruction_count
         if instruction_count == 0:
             raise SimulationError("cannot simulate an empty kernel")
-        plans = self._build_plans()
+        facts = self._pc_facts()
 
         blocks = self._build_blocks(config, block_indices)
         all_warps: list[WarpState] = [warp for block in blocks for warp in block.warps]
-        block_of_warp: dict[int, _BlockContext] = {}
-        for block in blocks:
-            for warp in block.warps:
-                block_of_warp[warp.warp_id] = block
+        warp_count = len(all_warps)
 
         functional = config.functional
         vectorized = functional and self._executor == "vectorized"
         executor: ReferenceExecutor | None = None
-        traces: dict[int, WarpTrace] = {}
         if vectorized:
             # Functional pre-pass: execute all blocks in one lock-step pass
             # ahead of the timing loop, recording the per-warp decision traces
@@ -307,6 +343,12 @@ class SmSimulator:
                 [block.shared_memory for block in blocks],
                 max_instructions=min(1_000_000, int(config.max_cycles) + 1),
             )
+            # Per-warp replay cursors over the recorded decisions.
+            row_traces = [traces[warp.warp_id] for warp in all_warps]
+            branch_cursor = [iter(t.branches) for t in row_traces]
+            exit_cursor = [iter(t.exits) for t in row_traces]
+            replay_cursor = [iter(t.replays) for t in row_traces]
+            dram_cursor = [iter(t.dram_lanes) for t in row_traces]
         elif functional:
             executor = ReferenceExecutor(
                 self._global_memory,
@@ -315,11 +357,44 @@ class SmSimulator:
                 grid_dim=(config.grid.grid_x, config.grid.grid_y),
             )
 
-        pipes = PipelineState()
+        # Static per-pc facts, bound to locals for the issue loop.
+        wait_of = facts.wait
+        dests_of = facts.dests
+        pipe_of = facts.pipe
+        pipe_cost_of = facts.pipe_cost
+        is_shared_of = facts.is_shared
+        issue_cost_of = facts.issue_cost
+        latency_of = facts.latency
+        dram_bytes_of = facts.dram_bytes
+        width_bytes_of = facts.width_bytes
+        ready_delta_of = facts.ready_delta
+        control_of = facts.control
+        branch_target_of = facts.branch_target
+        instructions = facts.instructions
+
+        # Per-warp rows, indexed like ``all_warps``.  ``ready`` is the
+        # control-notation ready cycle; ``wake`` the latest scoreboard
+        # release among the registers the instruction at the warp's pc waits
+        # on (0.0 if none), recomputed whenever the warp issues — the only
+        # time its scoreboard row or pc changes; ``latest`` the latest
+        # release of any of its registers.
+        status = [_RUNNABLE] * warp_count
+        pcs = [warp.pc for warp in all_warps]
+        ready = [0.0] * warp_count
+        wake = [0.0] * warp_count
+        latest = [0.0] * warp_count
+        scoreboard = [[0.0] * REGISTER_COUNT for _ in range(warp_count)]
+        block_of = [warp.block_id for warp in all_warps]
+        shared_of = [blocks[b].shared_memory for b in block_of]
+        block_rows = [[row for row in range(warp_count) if block_of[row] == b]
+                      for b in range(len(blocks))]
+        # Barrier books per block: unfinished warps, and those parked at BAR.
+        alive = [len(rows) for rows in block_rows]
+        arrived = [0] * len(blocks)
+
         stalls = StallBreakdown()
         # Per-reason stall tallies as locals; folded into ``stalls`` after the
-        # loop (and on the runaway error path) — attribute increments are
-        # measurably slower than local-int increments in the issue loop.
+        # loop (and on the runaway error path).
         stall_scoreboard = 0
         stall_issue_bandwidth = 0
         stall_sp_pipe = 0
@@ -331,6 +406,8 @@ class SmSimulator:
         # from it after the loop so the hot path is one list increment.
         issue_counts = [0] * instruction_count
         memory_bytes_in_flight = 0.0
+        sp_free_at = 0.0
+        ldst_free_at = 0.0
 
         issue_capacity = self._cost_model.issue_capacity_per_cycle * self._issue_efficiency
         max_warp_issues_per_cycle = max(1, self._gpu.sm.warp_schedulers)
@@ -345,27 +422,14 @@ class SmSimulator:
         issue_token_cap = max(issue_capacity * 2.0, 64.0)
 
         # Per-SM share of global memory bandwidth, in bytes per shader cycle.
-        bandwidth_bytes_per_cycle = (
+        bandwidth_bytes_per_cycle = max(
             self._gpu.global_memory_bandwidth_gbs
             * 1e9
             / (self._gpu.clocks.shader_mhz * 1e6)
-            / self._gpu.sm_count
+            / self._gpu.sm_count,
+            1e-9,
         )
 
-        # Scoreboard matrix: row ``i`` aliases warp ``i``'s register_ready
-        # array, so per-warp mark_written updates are visible to the matrix
-        # and the no-progress fast-forward below is a single reduction.
-        warp_count = len(all_warps)
-        register_ready_matrix = np.zeros((warp_count, REGISTER_COUNT), dtype=np.float64)
-        for row, warp in enumerate(all_warps):
-            register_ready_matrix[row] = warp.register_ready
-            warp.register_ready = register_ready_matrix[row]
-        # Python-list mirror of the scoreboard rows: the per-instruction wait
-        # checks dominate the issue loop and NumPy scalar indexing is several
-        # times slower than a list read.  Writes go to both views.
-        matrix_rows = list(register_ready_matrix)
-        ready_lists = [[float(v) for v in row] for row in register_ready_matrix]
-        ready_cycles = np.array([w.ready_cycle for w in all_warps], dtype=np.float64)
         # Round-robin visit orders, one per rotation residue, precomputed so
         # the issue loop avoids a modulo per warp per cycle.
         issue_orders = [
@@ -373,16 +437,18 @@ class SmSimulator:
             for rotation in range(warp_count)
         ]
 
+        max_cycles = config.max_cycles
         cycle = 0.0
         rotation_residue = 0
         unfinished = warp_count
-        while unfinished > 0:
-            if cycle > config.max_cycles:
+        while unfinished:
+            if cycle > max_cycles:
                 states = ", ".join(
-                    f"w{w.warp_id}@pc={w.pc}"
-                    f"{'/fin' if w.finished else ''}{'/bar' if w.at_barrier else ''}"
-                    f"/rdy={w.ready_cycle:.0f}"
-                    for w in all_warps
+                    f"w{warp.warp_id}@pc={pcs[row]}"
+                    f"{'/fin' if status[row] == _FINISHED else ''}"
+                    f"{'/bar' if status[row] == _AT_BARRIER else ''}"
+                    f"/rdy={ready[row]:.0f}"
+                    for row, warp in enumerate(all_warps)
                 )
                 stalls.scoreboard = stall_scoreboard
                 stalls.issue_bandwidth = stall_issue_bandwidth
@@ -391,235 +457,231 @@ class SmSimulator:
                 stalls.barrier = stall_barrier
                 stalls.control_notation = stall_control_notation
                 raise SimulationError(
-                    f"simulation exceeded {config.max_cycles} cycles; the kernel may not "
+                    f"simulation exceeded {max_cycles} cycles; the kernel may not "
                     f"terminate (issued {sum(issue_counts)} warp instructions; "
                     f"stalls={stalls.as_dict()}; warps: {states})"
                 )
-            issue_tokens = min(issue_tokens + issue_capacity, issue_token_cap)
+            issue_tokens += issue_capacity
+            if issue_tokens > issue_token_cap:
+                issue_tokens = issue_token_cap
             warp_issues = 0
-            progress = False
             barrier_state_changed = False
-            cycle_horizon = cycle + 1.0
             if counters is not None:
                 issued_pcs: list[int] = []
                 stalled: list[tuple[int, str]] = []
 
-            for index in issue_orders[rotation_residue]:
-                if issue_tokens < 32.0 or warp_issues >= max_warp_issues_per_cycle:
-                    break
-                warp = all_warps[index]
-                if warp.finished:
-                    continue
-                if warp.at_barrier:
-                    stall_barrier += 1
-                    if counters is not None:
-                        # The warp's pc already advanced past the BAR it waits at.
-                        bar_pc = max(warp.pc - 1, 0)
-                        counters.stall_events["barrier"][bar_pc] += 1
-                        stalled.append((bar_pc, "barrier"))
-                    continue
-                if warp.ready_cycle > cycle:
-                    stall_control_notation += 1
-                    if counters is not None:
-                        counters.stall_events["control_notation"][warp.pc] += 1
-                        stalled.append((warp.pc, "control_notation"))
-                    continue
-                if warp.pc >= instruction_count:
-                    warp.finished = True
-                    unfinished -= 1
-                    barrier_state_changed = True
-                    continue
-                pc = warp.pc
-                plan = plans[pc]
-
-                # Scoreboard: sources and (for wide loads) destination pairs
-                # must be ready (inlined WarpState.registers_ready; the plan's
-                # wait_indices are pre-filtered of RZ).
-                register_ready = ready_lists[index]
-                ready = True
-                for wait_index in plan.wait_indices:
-                    if register_ready[wait_index] > cycle:
-                        ready = False
-                        break
-                if not ready:
-                    stall_scoreboard += 1
-                    if counters is not None:
-                        counters.stall_events["scoreboard"][pc] += 1
-                        stalled.append((pc, "scoreboard"))
-                    continue
-
-                # Pipe availability.
-                if plan.is_math and not pipes.sp_free_at < cycle_horizon:
-                    stall_sp_pipe += 1
-                    if counters is not None:
-                        counters.stall_events["sp_pipe"][pc] += 1
-                        stalled.append((pc, "sp_pipe"))
-                    continue
-                if plan.is_memory and not pipes.ldst_free_at < cycle_horizon:
-                    stall_ldst_pipe += 1
-                    if counters is not None:
-                        counters.stall_events["ldst_pipe"][pc] += 1
-                        stalled.append((pc, "ldst_pipe"))
-                    continue
-
-                smem_replays = 1
-                if plan.is_shared and functional and not vectorized:
-                    block = block_of_warp[warp.warp_id]
-                    smem_replays = self._shared_memory_replays(warp, plan.instruction, block)
-
-                if plan.issue_cost > issue_tokens:
-                    stall_issue_bandwidth += 1
-                    if counters is not None:
-                        counters.stall_events["issue_bandwidth"][pc] += 1
-                        stalled.append((pc, "issue_bandwidth"))
-                    continue
-
-                # --- The instruction issues. ---
-                if vectorized:
-                    if plan.is_shared:
-                        smem_replays = traces[warp.warp_id].next_replay()
-                elif functional:
-                    executor.execute(
-                        warp, plan.instruction,
-                        block_of_warp[warp.warp_id].shared_memory,
-                    )
-
-                issue_tokens -= plan.issue_cost
-                warp_issues += 1
-                progress = True
-                issue_counts[pc] += 1
-                if counters is not None:
-                    issued_pcs.append(pc)
-                    if smem_replays > 1:
-                        counters.smem_replays[pc] += smem_replays - 1
-
-                latency = plan.latency
-                if plan.is_math:
-                    # Inlined PipelineState.occupy_sp.
-                    free_at = pipes.sp_free_at
-                    pipes.sp_free_at = (
-                        free_at if free_at > cycle else cycle
-                    ) + plan.sp_cost
-                if plan.is_memory:
-                    # Inlined PipelineState.occupy_ldst.
-                    free_at = pipes.ldst_free_at
-                    pipes.ldst_free_at = (
-                        free_at if free_at > cycle else cycle
-                    ) + plan.ldst_cost_base * max(1, smem_replays)
-                    bytes_moved = plan.bytes_moved
-                    if bytes_moved:
+            # The budget and the scheduler cap only change when a warp issues,
+            # so they are checked here and after each issue, not per visit.
+            if issue_tokens >= 32.0:
+                cycle_horizon = cycle + 1.0
+                for row in issue_orders[rotation_residue]:
+                    state = status[row]
+                    if state:
+                        if state == _AT_BARRIER:
+                            stall_barrier += 1
+                            if counters is not None:
+                                # The warp's pc already advanced past its BAR.
+                                bar_pc = max(pcs[row] - 1, 0)
+                                counters.stall_events["barrier"][bar_pc] += 1
+                                stalled.append((bar_pc, "barrier"))
+                        continue
+                    if ready[row] > cycle:
+                        stall_control_notation += 1
                         if counters is not None:
-                            if vectorized:
-                                # Lanes recorded by the functional pre-pass:
-                                # active lanes under the instruction's
-                                # predicate, matching GlobalMemory counters.
-                                lanes = traces[warp.warp_id].next_dram_lanes()
-                                counters.dram_bytes[pc] += lanes * plan.width_bytes
-                            elif functional:
-                                # Count what actually moves: active lanes under
-                                # the instruction's predicate, matching the
-                                # GlobalMemory byte counters exactly.
-                                mask = warp.active_mask & warp.read_predicate(
-                                    plan.instruction.predicate.index,
-                                    plan.instruction.predicate_negated,
-                                )
-                                counters.dram_bytes[pc] += int(mask.sum()) * plan.width_bytes
-                            else:
-                                counters.dram_bytes[pc] += bytes_moved
-                        memory_bytes_in_flight += bytes_moved
-                        # Bandwidth queueing delay added to the load latency.
-                        queue_delay = memory_bytes_in_flight / max(bandwidth_bytes_per_cycle, 1e-9)
-                        latency += min(queue_delay, 2000.0)
-                        memory_bytes_in_flight *= 0.95  # drain the queue model geometrically
-
-                # Inlined WarpState.mark_written (dest_indices exclude RZ).
-                # Updates land in both the list mirror and the NumPy row the
-                # fast-forward reduction (and warp.register_ready) aliases.
-                ready_at = cycle + latency
-                matrix_row = matrix_rows[index]
-                for dest_index in plan.dest_indices:
-                    if register_ready[dest_index] < ready_at:
-                        register_ready[dest_index] = ready_at
-                        matrix_row[dest_index] = ready_at
-
-                # Control notation / static stall hints (Kepler), precompiled
-                # into the plan's ready_delta (1.0 when no notation applies).
-                warp.ready_cycle = cycle + plan.ready_delta
-                ready_cycles[index] = warp.ready_cycle
-
-                # Control flow.
-                opcode = plan.opcode
-                if opcode is Opcode.EXIT:
-                    if vectorized:
-                        finished = traces[warp.warp_id].next_exit()
-                    elif functional:
-                        mask = warp.active_mask & warp.read_predicate(
-                            plan.instruction.predicate.index,
-                            plan.instruction.predicate_negated,
-                        )
-                        finished = bool(mask.any())
-                    else:
-                        finished = True
-                    if finished:
-                        warp.finished = True
+                            pc = pcs[row]
+                            counters.stall_events["control_notation"][pc] += 1
+                            stalled.append((pc, "control_notation"))
+                        continue
+                    if wake[row] > cycle:
+                        stall_scoreboard += 1
+                        if counters is not None:
+                            pc = pcs[row]
+                            counters.stall_events["scoreboard"][pc] += 1
+                            stalled.append((pc, "scoreboard"))
+                        continue
+                    pc = pcs[row]
+                    if pc >= instruction_count:
+                        # Ran off the end without EXIT (``wake`` is 0.0 there).
+                        status[row] = _FINISHED
                         unfinished -= 1
+                        alive[block_of[row]] -= 1
                         barrier_state_changed = True
-                    else:
-                        warp.pc += 1
-                    continue
-                if opcode is Opcode.BAR:
-                    warp.at_barrier = True
-                    warp.pc += 1
-                    barrier_state_changed = True
-                    block = block_of_warp[warp.warp_id]
-                    if block.barrier_complete():
-                        block.release_barrier()
-                    continue
-                if opcode is Opcode.BRA:
-                    if vectorized:
-                        taken = traces[warp.warp_id].next_branch()
-                    else:
-                        taken = self._branch_taken(warp, plan.instruction, functional)
-                    if taken:
-                        warp.pc = self._kernel.branch_targets[pc]
-                    else:
-                        warp.pc += 1
-                    continue
-                warp.pc += 1
+                        continue
 
-            # Release barriers whose blocks completed this cycle (e.g. when the
-            # last warp parked itself above after the check).  Barrier
-            # completion only changes when a warp parks or finishes.
+                    pipe = pipe_of[pc]
+                    if pipe == _SP_PIPE:
+                        if sp_free_at >= cycle_horizon:
+                            stall_sp_pipe += 1
+                            if counters is not None:
+                                counters.stall_events["sp_pipe"][pc] += 1
+                                stalled.append((pc, "sp_pipe"))
+                            continue
+                    elif pipe == _LDST_PIPE and ldst_free_at >= cycle_horizon:
+                        stall_ldst_pipe += 1
+                        if counters is not None:
+                            counters.stall_events["ldst_pipe"][pc] += 1
+                            stalled.append((pc, "ldst_pipe"))
+                        continue
+                    issue_cost = issue_cost_of[pc]
+                    if issue_cost > issue_tokens:
+                        stall_issue_bandwidth += 1
+                        if counters is not None:
+                            counters.stall_events["issue_bandwidth"][pc] += 1
+                            stalled.append((pc, "issue_bandwidth"))
+                        continue
+
+                    # --- The instruction issues. ---
+                    issue_tokens -= issue_cost
+                    warp_issues += 1
+                    issue_counts[pc] += 1
+                    if counters is not None:
+                        issued_pcs.append(pc)
+                    latency = latency_of[pc]
+                    if pipe == _SP_PIPE:
+                        sp_free_at = (sp_free_at if sp_free_at > cycle else cycle) + pipe_cost_of[pc]
+                    elif pipe == _LDST_PIPE:
+                        smem_replays = 1
+                        if is_shared_of[pc]:
+                            if vectorized:
+                                smem_replays = next(replay_cursor[row], None)
+                                if smem_replays is None:
+                                    raise _desynchronised(all_warps[row], "replay")
+                            elif functional:
+                                smem_replays = self._shared_memory_replays(
+                                    all_warps[row], instructions[pc]
+                                )
+                            if counters is not None and smem_replays > 1:
+                                counters.smem_replays[pc] += smem_replays - 1
+                        ldst_cost = pipe_cost_of[pc]
+                        if smem_replays > 1:
+                            ldst_cost *= smem_replays
+                        ldst_free_at = (ldst_free_at if ldst_free_at > cycle else cycle) + ldst_cost
+                        bytes_moved = dram_bytes_of[pc]
+                        if bytes_moved:
+                            if counters is not None:
+                                if vectorized:
+                                    # Lanes recorded by the functional pre-pass:
+                                    # active lanes under the instruction's
+                                    # predicate, matching GlobalMemory counters.
+                                    lanes = next(dram_cursor[row], None)
+                                    if lanes is None:
+                                        raise _desynchronised(all_warps[row], "DRAM-lane")
+                                    counters.dram_bytes[pc] += lanes * width_bytes_of[pc]
+                                elif functional:
+                                    # Executed below; the guard predicate is
+                                    # not among a memory access's writes.
+                                    counters.dram_bytes[pc] += (
+                                        _active_lanes(all_warps[row], instructions[pc])
+                                        * width_bytes_of[pc]
+                                    )
+                                else:
+                                    counters.dram_bytes[pc] += bytes_moved
+                            memory_bytes_in_flight += bytes_moved
+                            # Bandwidth queueing delay added to the load latency.
+                            queue_delay = memory_bytes_in_flight / bandwidth_bytes_per_cycle
+                            latency += min(queue_delay, 2000.0)
+                            memory_bytes_in_flight *= 0.95  # drain the queue model geometrically
+                    if executor is not None:
+                        executor.execute(all_warps[row], instructions[pc], shared_of[row])
+
+                    registers = scoreboard[row]
+                    dests = dests_of[pc]
+                    if dests:
+                        ready_at = cycle + latency
+                        for dest in dests:
+                            if registers[dest] < ready_at:
+                                registers[dest] = ready_at
+                        if latest[row] < ready_at:
+                            latest[row] = ready_at
+                    # Control notation / static stall hints (Kepler), 1.0
+                    # when no notation applies.
+                    ready[row] = cycle + ready_delta_of[pc]
+
+                    # Control flow.
+                    control = control_of[pc]
+                    next_pc = pc + 1
+                    if control == _EXIT:
+                        if vectorized:
+                            finished = next(exit_cursor[row], None)
+                            if finished is None:
+                                raise _desynchronised(all_warps[row], "exit")
+                        elif functional:
+                            finished = _active_lanes(all_warps[row], instructions[pc]) > 0
+                        else:
+                            finished = True
+                        if finished:
+                            status[row] = _FINISHED
+                            unfinished -= 1
+                            alive[block_of[row]] -= 1
+                            barrier_state_changed = True
+                            next_pc = pc
+                    elif control == _BAR:
+                        status[row] = _AT_BARRIER
+                        barrier_state_changed = True
+                        block = block_of[row]
+                        arrived[block] += 1
+                        if arrived[block] == alive[block]:
+                            _release_barrier(status, block_rows[block])
+                            arrived[block] = 0
+                    elif control == _BRA:
+                        if vectorized:
+                            taken = next(branch_cursor[row], None)
+                            if taken is None:
+                                raise _desynchronised(all_warps[row], "branch")
+                        else:
+                            taken = self._branch_taken(all_warps[row], instructions[pc], functional)
+                        if taken:
+                            next_pc = branch_target_of[pc]
+                    pcs[row] = next_pc
+                    # The scoreboard wake of the warp's next instruction.
+                    pending = 0.0
+                    for index in wait_of[next_pc]:
+                        if registers[index] > pending:
+                            pending = registers[index]
+                    wake[row] = pending
+
+                    if issue_tokens < 32.0 or warp_issues >= max_warp_issues_per_cycle:
+                        break
+
+            # Release barriers whose blocks completed this cycle (a warp that
+            # finishes can complete its block's barrier).  Barrier completion
+            # only changes when a warp parks or finishes.
             if barrier_state_changed:
-                for block in blocks:
-                    if any(w.at_barrier for w in block.warps) and block.barrier_complete():
-                        block.release_barrier()
+                for block, count in enumerate(arrived):
+                    if count and count == alive[block]:
+                        _release_barrier(status, block_rows[block])
+                        arrived[block] = 0
 
             rotation_residue += 1
             if rotation_residue == warp_count:
                 rotation_residue = 0
             cycle_before = cycle
             cycle += 1.0
-            if not progress:
+            if not warp_issues:
                 # Jump ahead to the next interesting event instead of burning
-                # cycles.  Per warp the wake cycle is the later of ready_cycle
-                # and the earliest still-pending scoreboard release; one
-                # reduction over the aliased scoreboard matrix covers all warps.
-                rows = [
-                    row
-                    for row, w in enumerate(all_warps)
-                    if not w.finished and not w.at_barrier
-                ]
-                if rows:
-                    pending = np.where(
-                        register_ready_matrix > cycle, register_ready_matrix, np.inf
-                    ).min(axis=1)
-                    candidates = np.maximum(
-                        ready_cycles, np.where(np.isinf(pending), ready_cycles, pending)
-                    )
-                    next_ready = float(candidates[rows].min())
-                    if next_ready > cycle:
-                        cycle = float(np.ceil(next_ready))
+                # cycles: the earliest, over runnable warps, of the later of
+                # the warp's ready cycle and its earliest still-pending
+                # register release (the ready cycle alone when nothing is
+                # pending).  A runnable warp past its ready cycle with nothing
+                # pending puts that at or before ``cycle``, so no jump is
+                # possible: skip the scan.
+                for row in range(warp_count):
+                    if status[row] == _RUNNABLE and ready[row] <= cycle and latest[row] <= cycle:
+                        break
+                else:
+                    next_ready = math.inf
+                    for row in range(warp_count):
+                        if status[row] != _RUNNABLE:
+                            continue
+                        candidate = ready[row]
+                        if latest[row] > cycle:
+                            earliest = min([v for v in scoreboard[row] if v > cycle])
+                            if earliest > candidate:
+                                candidate = earliest
+                        if candidate < next_ready:
+                            next_ready = candidate
+                    if cycle < next_ready < math.inf:
+                        cycle = float(math.ceil(next_ready))
 
             if counters is not None:
                 # Wall-clock attribution: split the elapsed span (one cycle,
@@ -637,15 +699,31 @@ class SmSimulator:
                 else:
                     # Token starvation / scheduler cap before any warp was
                     # examined: charge the first runnable warp's instruction.
-                    for w in all_warps:
-                        if w.finished:
+                    for row in range(warp_count):
+                        if status[row] == _FINISHED:
                             continue
-                        if w.at_barrier:
-                            counters.stall_cycles["barrier"][max(w.pc - 1, 0)] += elapsed
+                        if status[row] == _AT_BARRIER:
+                            counters.stall_cycles["barrier"][max(pcs[row] - 1, 0)] += elapsed
                         else:
-                            pc = min(w.pc, instruction_count - 1)
+                            pc = min(pcs[row], instruction_count - 1)
                             counters.stall_cycles["issue_bandwidth"][pc] += elapsed
                         break
+
+        if vectorized:
+            # The loop must consume exactly what the pre-pass recorded; DRAM
+            # lanes are only read when profiling.
+            cursors = [("branch", branch_cursor), ("exit", exit_cursor),
+                       ("replay", replay_cursor)]
+            if counters is not None:
+                cursors.append(("DRAM-lane", dram_cursor))
+            for what, rows in cursors:
+                for row, cursor in enumerate(rows):
+                    if next(cursor, None) is not None:
+                        raise SimulationError(
+                            f"vectorized trace desynchronised: warp "
+                            f"{all_warps[row].warp_id} left {what} decisions the "
+                            f"functional pre-pass recorded unconsumed by the timing loop"
+                        )
 
         stalls.scoreboard = stall_scoreboard
         stalls.issue_bandwidth = stall_issue_bandwidth
@@ -661,12 +739,12 @@ class SmSimulator:
         for pc, count in enumerate(issue_counts):
             if not count:
                 continue
-            plan = plans[pc]
+            mnemonic = facts.mnemonic[pc]
             warp_instructions += count
-            histogram[plan.mnemonic] = histogram.get(plan.mnemonic, 0) + count
-            if plan.is_ffma:
+            histogram[mnemonic] = histogram.get(mnemonic, 0) + count
+            if facts.is_ffma[pc]:
                 ffma_thread_instructions += count * 32
-            flops += plan.flops32 * count
+            flops += facts.flops32[pc] * count
         if counters is not None:
             counters.issues[:] = issue_counts
 
@@ -678,7 +756,7 @@ class SmSimulator:
             flops=flops,
             instruction_histogram=histogram,
             stalls=stalls,
-            warps_simulated=len(all_warps),
+            warps_simulated=warp_count,
             blocks_simulated=len(blocks),
             counters=counters,
             executor=self._executor if functional else "",
@@ -708,3 +786,18 @@ class SmSimulator:
         raise SimulationError(
             "divergent branch encountered; the simulator only supports warp-uniform branches"
         )
+
+
+def _active_lanes(warp: WarpState, instruction: Instruction) -> int:
+    """Lanes of ``warp`` that are active under ``instruction``'s guard."""
+    mask = warp.active_mask & warp.read_predicate(
+        instruction.predicate.index, instruction.predicate_negated
+    )
+    return int(mask.sum())
+
+
+def _desynchronised(warp: WarpState, what: str) -> SimulationError:
+    return SimulationError(
+        f"vectorized trace desynchronised: the timing loop requested more {what} "
+        f"decisions for warp {warp.warp_id} than the functional pre-pass recorded"
+    )

@@ -68,46 +68,21 @@ class WarpTrace:
 
     The timing loop replays these instead of executing functionally: branch
     outcomes at BRA, ``mask.any()`` at EXIT, bank-conflict replay degrees at
-    shared-memory accesses, and active-lane counts at global accesses.  Each
-    queue has its own cursor; running past the end means the timing loop and
-    the functional pre-pass disagreed about the dynamic instruction stream,
-    which is a simulator bug and raises loudly.
+    shared-memory accesses, and active-lane counts at global accesses.  The
+    loop walks each queue with its own per-warp cursor and raises
+    :class:`~repro.errors.SimulationError` if it asks for more decisions than
+    were recorded or leaves any unconsumed (DRAM lanes are read, and so
+    checked, only when profiling): either means the timing loop and the
+    functional pre-pass disagreed about the dynamic instruction stream.
     """
 
-    __slots__ = ("branches", "exits", "replays", "dram_lanes", "_cursors")
+    __slots__ = ("branches", "exits", "replays", "dram_lanes")
 
     def __init__(self) -> None:
         self.branches: list[bool] = []
         self.exits: list[bool] = []
         self.replays: list[int] = []
         self.dram_lanes: list[int] = []
-        self._cursors = [0, 0, 0, 0]
-
-    def _next(self, queue: list, slot: int, what: str):
-        cursor = self._cursors[slot]
-        if cursor >= len(queue):
-            raise SimulationError(
-                f"vectorized trace desynchronised: timing loop requested more "
-                f"{what} decisions than the functional pre-pass recorded"
-            )
-        self._cursors[slot] = cursor + 1
-        return queue[cursor]
-
-    def next_branch(self) -> bool:
-        """Outcome of the next BRA."""
-        return self._next(self.branches, 0, "branch")
-
-    def next_exit(self) -> bool:
-        """``mask.any()`` of the next EXIT."""
-        return self._next(self.exits, 1, "exit")
-
-    def next_replay(self) -> int:
-        """Bank-conflict replay degree of the next shared-memory access."""
-        return self._next(self.replays, 2, "replay")
-
-    def next_dram_lanes(self) -> int:
-        """Active predicated lanes of the next global-memory access."""
-        return self._next(self.dram_lanes, 3, "DRAM-lane")
 
 
 class _ResidentState:

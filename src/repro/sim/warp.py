@@ -15,7 +15,7 @@ PREDICATE_COUNT = 8  # P0..P6 plus PT at index 7
 
 @dataclass
 class WarpState:
-    """Architectural and scheduling state of one warp.
+    """Architectural state of one warp.
 
     Attributes
     ----------
@@ -40,9 +40,11 @@ class WarpState:
         The warp has executed EXIT.
     at_barrier:
         The warp is parked at a BAR.SYNC waiting for its block.
-    ready_cycle:
-        Earliest cycle at which the warp may issue again (set by latency,
-        scoreboard release or control-notation stalls).
+
+    ``pc``, ``finished`` and ``at_barrier`` are stepped by
+    :func:`repro.sim.reference.run_block_reference`; the timing state
+    (scoreboard, ready cycles) lives in the flat per-warp rows of
+    :meth:`repro.sim.sm_sim.SmSimulator.run`.
     """
 
     warp_id: int
@@ -60,10 +62,6 @@ class WarpState:
     active_mask: np.ndarray = field(default_factory=lambda: np.ones(WARP_SIZE, dtype=bool))
     finished: bool = False
     at_barrier: bool = False
-    ready_cycle: float = 0.0
-    register_ready: np.ndarray = field(
-        default_factory=lambda: np.zeros(REGISTER_COUNT, dtype=np.float64)
-    )
 
     def __post_init__(self) -> None:
         self.predicates[PREDICATE_COUNT - 1, :] = True  # PT
@@ -107,27 +105,6 @@ class WarpState:
         if index == PREDICATE_COUNT - 1:
             return
         self.predicates[index, mask] = values[mask]
-
-    # ------------------------------------------------------------------ #
-    # Scheduling helpers (timing side).                                   #
-    # ------------------------------------------------------------------ #
-
-    def registers_ready(self, indices: tuple[int, ...], cycle: float) -> bool:
-        """Whether every register in ``indices`` is ready at ``cycle``."""
-        for index in indices:
-            if index < REGISTER_COUNT - 1 and self.register_ready[index] > cycle:
-                return False
-        return True
-
-    def mark_written(self, indices: tuple[int, ...], ready_at: float) -> None:
-        """Record that ``indices`` will be written and become ready at ``ready_at``."""
-        for index in indices:
-            if index < REGISTER_COUNT - 1:
-                self.register_ready[index] = max(self.register_ready[index], ready_at)
-
-    def can_issue(self, cycle: float) -> bool:
-        """Whether the warp is eligible to issue at ``cycle``."""
-        return not self.finished and not self.at_barrier and self.ready_cycle <= cycle
 
 
 def build_warps_for_block(

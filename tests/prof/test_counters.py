@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-import repro.sim.warp as warp_module
+from repro.isa import ControlNotation
 from repro.kernels.base import run_workload
 from repro.kernels.registry import get_workload
 from repro.opt.autotune import simulate_one_block
 from repro.prof import profile_workload, rollup_by_provenance
+from repro.sim.pipelines import CostModel
 from repro.sim.results import STALL_REASONS
-from repro.sim.warp import WarpState
+from repro.sim.sm_sim import _PcFacts
 from repro.tile.workloads import TileSgemmConfig
 
 
@@ -99,32 +102,31 @@ class TestDramByteInvariant:
         assert run.dram_bytes == workload.resources(config).dram_bytes
 
 
-class RecordingWarpState(WarpState):
-    """WarpState that logs every ready_cycle assignment for integrality checks."""
-
-    recorded: list[float] = []
-
-    def __setattr__(self, name, value):
-        if name == "ready_cycle":
-            RecordingWarpState.recorded.append(float(value))
-        super().__setattr__(name, value)
-
-
 class TestSchedulerCycleArithmeticStaysIntegral:
     @pytest.mark.parametrize("gpu_name", ["fermi", "kepler"])
-    def test_ready_cycle_is_always_integral(self, gpu_name, request, monkeypatch):
+    def test_ready_cycle_is_always_integral(self, gpu_name, request):
         """Control-notation stall hints are charged at half weight; the wake
         cycle must still round deterministically to an integer instead of
         leaking fractions into the scheduler's cycle arithmetic (regression:
-        ``ready_cycle = cycle + 1 + stall * 0.5``)."""
+        ``ready_cycle = cycle + 1 + stall * 0.5``).  A warp's ready cycle is
+        the issue cycle plus its instruction's precompiled delay, so every
+        delay and every simulated cycle count must be integral — also with
+        notations requesting each of the stall values 1..7."""
         gpu = request.getfixturevalue(gpu_name)
         workload = get_workload("tile_sgemm")
         kernel, _ = workload.generate_optimized(workload.default_config(), gpu)
-        monkeypatch.setattr(warp_module, "WarpState", RecordingWarpState)
-        RecordingWarpState.recorded = []
-        simulate_one_block(gpu, kernel)
-        assert RecordingWarpState.recorded, "no ready_cycle assignments recorded"
-        fractional = [v for v in RecordingWarpState.recorded if v != int(v)]
+        every_stall = ControlNotation(hints=tuple(0x20 | stall for stall in range(1, 8)))
+        notated = replace(
+            kernel,
+            control_notations=(every_stall,) * -(-kernel.instruction_count // 7),
+        )
+        delays = []
+        for candidate in (kernel, notated):
+            cycles = simulate_one_block(gpu, candidate).cycles
+            assert cycles == int(cycles)
+            delays += _PcFacts(candidate, CostModel(gpu)).ready_delta
+        assert max(delays) > 1.0, "no stall hint was charged"
+        fractional = [v for v in delays if v != int(v)]
         assert fractional == []
 
 

@@ -48,13 +48,6 @@ class TestWarpState:
         assert np.array_equal(warp.read_u32(5)[:4], np.arange(4, dtype=np.uint32))
         assert np.all(warp.read_u32(5)[4:] == 0)
 
-    def test_scoreboard_readiness(self):
-        warp = WarpState(warp_id=0, block_id=0)
-        warp.mark_written((4,), ready_at=10.0)
-        assert not warp.registers_ready((4,), cycle=5.0)
-        assert warp.registers_ready((4,), cycle=10.0)
-        assert warp.registers_ready((63,), cycle=0.0)  # RZ is always ready
-
     def test_build_warps_thread_coordinates(self):
         warps = build_warps_for_block(0, (2, 3), (16, 16), first_warp_id=0)
         assert len(warps) == 8
