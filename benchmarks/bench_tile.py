@@ -169,8 +169,9 @@ def test_bound_pruned_sweep_economics(benchmark, fermi):
     hit rate comes from the telemetry facade — the ``hit_rate`` figure lands
     in BENCH_summary.json's rate ladder.
     """
+    from repro.context import session
     from repro.opt.autotune import autotune_workloads
-    from repro.telemetry.metrics import metrics_session
+    from repro.telemetry.metrics import MetricsRegistry
     from repro.tile.autotune import prune_by_bound, schedule_space, sweep_summary
     from repro.tile.workloads import clear_schedule_caches
 
@@ -187,7 +188,8 @@ def test_bound_pruned_sweep_economics(benchmark, fermi):
     # Start the memos cold so the recorded hit rates measure this sweep's
     # own reuse, not whatever earlier benchmarks happened to populate.
     clear_schedule_caches()
-    with metrics_session() as registry:
+    registry = MetricsRegistry()
+    with session(metrics=registry):
         report = benchmark.pedantic(
             lambda: prune_by_bound(fermi, space), rounds=1, iterations=1
         )

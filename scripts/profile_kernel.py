@@ -32,14 +32,14 @@ import sys
 from dataclasses import replace
 
 from repro.arch.specs import get_gpu_spec
+from repro.context import session
 from repro.kernels.registry import get_workload, workload_names
 from repro.opt.rewrite import kernel_hash
-from repro.prof import format_profile, profile_workload, tracing
+from repro.prof import Tracer, format_profile, profile_workload
 from repro.telemetry.ledger import (
     DEFAULT_LEDGER_ROOT,
     RunLedger,
     config_digest,
-    install_ledger,
     normalize_gpu,
     record_run,
 )
@@ -125,7 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     config = _build_config(args.workload, args)
 
     profiles = []
-    with tracing() as tracer:
+    tracer = Tracer()
+    with session(tracer=tracer):
         for gpu_name in gpus:
             profiles.append(
                 profile_workload(
@@ -141,12 +142,9 @@ def main(argv: list[str] | None = None) -> int:
         tracer.dump(args.trace)
 
     if args.ledger:
-        install_ledger(RunLedger(args.ledger_root))
-        try:
+        with session(ledger=RunLedger(args.ledger_root)):
             for profile in profiles:
                 _ledger_profile(profile, args.workload, config, not args.naive)
-        finally:
-            install_ledger(None)
         print(f"ledger: appended {len(profiles)} profile record"
               f"{'s' if len(profiles) != 1 else ''} under {args.ledger_root}")
 

@@ -42,16 +42,6 @@ class ClockDomains:
             raise ArchitectureError("boost clock must be positive when given")
 
     @property
-    def effective_shader_mhz(self) -> float:
-        """Shader clock used for throughput conversion (boost if available)."""
-        return self.boost_mhz if self.boost_mhz is not None else self.shader_mhz
-
-    @property
-    def shader_to_core_ratio(self) -> float:
-        """Ratio between shader and core clock (≈2 on GT200/Fermi, 1 on Kepler)."""
-        return self.shader_mhz / self.core_mhz
-
-    @property
     def has_separate_shader_clock(self) -> bool:
         """Whether the part uses a distinct (hot) shader clock domain."""
         return abs(self.shader_mhz - self.core_mhz) > 1e-9

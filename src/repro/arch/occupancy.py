@@ -42,13 +42,6 @@ class OccupancyResult:
     active_warps: int
     limiter: str
 
-    @property
-    def occupancy_fraction(self) -> float:
-        """Active warps divided by the per-configuration warp ceiling is not
-        available here; callers wanting a fraction should divide
-        ``active_threads`` by the GPU's thread-residency limit."""
-        return float(self.active_threads)
-
 
 class OccupancyCalculator:
     """Computes the number of threads/blocks an SM can keep resident."""

@@ -179,16 +179,6 @@ class GpuSpec:
             / 1000.0
         )
 
-    @property
-    def sp_throughput_per_cycle(self) -> int:
-        """SP thread-instruction processing throughput per SM per shader cycle."""
-        return self.sm.sp_count
-
-    @property
-    def max_active_threads_per_sm(self) -> int:
-        """Hardware thread-residency limit per SM."""
-        return self.sm.max_threads
-
     def peak_gflops_at_throughput(self, ffma_per_cycle: float) -> float:
         """GFLOPS achieved when each SM sustains ``ffma_per_cycle`` FFMAs/cycle."""
         if ffma_per_cycle < 0:

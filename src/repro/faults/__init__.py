@@ -1,8 +1,8 @@
 """Deterministic fault injection for the kernel-cache storage spine.
 
 A seeded :class:`FaultPlan` (rules over named fault points) installs
-process-wide — :func:`install_faults` / :func:`faults_session`, strict no-op
-when uninstalled — and the filesystem operations of ``kcache.store``,
+process-wide — ``repro.context.session(faults=plan)``, strict no-op when
+uninstalled — and the filesystem operations of ``kcache.store``,
 ``kcache.locks`` and ``telemetry.ledger`` pass through it: injected
 ``EIO``/``ENOSPC``/``EROFS``, torn payloads, delays and simulated crashes,
 replayable from one seed.
@@ -18,11 +18,8 @@ from repro.faults.injector import (
     FaultPlan,
     FaultRule,
     InjectedCrash,
-    current_faults,
     fault_mutate,
     fault_point,
-    faults_session,
-    install_faults,
 )
 from repro.faults.schedule import DESTRUCTIVE_KINDS, MUTATE_SITES, SITES, random_plan
 
@@ -36,10 +33,7 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedCrash",
-    "current_faults",
     "fault_mutate",
     "fault_point",
-    "faults_session",
-    "install_faults",
     "random_plan",
 ]

@@ -12,9 +12,10 @@ outright mid-operation.
 
 The facade follows the contract of :mod:`repro.telemetry.metrics`: library
 code calls :func:`fault_point` / :func:`fault_mutate` unconditionally, and
-when no plan is installed both are strict no-ops — one module-global read,
-zero allocations (the test suite pins this with tracemalloc, because the
-fault points sit on the warm-hit path of ``get_kernel``).
+when the installed :class:`repro.context.Context` has no plan both are strict
+no-ops — one context read, zero allocations (the test suite pins this with
+tracemalloc, because the fault points sit on the warm-hit path of
+``get_kernel``).  ``repro.context.session(faults=plan)`` installs a plan.
 
 Determinism is the point.  The Lai & Seznec methodology gives every cached
 artifact a bit-exact oracle, so a chaos schedule that replays identically
@@ -30,11 +31,11 @@ import errno
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Iterator, Sequence
+from typing import Sequence
 
+from repro.context import current
 from repro.errors import ReproError
 from repro.telemetry.metrics import counter_inc
 
@@ -45,11 +46,8 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "InjectedCrash",
-    "current_faults",
     "fault_mutate",
     "fault_point",
-    "faults_session",
-    "install_faults",
 ]
 
 #: Every fault kind a rule may inject.
@@ -216,47 +214,21 @@ class FaultPlan:
 # The process-wide facade.                                                     #
 # --------------------------------------------------------------------------- #
 
-#: The installed plan fault points consult (None = faults off, strict no-op).
-_CURRENT: FaultPlan | None = None
-
-
-def install_faults(plan: FaultPlan | None) -> FaultPlan | None:
-    """Install ``plan`` as the process-wide fault plan; returns the previous one."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = plan
-    return previous
-
-
-def current_faults() -> FaultPlan | None:
-    """The installed plan, or None when fault injection is off."""
-    return _CURRENT
-
-
-@contextmanager
-def faults_session(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Install ``plan`` for the ``with`` body, restoring the previous plan."""
-    previous = install_faults(plan)
-    try:
-        yield plan
-    finally:
-        install_faults(previous)
-
 
 def fault_point(site: str) -> None:
     """Pass through the fault point ``site``; a no-op when faults are off.
 
-    Call sites pass constant strings, so the uninstalled path is one global
+    Call sites pass constant strings, so the uninstalled path is one context
     read and a None check — zero allocations.
     """
-    plan = _CURRENT
+    plan = current().faults
     if plan is not None:
         plan.hit(site)
 
 
 def fault_mutate(site: str, data: bytes) -> bytes:
     """Pass ``data`` through the mutate point ``site``; identity when off."""
-    plan = _CURRENT
+    plan = current().faults
     if plan is None:
         return data
     return plan.mutate(site, data)

@@ -37,9 +37,6 @@ from repro.kcache.store import (
     KernelStore,
     StoreEntry,
     StoreStats,
-    current_store,
-    install_store,
-    store_session,
 )
 from repro.kcache.warmstart import (
     SCHEDULE_FIELDS,
@@ -73,15 +70,12 @@ __all__ = [
     "claim_build",
     "clear_session_store",
     "config_fingerprint",
-    "current_store",
     "get_kernel",
-    "install_store",
     "nearest_tuned",
     "routine_key",
     "shape_distance",
     "shape_of",
     "shard_of",
-    "store_session",
     "wait_for",
     "warm_seed_configs",
 ]

@@ -50,15 +50,11 @@ import threading
 import time
 from dataclasses import dataclass
 
+from repro.context import current
 from repro.errors import BuildFailedError, KernelCacheError, ReproError, StoreUnavailableError
 from repro.kcache.keys import routine_key, shape_of
 from repro.kcache.locks import STALE_CLAIM_S, ClaimTimeout, claim_build, wait_for
-from repro.kcache.store import (
-    DEFAULT_POISON_TTL_S,
-    KernelStore,
-    StoreEntry,
-    current_store,
-)
+from repro.kcache.store import DEFAULT_POISON_TTL_S, KernelStore, StoreEntry
 from repro.kcache.warmstart import SCHEDULE_FIELDS
 from repro.telemetry.metrics import counter_inc, observe
 
@@ -606,8 +602,8 @@ def get_kernel(
         requested problem size and store its winner, instead of building the
         requested schedule point directly.
     store:
-        Explicit store; defaults to the installed one
-        (:func:`repro.kcache.store.current_store`), else the default root.
+        Explicit store; defaults to the one installed in the process context
+        (:func:`repro.context.current`), else the default root.
     workers / max_cycles / keep_within / warm_start:
         Forwarded to the sweep on a tuned cold miss.
     space:
@@ -637,7 +633,7 @@ def get_kernel(
     """
     obj, name, config, spec, gpu_key = _resolve(workload, config, gpu)
     if store is None:
-        store = current_store() or KernelStore()
+        store = current().store or KernelStore()
     key = routine_key(name, config, gpu_key)
     labels = _TUNED_LABELS if tune else _DIRECT_LABELS
     retry = DEFAULT_RETRY if retry is None else retry

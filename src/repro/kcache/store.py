@@ -43,10 +43,10 @@ read path: it checksum-verifies every entry, finds orphan payloads, stale
 tmp files, dead claims and expired poison, and (with ``repair=True``)
 removes them.
 
-Like the metrics facade and the run ledger, the store has a process-wide
-install point: :func:`install_store` / :func:`store_session` set the store
-that :func:`repro.kcache.get_kernel` requests naming none use, and that
-warm-started sweeps read their neighbours from.
+Like the metrics facade and the run ledger, the store can be installed in
+the process context: ``repro.context.session(store=KernelStore(root))`` sets
+the store that :func:`repro.kcache.get_kernel` requests naming none use, and
+that warm-started sweeps read their neighbours from.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ import json
 import os
 import pickle
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -74,9 +73,6 @@ __all__ = [
     "KernelStore",
     "StoreEntry",
     "StoreStats",
-    "current_store",
-    "install_store",
-    "store_session",
 ]
 
 #: Entry format version, stamped into every meta.
@@ -690,35 +686,3 @@ class KernelStore:
             poisoned=tuple(sorted(poisoned)),
             expired_poison=expired_poison,
         )
-
-
-# --------------------------------------------------------------------------- #
-# The process-wide install point.                                              #
-# --------------------------------------------------------------------------- #
-
-#: The installed default store (None = requests fall back to the default root).
-_CURRENT: KernelStore | None = None
-
-
-def install_store(store: KernelStore | None) -> KernelStore | None:
-    """Install ``store`` as the process-wide kernel store; returns the previous one."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = store
-    return previous
-
-
-def current_store() -> KernelStore | None:
-    """The installed store, or None when none is installed."""
-    return _CURRENT
-
-
-@contextmanager
-def store_session(root: str | os.PathLike = DEFAULT_KCACHE_ROOT) -> Iterator[KernelStore]:
-    """Install a :class:`KernelStore` at ``root`` for the ``with`` body."""
-    store = KernelStore(root)
-    previous = install_store(store)
-    try:
-        yield store
-    finally:
-        install_store(previous)

@@ -30,6 +30,7 @@ from typing import Any
 import numpy as np
 
 from repro.arch.specs import GpuSpec, normalize_gpu
+from repro.context import current
 from repro.errors import ReproError
 from repro.isa.assembler import Kernel
 from repro.model.workload_bounds import (
@@ -41,8 +42,8 @@ from repro.sim.launch import BlockGrid, LaunchConfig
 from repro.sim.memory import GlobalMemory, KernelParams
 from repro.sim.results import SimResult
 from repro.sim.sm_sim import SmSimulator
-from repro.telemetry.ledger import config_digest, current_ledger, record_run
-from repro.telemetry.metrics import counter_inc, current_metrics, gauge_set
+from repro.telemetry.ledger import config_digest, record_run
+from repro.telemetry.metrics import counter_inc, gauge_set
 
 
 @dataclass
@@ -238,7 +239,8 @@ def run_workload(
         dram_load_bytes=launch.memory.load_bytes,
         dram_store_bytes=launch.memory.store_bytes,
     )
-    if current_metrics() is not None or current_ledger() is not None:
+    context = current()
+    if context.metrics is not None or context.ledger is not None:
         _record_workload_run(gpu, run)
     return run
 
@@ -259,12 +261,13 @@ def _record_workload_run(gpu: GpuSpec, run: WorkloadRun) -> None:
         ("variant", "opt" if run.optimized else "naive"),
     )
     stalls = run.result.stalls.as_dict()
-    if current_metrics() is not None:
+    context = current()
+    if context.metrics is not None:
         counter_inc("sim.runs", 1, labels)
         gauge_set("sim.cycles", run.result.cycles, labels)
         gauge_set("sim.dram_bytes", float(run.dram_bytes), labels)
         gauge_set("sim.stall_total", float(run.result.stalls.total()), labels)
-    if current_ledger() is not None:
+    if context.ledger is not None:
         digest = config_digest(run.config)
         gpu_key = normalize_gpu(gpu.name)
         variant = "opt" if run.optimized else "naive"

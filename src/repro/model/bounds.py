@@ -148,10 +148,6 @@ class UpperBoundModel:
         """The throughput database consulted for F_T."""
         return self._database
 
-    def registers_for(self, config: SgemmConfig) -> int:
-        """Strict per-thread register requirement for ``config`` (Eq. 4)."""
-        return register_requirement(config)
-
     def throughput_factor(self, config: SgemmConfig, active_threads: int) -> tuple[float, float]:
         """Look up F_T for ``config`` at ``active_threads`` active threads.
 

@@ -109,11 +109,6 @@ class SgemmConfig:
         """
         return 2 * self.block_tile * self.stride * 4
 
-    @property
-    def flops_per_thread_per_k(self) -> int:
-        """Useful flops per thread per k-step: B_R² FFMAs × 2."""
-        return 2 * self.register_blocking * self.register_blocking
-
     def describe(self) -> dict[str, object]:
         """Dictionary view used in reports and sweeps."""
         return {

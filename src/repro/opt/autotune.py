@@ -28,13 +28,14 @@ import os
 from dataclasses import asdict, dataclass
 
 from repro.arch.specs import GpuSpec, get_gpu_spec, normalize_gpu
+from repro.context import current
 from repro.errors import ReproError
 from repro.opt.rewrite import kernel_hash
 from repro.prof.trace import trace_instant, trace_span
 from repro.sgemm.conflict_analysis import analyse_ffma_conflicts
 from repro.sim.launch import BlockGrid, LaunchConfig
 from repro.sim.sm_sim import SmSimulator
-from repro.telemetry.metrics import counter_inc, current_metrics
+from repro.telemetry.metrics import counter_inc
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,13 @@ def simulate_one_block(
     and the examples: one `threads_per_block`-wide block, no functional
     execution unless requested.  ``collect_profile`` fills the result's
     per-instruction counters (see :mod:`repro.prof`).
+
+    Without ``functional`` the cycles are not the block's full run.  No
+    branch is taken (``SmSimulator._branch_taken``), so they cover one pass
+    through every loop body of block (0, 0), and they include no
+    shared-memory bank-conflict replays, because without addresses the
+    replay degree stays 1.  A sweep ranks candidates on these truncated
+    cycles; ROADMAP.md direction 2 records what that costs.
     """
     simulator = SmSimulator(gpu, kernel)
     launch = LaunchConfig(
@@ -260,7 +268,7 @@ def autotune_workloads(
         else:
             with multiprocessing.Pool(processes=workers) as pool:
                 outcomes = pool.map(_evaluate_star, jobs)
-    if current_metrics() is not None:
+    if current().metrics is not None:
         counter_inc("autotune.candidates_evaluated", len(outcomes))
         counter_inc("autotune.candidate_errors", sum(1 for o in outcomes if not o.ok))
     for outcome in outcomes:

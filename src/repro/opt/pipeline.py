@@ -21,10 +21,12 @@ for a GPU) and :func:`optimize_kernel` (one-call convenience).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
 from repro.arch.specs import GpuSpec
+from repro.context import current as current_context
 from repro.errors import AssemblyError
 from repro.isa.assembler import Kernel
 from repro.opt.control_hints import assign_control_hints
@@ -33,7 +35,7 @@ from repro.opt.reallocation import reallocate_registers
 from repro.opt.scheduling import schedule_kernel
 from repro.prof.trace import trace_span
 from repro.sgemm.conflict_analysis import analyse_ffma_conflicts
-from repro.telemetry.metrics import counter_inc, current_metrics, observe, time_block
+from repro.telemetry.metrics import counter_inc, observe
 
 
 @dataclass
@@ -161,11 +163,6 @@ class PassPipeline:
         self._gpu = gpu
         self._options = dict(options or {})
 
-    @property
-    def pass_names(self) -> tuple[str, ...]:
-        """Names of the passes in application order."""
-        return tuple(p.name for p in self._passes)
-
     def run(self, kernel: Kernel) -> PipelineResult:
         """Apply every pass in order and return the result with stats."""
         context = PassContext(gpu=self._gpu, options=dict(self._options))
@@ -176,13 +173,16 @@ class PassPipeline:
             before_registers = current.register_count
             with trace_span(
                 f"opt.{pipeline_pass.name}", category="opt", kernel=kernel.name
-            ), time_block("opt.pass_seconds", (("pass", pipeline_pass.name),)):
+            ):
+                started = time.perf_counter()
                 transformed = pipeline_pass.run(current, context)
+                seconds = time.perf_counter() - started
             _verify_invariants(pipeline_pass.name, current, transformed)
             after_conflicts = analyse_ffma_conflicts(transformed)
-            if current_metrics() is not None:
+            if current_context().metrics is not None:
                 pass_labels = (("pass", pipeline_pass.name),)
                 counter_inc("opt.passes_run", 1, pass_labels)
+                observe("opt.pass_seconds", seconds, pass_labels)
                 # The structural invariant pins the delta at zero; recording
                 # it makes any future pass that grows/shrinks code visible
                 # in the same ledgered series instead of only as a raise.

@@ -216,18 +216,6 @@ class _Unit:
         return register_bank((base + self._position[register]) % 8)
 
 
-def _tuple_penalty(banks: list[RegisterBank]) -> int:
-    """Conflict penalty of one instruction's distinct sources: degree - 1.
-
-    The solver inlines this computation in its hot loops; this helper states
-    the rule and serves the cold paths.
-    """
-    counts: dict[RegisterBank, int] = {}
-    for bank in banks:
-        counts[bank] = counts.get(bank, 0) + 1
-    return max(counts.values()) - 1 if counts else 0
-
-
 class _BankSolver:
     """Deterministic local search over unit bank signatures."""
 

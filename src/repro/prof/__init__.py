@@ -13,9 +13,11 @@ autotuner:
   counters by provenance tag, exhaustively (rows sum to the cycle count);
 * **Gap attribution** — :func:`attribute_gap` joins the rollup against the
   workload's Eq. 6/8/9 analytic floors;
-* **Tracing** — :func:`tracing` / :func:`trace_span` record schedule
-  primitives, lowering, optimization passes and autotune sweeps as Chrome
-  trace events (Perfetto-loadable), against an injectable clock.
+* **Tracing** — a :class:`Tracer` installed with
+  ``repro.context.session(tracer=Tracer())`` records the :func:`trace_span`
+  spans of schedule primitives, lowering, optimization passes and autotune
+  sweeps as Chrome trace events (Perfetto-loadable), against an injectable
+  clock.
 
 ``scripts/profile_kernel.py`` is the command-line front end.
 """
@@ -33,11 +35,8 @@ from repro.prof.rollup import ProfileRollup, ProvenanceRow, rollup_by_provenance
 from repro.prof.trace import (
     TraceEvent,
     Tracer,
-    current_tracer,
-    install_tracer,
     trace_instant,
     trace_span,
-    tracing,
 )
 
 __all__ = [
@@ -50,16 +49,13 @@ __all__ = [
     "Tracer",
     "attribute_gap",
     "bound_floors",
-    "current_tracer",
     "format_gap",
     "format_profile",
-    "install_tracer",
     "profile_kernel",
     "profile_workload",
     "rollup_by_provenance",
     "trace_instant",
     "trace_span",
-    "tracing",
 ]
 
 #: Profiler entry points live in :mod:`repro.prof.profiler`, which reaches

@@ -1,9 +1,10 @@
 """Lightweight span tracing with Chrome trace-event export.
 
 The tracer is a deliberately small nesting-span recorder: code under
-measurement opens spans with :func:`trace_span` (a no-op when no tracer is
-installed, so instrumented library code pays one global read on the cold
-path), and an installed :class:`Tracer` turns the spans into Chrome
+measurement opens spans with :func:`trace_span` (a no-op when the installed
+:class:`repro.context.Context` has no tracer, so instrumented library code
+pays one context read on the cold path), and a :class:`Tracer` installed
+with ``repro.context.session(tracer=Tracer())`` turns the spans into Chrome
 trace-event JSON that ``chrome://tracing`` and Perfetto load directly.
 
 Determinism is a design constraint, not an afterthought: the clock is
@@ -26,17 +27,16 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
+
+from repro.context import current, install
 
 __all__ = [
     "TraceEvent",
     "Tracer",
-    "current_tracer",
-    "install_tracer",
     "trace_instant",
     "trace_span",
-    "tracing",
 ]
 
 
@@ -143,40 +143,18 @@ class Tracer:
             json.dump(self.to_chrome_trace(), handle, indent=1, sort_keys=True)
 
 
-#: The process-wide tracer instrumented library code reports to (None = off).
-_CURRENT: Tracer | None = None
-
-
+# Kept for the e2e benchmark's recorder (benchmarks/e2e/spans.py) and its
+# test; library code installs through :func:`repro.context.session`.
 def install_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Install ``tracer`` as the process-wide tracer; returns the previous one."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = tracer
-    return previous
+    """Install ``tracer`` in the process context; returns the previous one."""
+    return install(replace(current(), tracer=tracer)).tracer
 
 
+# Kept for the e2e benchmark's harness test; library code reads
+# :func:`repro.context.current`.
 def current_tracer() -> Tracer | None:
     """The installed tracer, or None when tracing is off."""
-    return _CURRENT
-
-
-@contextmanager
-def tracing(clock: Callable[[], float] | None = None) -> Iterator[Tracer]:
-    """Install a fresh :class:`Tracer` for the ``with`` body.
-
-    The previous tracer (usually None) is restored on exit, so traced scopes
-    nest without leaking state into later code::
-
-        with tracing() as tracer:
-            autotune_workloads(gpu, candidates)
-        tracer.dump("sweep.trace.json")
-    """
-    tracer = Tracer(clock=clock)
-    previous = install_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        install_tracer(previous)
+    return current().tracer
 
 
 @contextmanager
@@ -186,7 +164,7 @@ def trace_span(name: str, category: str = "repro", **args: object) -> Iterator[d
     Always yields an args dict so instrumented code can attach results
     unconditionally; without a tracer the dict is simply discarded.
     """
-    tracer = _CURRENT
+    tracer = current().tracer
     if tracer is None:
         yield {}
         return
@@ -196,6 +174,6 @@ def trace_span(name: str, category: str = "repro", **args: object) -> Iterator[d
 
 def trace_instant(name: str, category: str = "repro", **args: object) -> None:
     """Instant event against the installed tracer; no-op when tracing is off."""
-    tracer = _CURRENT
+    tracer = current().tracer
     if tracer is not None:
         tracer.instant(name, category, **args)

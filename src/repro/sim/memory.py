@@ -234,16 +234,6 @@ class GlobalMemory:
         return self._store_bytes
 
     @property
-    def traffic_bytes(self) -> int:
-        """Total simulated DRAM traffic: loads plus stores, active lanes only.
-
-        Predicated-off lanes move no data, so a kernel whose boundary loads
-        and stores are properly predicated reports exactly its compulsory
-        traffic here — the figure the upper-bound model prices.
-        """
-        return self._load_bytes + self._store_bytes
-
-    @property
     def size_bytes(self) -> int:
         """Capacity of the simulated memory."""
         return self._size

@@ -769,8 +769,10 @@ class SmSimulator:
         across a warp; a divergent branch raises so mistakes are loud.
         """
         if not functional:
-            # Timing-only runs cannot evaluate predicates; treat backwards
-            # branches as not-taken to guarantee termination.
+            # Timing-only runs cannot evaluate predicates, so every branch
+            # falls through, forward or backward, guarded or not: the warp
+            # makes one straight pass to its first EXIT, running each loop
+            # body once and any code a branch would have skipped.
             return False
         if instruction.predicate.is_true and not instruction.predicate_negated:
             return True

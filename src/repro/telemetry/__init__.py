@@ -3,9 +3,10 @@
 The cross-run observability spine (see ``docs/telemetry.md``):
 
 * **Metrics facade** (:mod:`repro.telemetry.metrics`) — process-wide
-  labeled counters, gauges, histograms and timers, instrumented through the
+  labeled counters, gauges and histograms, instrumented through the
   autotune sweep, the opt pipeline and ``run_workload``.  A strict no-op
-  when no registry is installed: one global read, zero allocations.
+  when no registry is installed (:mod:`repro.context`): one context read,
+  zero allocations.
 * **Exporters** (:mod:`repro.telemetry.exporters`) — lossless JSON snapshot
   round-trip and the Prometheus text exposition format.
 * **Run ledger** (:mod:`repro.telemetry.ledger`) — append-only JSONL
@@ -37,11 +38,8 @@ from repro.telemetry.ledger import (
     RunLedger,
     build_record,
     config_digest,
-    current_ledger,
     diff_records,
     environment_provenance,
-    install_ledger,
-    ledger_session,
     normalize_gpu,
     record_run,
     scaled_copy,
@@ -51,12 +49,8 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     counter_inc,
-    current_metrics,
     gauge_set,
-    install_metrics,
-    metrics_session,
     observe,
-    time_block,
 )
 
 __all__ = [
@@ -71,16 +65,10 @@ __all__ = [
     "build_record",
     "config_digest",
     "counter_inc",
-    "current_ledger",
-    "current_metrics",
     "diff_records",
     "environment_provenance",
     "escape_label_value",
     "gauge_set",
-    "install_ledger",
-    "install_metrics",
-    "ledger_session",
-    "metrics_session",
     "normalize_gpu",
     "observe",
     "record_run",
@@ -88,6 +76,5 @@ __all__ = [
     "snapshot_from_json",
     "snapshot_to_dict",
     "snapshot_to_json",
-    "time_block",
     "to_prometheus",
 ]

@@ -20,9 +20,9 @@ today evaporate when the interpreter exits.  The ledger persists them:
   enforces between PRs, now usable between any two local runs via
   ``scripts/ledger.py diff``.
 
-Like the metrics facade and the tracer, the ledger has an install point:
-:func:`install_ledger` makes :func:`record_run` a durable append, and
-leaves it a strict no-op otherwise.
+Like the metrics facade and the tracer, the ledger reports through the
+process context: ``repro.context.session(ledger=RunLedger(root))`` makes
+:func:`record_run` a durable append, and it is a strict no-op otherwise.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ import os
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
 
 from repro.arch.specs import normalize_gpu
+from repro.context import current
 
 __all__ = [
     "DEFAULT_LEDGER_ROOT",
@@ -49,11 +48,8 @@ __all__ = [
     "RunLedger",
     "build_record",
     "config_digest",
-    "current_ledger",
     "diff_records",
     "environment_provenance",
-    "install_ledger",
-    "ledger_session",
     "normalize_gpu",
     "record_run",
     "scaled_copy",
@@ -371,38 +367,6 @@ def diff_records(
     )
 
 
-# --------------------------------------------------------------------------- #
-# The process-wide install point.                                              #
-# --------------------------------------------------------------------------- #
-
-#: The installed ledger instrumented code appends to (None = off).
-_CURRENT: RunLedger | None = None
-
-
-def install_ledger(ledger: RunLedger | None) -> RunLedger | None:
-    """Install ``ledger`` as the process-wide ledger; returns the previous one."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = ledger
-    return previous
-
-
-def current_ledger() -> RunLedger | None:
-    """The installed ledger, or None when durable recording is off."""
-    return _CURRENT
-
-
-@contextmanager
-def ledger_session(root: str | os.PathLike = DEFAULT_LEDGER_ROOT) -> Iterator[RunLedger]:
-    """Install a :class:`RunLedger` at ``root`` for the ``with`` body."""
-    ledger = RunLedger(root)
-    previous = install_ledger(ledger)
-    try:
-        yield ledger
-    finally:
-        install_ledger(previous)
-
-
 def record_run(
     kind: str,
     key: str,
@@ -421,7 +385,7 @@ def record_run(
     """
     from repro.telemetry.metrics import counter_inc
 
-    ledger = _CURRENT
+    ledger = current().ledger
     if ledger is None:
         return None
     record = build_record(

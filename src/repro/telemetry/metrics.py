@@ -1,12 +1,13 @@
-"""Process-wide metrics facade: labeled counters, gauges, histograms, timers.
+"""Process-wide metrics facade: labeled counters, gauges and histograms.
 
 The facade mirrors the tracer's design contract (:mod:`repro.prof.trace`):
 instrumented library code reports unconditionally, and the cost of *not*
-observing is one module-global read — when no :class:`MetricsRegistry` is
-installed, every facade call returns immediately without allocating.  That
-strictness is load-bearing: the autotune sweep, the opt pipeline and
-``run_workload`` are instrumented on their hot paths, and the test suite
-pins the uninstalled facade at zero retained allocations per call.
+observing is one context read — when the installed
+:class:`repro.context.Context` has no :class:`MetricsRegistry`, every facade
+call returns immediately without allocating.  That strictness is
+load-bearing: the autotune sweep, the opt pipeline and ``run_workload`` are
+instrumented on their hot paths, and the test suite pins the uninstalled
+facade at zero retained allocations per call.
 
 Labels are passed as a tuple of ``(key, value)`` pairs rather than keyword
 arguments, so call sites with constant labels compile to a constant tuple
@@ -14,31 +15,26 @@ arguments, so call sites with constant labels compile to a constant tuple
 
     counter_inc("tile.schedule_cache.hits", 1, (("cache", "scheduled_procs"),))
 
-Determinism follows the tracer too: the registry clock is injectable, so
-tests drive a fake counter and get byte-stable timer observations.
+Example::
 
-Example (deterministic fake clock)::
-
-    >>> ticks = iter(range(100))
-    >>> registry = MetricsRegistry(clock=lambda: next(ticks) * 0.5)
-    >>> previous = install_metrics(registry)
-    >>> counter_inc("sweep.candidates", 5)
-    >>> with time_block("sweep.prune_seconds"):
-    ...     pass
+    >>> from repro.context import session
+    >>> registry = MetricsRegistry()
+    >>> with session(metrics=registry):
+    ...     counter_inc("sweep.candidates", 5)
+    ...     observe("sweep.prune_seconds", 0.5)
     >>> registry.counter_value("sweep.candidates")
     5.0
     >>> registry.histogram_stat("sweep.prune_seconds").sum
     0.5
-    >>> _ = install_metrics(previous)
 """
 
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Tuple
+
+from repro.context import current, install
 
 __all__ = [
     "HistogramStat",
@@ -46,12 +42,8 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "counter_inc",
-    "current_metrics",
     "gauge_set",
-    "install_metrics",
-    "metrics_session",
     "observe",
-    "time_block",
 ]
 
 #: Labels as a tuple of (key, value) pairs.  Constant at most call sites.
@@ -132,18 +124,9 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Accumulates counters, gauges and histogram summaries by (name, labels).
+    """Accumulates counters, gauges and histogram summaries by (name, labels)."""
 
-    Parameters
-    ----------
-    clock:
-        Zero-argument callable returning seconds, used by :meth:`timer`.
-        Defaults to :func:`time.perf_counter`; tests inject a fake counter
-        for deterministic observations.
-    """
-
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        self._clock = clock if clock is not None else time.perf_counter
+    def __init__(self) -> None:
         self.counters: dict[tuple[str, LabelPairs], float] = {}
         self.gauges: dict[tuple[str, LabelPairs], float] = {}
         self.histograms: dict[tuple[str, LabelPairs], HistogramStat] = {}
@@ -168,15 +151,6 @@ class MetricsRegistry:
         if stat is None:
             stat = self.histograms[key] = HistogramStat()
         stat.observe(value)
-
-    @contextmanager
-    def timer(self, name: str, labels: LabelPairs = ()) -> Iterator[None]:
-        """Observe the wall-clock seconds of the ``with`` body into ``name``."""
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.observe(name, self._clock() - start, labels)
 
     # ------------------------------------------------------------------ #
     # Reading.                                                            #
@@ -210,85 +184,37 @@ class MetricsRegistry:
 # The process-wide facade.                                                     #
 # --------------------------------------------------------------------------- #
 
-#: The installed registry instrumented library code reports to (None = off).
-_CURRENT: MetricsRegistry | None = None
 
-
-class _NullTimer:
-    """The uninstalled :func:`time_block` context: a shared, stateless no-op."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
+# Kept for the e2e benchmark's recorder (benchmarks/e2e/spans.py) and its
+# test; library code installs through :func:`repro.context.session`.
 def install_metrics(registry: MetricsRegistry | None) -> MetricsRegistry | None:
-    """Install ``registry`` as the process-wide registry; returns the previous one."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = registry
-    return previous
+    """Install ``registry`` in the process context; returns the previous one."""
+    return install(replace(current(), metrics=registry)).metrics
 
 
+# Kept for the e2e benchmark's harness test; library code reads
+# :func:`repro.context.current`.
 def current_metrics() -> MetricsRegistry | None:
     """The installed registry, or None when metrics are off."""
-    return _CURRENT
-
-
-@contextmanager
-def metrics_session(clock: Callable[[], float] | None = None) -> Iterator[MetricsRegistry]:
-    """Install a fresh :class:`MetricsRegistry` for the ``with`` body.
-
-    The previous registry (usually None) is restored on exit, so metered
-    scopes nest without leaking state into later code::
-
-        with metrics_session() as registry:
-            run_generative_sweep("gtx580")
-        print(registry.counter_value("autotune.candidates_evaluated"))
-    """
-    registry = MetricsRegistry(clock=clock)
-    previous = install_metrics(registry)
-    try:
-        yield registry
-    finally:
-        install_metrics(previous)
+    return current().metrics
 
 
 def counter_inc(name: str, value: float = 1.0, labels: LabelPairs = ()) -> None:
     """Increment against the installed registry; a no-op when metrics are off."""
-    registry = _CURRENT
+    registry = current().metrics
     if registry is not None:
         registry.counter_inc(name, value, labels)
 
 
 def gauge_set(name: str, value: float, labels: LabelPairs = ()) -> None:
     """Set a gauge against the installed registry; no-op when metrics are off."""
-    registry = _CURRENT
+    registry = current().metrics
     if registry is not None:
         registry.gauge_set(name, value, labels)
 
 
 def observe(name: str, value: float, labels: LabelPairs = ()) -> None:
     """Observe into the installed registry; no-op when metrics are off."""
-    registry = _CURRENT
+    registry = current().metrics
     if registry is not None:
         registry.observe(name, value, labels)
-
-
-def time_block(name: str, labels: LabelPairs = ()):
-    """Timer context against the installed registry.
-
-    When metrics are off this returns a shared null context — no generator
-    frame, no allocation — so wrapping a hot region costs one global read.
-    """
-    registry = _CURRENT
-    if registry is None:
-        return _NULL_TIMER
-    return registry.timer(name, labels)

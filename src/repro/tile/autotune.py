@@ -31,11 +31,12 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.arch.specs import GpuSpec, get_gpu_spec, normalize_gpu
+from repro.context import current
 from repro.errors import ReproError, ResourceLimitError
 from repro.opt.autotune import TuneOutcome, WorkloadCandidate, autotune_workloads
 from repro.prof.trace import trace_span
-from repro.telemetry.ledger import config_digest, current_ledger, record_run
-from repro.telemetry.metrics import counter_inc, current_metrics, observe
+from repro.telemetry.ledger import config_digest, record_run
+from repro.telemetry.metrics import counter_inc, observe
 from repro.tile.resources import proc_occupancy
 from repro.tile.workloads import TileSgemmConfig, TileSgemvConfig, TileTransposeConfig
 
@@ -259,9 +260,12 @@ def prune_by_bound(
     Each candidate's scheduled proc yields its compulsory traffic
     (:func:`repro.tile.resources.proc_resources`), and the generalized
     Eq. 6/8/9 bound turns that into a minimum execution time.  Within each
-    (workload, problem size) group, candidates whose *bound* already exceeds
-    ``keep_within ×`` the group's best bound cannot win by simulation either
-    — the bound is a lower bound on time — so they are pruned unsimulated.
+    (workload, problem size) group, candidates whose *bound* exceeds
+    ``keep_within ×`` the group's best bound are pruned unsimulated.  This
+    is a heuristic, not a guarantee: it compares bounds with bounds, and a
+    candidate with a worse bound can still simulate faster than one with a
+    better bound.  ROADMAP.md direction 2 records measured cases where the
+    pruned candidate was the better kernel.
 
     Occupancy prunes on top of the bound: a schedule whose shared-memory
     footprint cannot be resident on ``gpu`` at all — double-buffered tiles
@@ -279,7 +283,7 @@ def prune_by_bound(
         report = _prune_by_bound(spec, candidates, keep_within, started)
         span["kept"] = len(report.kept)
         span["pruned"] = len(report.pruned)
-    if current_metrics() is not None:
+    if current().metrics is not None:
         counter_inc("autotune.candidates_generated", report.total)
         counter_inc("autotune.candidates_pruned", len(report.pruned))
         counter_inc("autotune.candidates_kept", len(report.kept))
@@ -347,7 +351,7 @@ def schedule_cache_stats() -> dict[str, float] | None:
     reads those series back.  Returns None when no registry is installed —
     the memo's private dict is deliberately not consulted.
     """
-    registry = current_metrics()
+    registry = current().metrics
     if registry is None:
         return None
     snapshot = registry.snapshot()
@@ -368,10 +372,9 @@ def sweep_summary(report: PruneReport, outcomes: list[TuneOutcome]) -> str:
         swept 63 candidates: pruned 41 by bound in 0.52s, simulated 22,
         best tile_sgemm:golden @ 8125 cycles
 
-    With a metrics registry installed (:func:`repro.telemetry.metrics
-    .metrics_session`), the schedule-memo economics — hits, misses and FIFO
-    evictions — ride along, read from the facade rather than from the
-    memo's private state::
+    With a metrics registry installed (:func:`repro.context.session`), the
+    schedule-memo economics — hits, misses and FIFO evictions — ride along,
+    read from the facade rather than from the memo's private state::
 
         ...; schedule cache 30 hits / 12 misses / 3 evictions
     """
@@ -536,7 +539,7 @@ def run_generative_sweep(
     problem sizes, matching the benchmark harness's fixed-size sweep.
 
     With ``warm_start=True`` and a kernel store available (``store`` or the
-    installed :func:`repro.kcache.store.current_store`), the winning
+    store installed in :func:`repro.context.current`), the winning
     schedules of the nearest cached shapes are re-instantiated at this
     sweep's shape and simulated *first*; their measured cycles then prune
     every enumerated candidate whose analytic per-block floor proves it
@@ -554,9 +557,7 @@ def run_generative_sweep(
     seed_outcomes: list[TuneOutcome] = []
     if warm_start and workload in SPACE_BASE_FIELD:
         if store is None:
-            from repro.kcache.store import current_store
-
-            store = current_store()
+            store = current().store
         if store is not None:
             base_field = SPACE_BASE_FIELD[workload]
             base = space_kwargs.get(base_field)
@@ -591,7 +592,7 @@ def run_generative_sweep(
         seed_candidates=tuple(seed_candidates),
         warm_pruned=warm_pruned,
     )
-    if current_ledger() is not None:
+    if current().ledger is not None:
         _ledger_sweep(
             sweep,
             spec,

@@ -5,7 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.arch import fermi_gtx580, gt200_gtx280, kepler_gtx680
+from repro.context import Context, install
 from repro.microbench import paper_database
+
+
+@pytest.fixture(autouse=True)
+def _nothing_left_installed():
+    """Fail a test that leaves anything in :mod:`repro.context`, and clear it."""
+    yield
+    leaked = install(Context())
+    assert leaked == Context(), f"the test left {leaked} installed"
 
 
 @pytest.fixture(scope="session")

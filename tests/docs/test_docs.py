@@ -65,9 +65,23 @@ class TestDocSnippets:
         assert results.attempted > 20
         assert results.failed == 0
 
+    def test_profiling_md_doctests_run_clean(self):
+        results = doctest.testfile(
+            str(DOCS / "profiling.md"), module_relative=False, verbose=False
+        )
+        assert results.attempted > 20
+        assert results.failed == 0
+
     def test_telemetry_md_doctests_run_clean(self):
         results = doctest.testfile(
             str(DOCS / "telemetry.md"), module_relative=False, verbose=False
+        )
+        assert results.attempted > 20
+        assert results.failed == 0
+
+    def test_kcache_md_doctests_run_clean(self):
+        results = doctest.testfile(
+            str(DOCS / "kcache.md"), module_relative=False, verbose=False
         )
         assert results.attempted > 20
         assert results.failed == 0

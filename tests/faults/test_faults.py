@@ -1,14 +1,18 @@
-"""The fault-injection layer itself: rules, plans, facade, no-op cost."""
+"""The fault-injection layer itself: rules, plans, facade.
+
+The zero-allocation pin of the uninstalled fault points is in
+``tests/test_context.py``.
+"""
 
 from __future__ import annotations
 
 import ast
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import repro.faults
+from repro.context import current, session
 from repro.faults import (
     DESTRUCTIVE_KINDS,
     FAULT_KINDS,
@@ -18,21 +22,10 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
     InjectedCrash,
-    current_faults,
     fault_mutate,
     fault_point,
-    faults_session,
-    install_faults,
     random_plan,
 )
-
-
-@pytest.fixture(autouse=True)
-def no_installed_plan():
-    """Every test starts and ends with fault injection off."""
-    install_faults(None)
-    yield
-    install_faults(None)
 
 
 class TestFaultRule:
@@ -156,41 +149,20 @@ class TestFaultPlan:
 
 class TestFacade:
     def test_uninstalled_points_are_noops(self):
-        assert current_faults() is None
+        assert current().faults is None
         fault_point("anything")
         assert fault_mutate("anything", b"data") == b"data"
 
-    def test_install_returns_previous(self):
-        plan = FaultPlan([])
-        assert install_faults(plan) is None
-        assert current_faults() is plan
-        assert install_faults(None) is plan
-
     def test_session_restores_previous_plan(self):
         outer = FaultPlan([])
-        install_faults(outer)
         inner = FaultPlan([FaultRule(sites="site", kind="eio")])
-        with faults_session(inner) as active:
-            assert active is inner
-            with pytest.raises(OSError):
-                fault_point("site")
-        assert current_faults() is outer
-
-    def test_uninstalled_fault_point_allocates_nothing(self):
-        """The no-op path must not tax the warm-hit path of get_kernel."""
-        fault_point("kcache.store.read.meta")  # warm any lazy state
-        fault_mutate("kcache.store.read.meta", b"warm")
-        payload = b"payload"
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            for _ in range(100):
-                fault_point("kcache.store.read.meta")
-                fault_mutate("kcache.store.read.meta", payload)
-            after, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert after - before == 0
+        with session(faults=outer):
+            with session(faults=inner) as active:
+                assert active.faults is inner
+                with pytest.raises(OSError):
+                    fault_point("site")
+            assert current().faults is outer
+            fault_point("site")  # the outer plan has no rules
 
 
 class TestRandomPlan:

@@ -22,6 +22,7 @@ import threading
 
 import pytest
 
+from repro.context import session
 from repro.errors import KernelCacheError
 from repro.faults import (
     ABORT_EXIT_STATUS,
@@ -29,7 +30,6 @@ from repro.faults import (
     FaultPlan,
     FaultRule,
     InjectedCrash,
-    install_faults,
     random_plan,
 )
 from repro.kcache import KernelStore, clear_session_store, get_kernel
@@ -53,10 +53,8 @@ MAX_SEEDS = 160
 @pytest.fixture(autouse=True)
 def _clean_slate():
     clear_session_store()
-    install_faults(None)
     yield
     clear_session_store()
-    install_faults(None)
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +100,7 @@ def _run_schedule(root, seed):
     store = KernelStore(root / f"seed{seed}")
     plan = random_plan(seed)
     results = [None] * THREADS
-    install_faults(plan)
-    try:
+    with session(faults=plan):  # one process-wide plan: every thread sees it
         threads = [
             threading.Thread(target=_request, args=(store, results, index))
             for index in range(THREADS)
@@ -112,8 +109,6 @@ def _run_schedule(root, seed):
             thread.start()
         for thread in threads:
             thread.join(timeout=60.0)
-    finally:
-        install_faults(None)
     assert all(result is not None for result in results), f"seed {seed}: hung thread"
     return store, plan, results
 
@@ -161,11 +156,11 @@ class TestChaosSchedules:
     def test_torn_publish_costs_a_rebuild_never_a_wrong_kernel(self, tmp_path,
                                                                golden_hash):
         store = KernelStore(tmp_path / "kcache")
-        install_faults(FaultPlan([
+        plan = FaultPlan([
             FaultRule(sites="kcache.store.payload.write", kind="torn", torn_keep=0.5),
-        ]))
-        first = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
-        install_faults(None)
+        ])
+        with session(faults=plan):
+            first = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
         # The builder's reply came from its in-memory artifacts: golden.
         assert first.source == "built"
         assert kernel_hash(first.kernel) == golden_hash
@@ -181,11 +176,10 @@ class TestChaosSchedules:
 
 def _abort_builder(root, site):
     """Child process: die with ``os._exit`` at ``site`` mid-build."""
-    install_faults(FaultPlan(
-        [FaultRule(sites=site, kind="abort")], allow_abort=True,
-    ))
+    plan = FaultPlan([FaultRule(sites=site, kind="abort")], allow_abort=True)
     try:
-        get_kernel("tile_sgemm", TINY, store=KernelStore(root), timeout=30)
+        with session(faults=plan):
+            get_kernel("tile_sgemm", TINY, store=KernelStore(root), timeout=30)
     except BaseException:  # noqa: BLE001 - any survival is a wrong exit code
         os._exit(1)
     os._exit(0)

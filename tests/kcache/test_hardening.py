@@ -7,8 +7,9 @@ import time
 
 import pytest
 
+from repro.context import session
 from repro.errors import BuildFailedError, StoreUnavailableError
-from repro.faults import FaultPlan, FaultRule, install_faults
+from repro.faults import FaultPlan, FaultRule
 from repro.kcache import (
     ClaimTimeout,
     Deadline,
@@ -22,7 +23,7 @@ from repro.kcache import (
 )
 from repro.kcache.service import _checked_build
 from repro.opt.rewrite import kernel_hash
-from repro.telemetry.metrics import metrics_session
+from repro.telemetry.metrics import MetricsRegistry
 from repro.tile.workloads import TileSgemmConfig, clear_schedule_caches
 
 TINY = TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2, stride=2, b_window=1)
@@ -34,11 +35,9 @@ DOOMED = TileSgemmConfig(m=16, n=16, k=8, tile=7, register_blocking=2, stride=2,
 def _clean_slate():
     clear_schedule_caches()
     clear_session_store()
-    install_faults(None)
     yield
     clear_schedule_caches()
     clear_session_store()
-    install_faults(None)
 
 
 class TestDeadline:
@@ -94,10 +93,9 @@ class TestSingleDeadline:
 class TestRetries:
     def test_transient_claim_errors_retry_to_a_durable_build(self, tmp_path):
         store = KernelStore(tmp_path / "kcache")
-        install_faults(FaultPlan(
-            [FaultRule(sites="kcache.locks.claim", kind="eio", times=2)]
-        ))
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        plan = FaultPlan([FaultRule(sites="kcache.locks.claim", kind="eio", times=2)])
+        with session(faults=plan, metrics=registry):
             reply = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
         assert reply.source == "built"
         assert reply.durable
@@ -130,10 +128,9 @@ class TestDegradation:
     def test_read_only_claims_degrade_to_session_store(self, tmp_path):
         """EROFS at the claim site: build anyway, serve from memory."""
         store = KernelStore(tmp_path / "kcache")
-        install_faults(FaultPlan(
-            [FaultRule(sites="kcache.locks.claim", kind="erofs", times=None)]
-        ))
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        plan = FaultPlan([FaultRule(sites="kcache.locks.claim", kind="erofs", times=None)])
+        with session(faults=plan, metrics=registry):
             reply = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
         assert reply.source == "degraded"
         assert not reply.durable
@@ -144,12 +141,12 @@ class TestDegradation:
 
     def test_degraded_entries_are_reused_not_rebuilt(self, tmp_path):
         store = KernelStore(tmp_path / "kcache")
-        install_faults(FaultPlan(
-            [FaultRule(sites="kcache.locks.claim", kind="erofs", times=None)]
-        ))
-        first = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
-        with metrics_session() as registry:
-            second = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
+        registry = MetricsRegistry()
+        plan = FaultPlan([FaultRule(sites="kcache.locks.claim", kind="erofs", times=None)])
+        with session(faults=plan):
+            first = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
+            with session(metrics=registry):
+                second = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
         assert second.source == "degraded"
         assert second.build_s == 0.0
         assert second.entry is first.entry
@@ -161,25 +158,24 @@ class TestDegradation:
                              store=KernelStore(tmp_path / "a"), timeout=30)
         clear_schedule_caches()
         clear_session_store()
-        install_faults(FaultPlan(
-            [FaultRule(sites="kcache.locks.claim", kind="erofs", times=None)]
-        ))
-        degraded = get_kernel("tile_sgemm", TINY,
-                              store=KernelStore(tmp_path / "b"), timeout=30)
+        plan = FaultPlan([FaultRule(sites="kcache.locks.claim", kind="erofs", times=None)])
+        with session(faults=plan):
+            degraded = get_kernel("tile_sgemm", TINY,
+                                  store=KernelStore(tmp_path / "b"), timeout=30)
         assert kernel_hash(degraded.kernel) == kernel_hash(durable.kernel)
 
     def test_failed_publish_serves_the_built_kernel_degraded(self, tmp_path):
         """A read-only store discovered at publish must not waste the build."""
         store = KernelStore(tmp_path / "kcache")
-        install_faults(FaultPlan(
+        plan = FaultPlan(
             [FaultRule(sites="kcache.store.payload.write", kind="erofs", times=None)]
-        ))
-        reply = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
+        )
+        with session(faults=plan):
+            reply = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
         assert reply.source == "degraded"
         assert not reply.durable
         assert not reply.entry.meta["durable"]
         assert reply.kernel is not None
-        install_faults(None)
         assert store.load(reply.key) is None  # nothing durable landed
 
 
@@ -197,7 +193,8 @@ class TestPoisonedKeys:
         with pytest.raises(BuildFailedError):
             get_kernel("tile_sgemm", DOOMED, store=store, timeout=30)
         started = time.perf_counter()
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             with pytest.raises(BuildFailedError, match="poisoned"):
                 get_kernel("tile_sgemm", DOOMED, store=store, timeout=30)
         assert time.perf_counter() - started < 0.5
@@ -223,15 +220,14 @@ class TestPoisonedKeys:
     def test_unwritable_store_poisons_in_process(self, tmp_path):
         """When the marker cannot land on disk, this process still remembers."""
         store = KernelStore(tmp_path / "kcache")
-        install_faults(FaultPlan(
-            [FaultRule(sites="kcache.store.poison.*", kind="erofs", times=None)]
-        ))
-        with pytest.raises(BuildFailedError):
-            get_kernel("tile_sgemm", DOOMED, store=store, timeout=30)
-        key = routine_key("tile_sgemm", DOOMED, "gtx580")
-        assert store.load_poison(key) is None  # nothing durable landed
-        with pytest.raises(BuildFailedError, match="poisoned"):
-            get_kernel("tile_sgemm", DOOMED, store=store, timeout=30)
+        plan = FaultPlan([FaultRule(sites="kcache.store.poison.*", kind="erofs", times=None)])
+        with session(faults=plan):
+            with pytest.raises(BuildFailedError):
+                get_kernel("tile_sgemm", DOOMED, store=store, timeout=30)
+            key = routine_key("tile_sgemm", DOOMED, "gtx580")
+            assert store.load_poison(key) is None  # nothing durable landed
+            with pytest.raises(BuildFailedError, match="poisoned"):
+                get_kernel("tile_sgemm", DOOMED, store=store, timeout=30)
 
 
 class TestClaimNonce:
@@ -261,12 +257,9 @@ class TestClaimNonce:
         path = tmp_path / "key.lock"
         claim = claim_build(path)
         assert claim is not None
-        install_faults(FaultPlan(
-            [FaultRule(sites="kcache.locks.release", kind="eio")]
-        ))
-        claim.release()  # injected failure: the unlink never happens
+        with session(faults=FaultPlan([FaultRule(sites="kcache.locks.release", kind="eio")])):
+            claim.release()  # injected failure: the unlink never happens
         assert path.exists()
-        install_faults(None)
         claim.release()
         assert not path.exists()
 

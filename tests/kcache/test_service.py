@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.context import current, session
 from repro.errors import BuildFailedError
-from repro.kcache import KernelStore, get_kernel, install_store, routine_key, store_session
+from repro.kcache import KernelStore, get_kernel, routine_key
 from repro.opt.rewrite import kernel_hash
-from repro.telemetry.metrics import metrics_session
+from repro.telemetry.metrics import MetricsRegistry
 from repro.tile.workloads import TileSgemmConfig, clear_schedule_caches
 
 TINY = TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2, stride=2, b_window=1)
@@ -37,7 +38,8 @@ class TestColdMiss:
 
     def test_miss_counters_fire(self, tmp_path, fermi):
         store = KernelStore(tmp_path / "kcache")
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             get_kernel("tile_sgemm", TINY, fermi, store=store)
         snapshot = registry.snapshot()
         assert snapshot.counter_total("kcache.misses") >= 1
@@ -51,7 +53,8 @@ class TestWarmHit:
         store = KernelStore(tmp_path / "kcache")
         built = get_kernel("tile_sgemm", TINY, fermi, store=store)
         clear_schedule_caches()
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             reply = get_kernel("tile_sgemm", TINY, fermi, store=store)
         assert reply.source == "hit"
         snapshot = registry.snapshot()
@@ -64,12 +67,13 @@ class TestWarmHit:
         assert reply.cycles == built.cycles
 
     def test_default_store_is_the_installed_one(self, tmp_path, fermi):
-        with store_session(tmp_path / "kcache") as store:
+        store = KernelStore(tmp_path / "kcache")
+        with session(store=store):
             built = get_kernel("tile_sgemm", TINY, fermi)
             assert built.source == "built"
             assert store.load(built.key) is not None
             assert get_kernel("tile_sgemm", TINY, fermi).source == "hit"
-        assert install_store(None) is None  # session restored the previous store
+        assert current().store is None  # session restored the previous store
 
 
 class TestMemoStoreTier:
@@ -78,7 +82,8 @@ class TestMemoStoreTier:
         tuned build runs through publish nothing of their own."""
         space = {"tiles": (4, 8), "register_blockings": (2, 4),
                  "strides": (2, 4), "b_windows": (1, 2)}
-        with store_session(tmp_path / "kcache") as store:
+        store = KernelStore(tmp_path / "kcache")
+        with session(store=store):
             reply = get_kernel("tile_sgemm", TINY, fermi, tune=True, space=space)
         assert reply.source == "built"
         assert store.keys() == [reply.key]
@@ -88,7 +93,8 @@ class TestMemoStoreTier:
         from repro.kernels.registry import get_workload
 
         workload = get_workload("tile_sgemm")
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             workload.generate_naive(TINY)
             workload.generate_naive(TINY)
         snapshot = registry.snapshot()

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.kcache import KernelStore, routine_key, store_session
+from repro.context import session
+from repro.kcache import KernelStore, routine_key
 from repro.opt.autotune import simulate_one_block
 from repro.opt.rewrite import kernel_hash
 from repro.tile.workloads import TileSgemmConfig, clear_schedule_caches
@@ -93,7 +94,9 @@ class TestTornEntries:
         """The service rebuilds and republishes after a torn entry."""
         from repro.kcache import get_kernel
 
-        with store_session(tmp_path / "kcache") as store:
+        store = KernelStore(tmp_path / "kcache")
+
+        with session(store=store):
             first = get_kernel("tile_sgemm", TINY, fermi)
             assert first.source == "built"
             payload = store.payload_path(first.key)

@@ -6,15 +6,10 @@ import json
 
 import pytest
 
+from repro.context import current, session
 from repro.opt.autotune import autotune_workloads
-from repro.prof import (
-    Tracer,
-    current_tracer,
-    install_tracer,
-    trace_instant,
-    trace_span,
-    tracing,
-)
+from repro.prof import Tracer, trace_instant, trace_span
+from repro.prof.trace import current_tracer, install_tracer
 from repro.tile.workloads import TileTransposeConfig
 from repro.opt.autotune import WorkloadCandidate
 
@@ -68,26 +63,28 @@ class TestTracer:
 
 class TestGlobalTracer:
     def test_trace_span_is_noop_without_tracer(self):
-        assert current_tracer() is None
+        assert current().tracer is None
         with trace_span("ignored") as args:
             args["x"] = 1  # must not raise
         trace_instant("ignored")
-        assert current_tracer() is None
+        assert current().tracer is None
 
     def test_tracing_installs_and_restores(self):
-        assert current_tracer() is None
-        with tracing(clock=fake_clock()) as tracer:
-            assert current_tracer() is tracer
+        tracer = Tracer(clock=fake_clock())
+        with session(tracer=tracer):
+            assert current().tracer is tracer
             with trace_span("work", category="test"):
                 trace_instant("tick")
-        assert current_tracer() is None
+        assert current().tracer is None
         assert [e.name for e in tracer.events] == ["tick", "work"]
 
     def test_install_tracer_returns_previous(self):
+        """The delegation the e2e benchmark's recorder installs through."""
         first = Tracer(clock=fake_clock())
         assert install_tracer(first) is None
         second = Tracer(clock=fake_clock())
         assert install_tracer(second) is first
+        assert current_tracer() is second
         assert install_tracer(None) is second
 
 
@@ -125,7 +122,8 @@ class TestChromeExport:
             WorkloadCandidate(workload="tile_transpose", config=config,
                               optimize=True, label="transpose:pipeline"),
         ]
-        with tracing() as tracer:
+        tracer = Tracer()
+        with session(tracer=tracer):
             outcomes = autotune_workloads(fermi, candidates, workers=1)
         assert all(outcome.ok for outcome in outcomes)
 

@@ -15,8 +15,9 @@ from repro.arch.specs import get_gpu_spec
 from repro.kernels.base import run_workload
 from repro.kernels.registry import get_workload
 from repro.opt.pipeline import optimize_kernel
-from repro.telemetry.ledger import RunLedger, ledger_session
-from repro.telemetry.metrics import metrics_session
+from repro.context import session
+from repro.telemetry.ledger import RunLedger
+from repro.telemetry.metrics import MetricsRegistry
 from repro.tile.autotune import run_generative_sweep, sweep_summary
 from repro.tile.workloads import clear_schedule_caches
 
@@ -30,7 +31,7 @@ class TestRunWorkloadTelemetry:
     def test_ledger_record_matches_simulator_exactly(self, gpu, tmp_path):
         """The record's cycles and DRAM bytes are the simulator's own books."""
         workload = get_workload("tile_sgemm")
-        with ledger_session(tmp_path / "ledger"):
+        with session(ledger=RunLedger(tmp_path / "ledger")):
             run = run_workload(gpu, workload, optimized=True, collect_profile=True)
         (record,) = RunLedger(tmp_path / "ledger").records(kind="sim")
         assert record.metric("cycles") == run.result.cycles
@@ -50,7 +51,8 @@ class TestRunWorkloadTelemetry:
     def test_metrics_facade_sees_the_same_run(self, gpu):
         workload = get_workload("tile_sgemm")
         labels = (("variant", "opt"), ("workload", "tile_sgemm"))
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             run = run_workload(gpu, workload, optimized=True)
         assert registry.counter_value("sim.runs", labels) == 1.0
         assert registry.gauge_value("sim.cycles", labels) == run.result.cycles
@@ -64,7 +66,7 @@ class TestRunWorkloadTelemetry:
 
 class TestSweepTelemetry:
     def test_sweep_produces_one_ledger_record(self, gpu, tmp_path):
-        with ledger_session(tmp_path / "ledger"):
+        with session(ledger=RunLedger(tmp_path / "ledger")):
             report = run_generative_sweep(
                 gpu, workload="tile_sgemm", include_tails=False
             )
@@ -79,7 +81,7 @@ class TestSweepTelemetry:
         assert record.key.startswith("sweep:tile_sgemm:gtx580:")
 
     def test_identical_sweeps_share_a_key(self, gpu, tmp_path):
-        with ledger_session(tmp_path / "ledger"):
+        with session(ledger=RunLedger(tmp_path / "ledger")):
             run_generative_sweep(gpu, workload="tile_sgemm", include_tails=False)
             run_generative_sweep(gpu, workload="tile_sgemm", include_tails=False)
         records = RunLedger(tmp_path / "ledger").records(kind="sweep")
@@ -87,7 +89,8 @@ class TestSweepTelemetry:
         assert records[0].key == records[1].key
 
     def test_sweep_counters(self, gpu):
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             report = run_generative_sweep(
                 gpu, workload="tile_sgemm", include_tails=False
             )
@@ -105,14 +108,15 @@ class TestSweepTelemetry:
 class TestScheduleCacheMetrics:
     def test_hits_misses_evictions_counted(self, gpu):
         clear_schedule_caches()
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             run_generative_sweep(gpu, workload="tile_sgemm", include_tails=False)
             snapshot = registry.snapshot()
         assert snapshot.counter_total("tile.schedule_cache.misses") > 0
 
     def test_sweep_summary_reads_the_facade(self, gpu):
         clear_schedule_caches()
-        with metrics_session():
+        with session(metrics=MetricsRegistry()):
             report = run_generative_sweep(
                 gpu, workload="tile_sgemm", include_tails=False
             )
@@ -132,7 +136,8 @@ class TestPipelineTelemetry:
     def test_per_pass_series(self, gpu):
         workload = get_workload("tile_sgemm")
         kernel = workload.generate_naive(workload.default_config())
-        with metrics_session() as registry:
+        registry = MetricsRegistry()
+        with session(metrics=registry):
             result = optimize_kernel(kernel, gpu)
         for stats in result.stats:
             labels = (("pass", stats.name),)

@@ -8,16 +8,14 @@ import os
 
 import pytest
 
+from repro.context import current, session
 from repro.telemetry.ledger import (
     GATED_FIELDS,
     LedgerRecord,
     RunLedger,
     build_record,
     config_digest,
-    current_ledger,
     diff_records,
-    install_ledger,
-    ledger_session,
     normalize_gpu,
     record_run,
     scaled_copy,
@@ -146,19 +144,15 @@ class TestDiff:
 
 class TestInstallPoint:
     def test_record_run_noop_when_uninstalled(self, tmp_path):
-        assert current_ledger() is None
+        assert current().ledger is None
         assert record_run("sim", "k", metrics={"cycles": 1}) is None
 
-    def test_session_appends_and_restores(self, tmp_path):
-        with ledger_session(tmp_path / "ledger") as ledger:
-            assert current_ledger() is ledger
+    def test_session_appends_and_restores(self, ledger, tmp_path):
+        with session(ledger=ledger):
+            assert current().ledger is ledger
             record_run("sim", "k", metrics={"cycles": 1})
-        assert current_ledger() is None
+        assert current().ledger is None
         assert len(RunLedger(tmp_path / "ledger").records()) == 1
-
-    def test_install_returns_previous(self, ledger):
-        assert install_ledger(ledger) is None
-        assert install_ledger(None) is ledger
 
 
 def _worker_append(args: tuple[str, int, int]) -> int:
