@@ -128,8 +128,8 @@ class Workload(ABC):
     def generate_naive(self, config: Any) -> Kernel:
         """The compiler-like kernel: program order, sequential registers."""
 
-    def generate_optimized(self, config: Any, gpu: GpuSpec | None = None):
-        """The naive kernel run through the :mod:`repro.opt` pipeline.
+    def generate_optimized(self, config: Any, gpu: GpuSpec):
+        """The naive kernel run through :func:`repro.opt.optimize_kernel` for ``gpu``.
 
         Returns ``(kernel, PipelineResult)``.
         """

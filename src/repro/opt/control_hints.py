@@ -3,77 +3,25 @@
 Section 3.2 of the paper describes how the Kepler toolchain embeds one 64-bit
 scheduling word per group of seven instructions, and reports that a *bad*
 notation costs a large fraction of peak while a per-instruction-type notation
-recovers it.  The seed library modelled only the uniform fallback
-(:func:`repro.isa.control_notation.notation_schedule_for` with one hint for
-every slot, default ``0x25`` — 2.5 stall cycles per instruction on the
-simulator).  This pass assigns **per-instruction** hints instead:
-
-* ``minimal`` — zero stall bits everywhere; the yield flag is set after
-  long-latency instructions (shared/global loads and barriers) so a real
-  scheduler would switch warps behind them.  On the simulator (which derives
-  dependence stalls from its scoreboard and reads only the stall bits) this
-  is the fastest legal notation — the "good notation" of the paper's story.
-* ``latency`` — stall bits encode the producer→consumer distance shortfall:
-  when the next instruction RAW-depends on the previous one, the hint
-  requests ``min(7, ceil(latency gap))`` stall cycles.  This mimics what
-  hardware without a scoreboard would need and is deliberately pessimistic
-  on the simulator; it exists so the autotuner can demonstrate the cost of
-  conservative notations (the paper's "first Kepler attempt").
-* ``uniform`` — the seed behaviour (one hint everywhere), kept for
-  comparison.
+recovers it.  :func:`repro.isa.control_notation.notation_schedule_for`
+models the uniform fallback (one hint for every slot, default ``0x25`` —
+2.5 stall cycles per instruction on the simulator).  This pass assigns
+**per-instruction** hints instead: zero stall bits everywhere, and the yield
+flag after long-latency instructions (shared/global memory operations and
+barriers) so a real scheduler would switch warps behind them.  On the
+simulator, which derives dependence stalls from its scoreboard and reads
+only the stall bits, this is the fastest legal notation — the "good
+notation" of the paper's story.
 """
 
 from __future__ import annotations
 
 from repro.isa.assembler import Kernel
-from repro.isa.control_notation import (
-    DEFAULT_HINT,
-    GROUP_SIZE,
-    ControlNotation,
-)
-from repro.opt.liveness import def_use
+from repro.isa.control_notation import GROUP_SIZE, ControlNotation
 from repro.opt.rewrite import replace_instructions
-from repro.sim.pipelines import LatencyTable
 
 #: Yield-to-another-warp flag (bit 3 of the hint byte).
 YIELD_FLAG = 0x08
-
-SCHEMES = ("minimal", "latency", "uniform")
-
-
-def _minimal_hints(kernel: Kernel) -> list[int]:
-    hints: list[int] = []
-    for instruction in kernel.instructions:
-        hint = 0
-        if instruction.is_memory or instruction.is_barrier:
-            hint |= YIELD_FLAG
-        hints.append(hint)
-    return hints
-
-
-def _latency_hints(kernel: Kernel, latencies: LatencyTable) -> list[int]:
-    """Stall bits covering back-to-back RAW dependences.
-
-    For each instruction, look ahead up to the producer's latency and request
-    enough stall cycles that the *next* dependent instruction would not read
-    a stale register on a scoreboard-less machine.
-    """
-    instructions = kernel.instructions
-    hints = [0] * len(instructions)
-    for index, instruction in enumerate(instructions):
-        if index + 1 >= len(instructions):
-            break
-        produced = set(def_use(instruction).reg_defs)
-        if not produced:
-            continue
-        consumer = def_use(instructions[index + 1])
-        if produced & set(consumer.reg_uses):
-            gap = latencies.latency_for(instruction) - 1.0
-            hints[index] = min(7, max(0, int(gap)))
-    for index, instruction in enumerate(instructions):
-        if instruction.is_memory or instruction.is_barrier:
-            hints[index] |= YIELD_FLAG
-    return hints
 
 
 def build_notations(hints: list[int]) -> tuple[ControlNotation, ...]:
@@ -84,43 +32,19 @@ def build_notations(hints: list[int]) -> tuple[ControlNotation, ...]:
     return tuple(notations)
 
 
-def assign_control_hints(
-    kernel: Kernel,
-    *,
-    scheme: str = "minimal",
-    latencies: LatencyTable | None = None,
-    uniform_hint: int = DEFAULT_HINT,
-) -> Kernel:
+def assign_control_hints(kernel: Kernel) -> Kernel:
     """Attach per-instruction Kepler control notations to ``kernel``.
 
-    Parameters
-    ----------
-    kernel:
-        Any assembled kernel.
-    scheme:
-        One of :data:`SCHEMES` (see module docstring).
-    latencies:
-        Latency table for the ``latency`` scheme (defaults to the Kepler
-        regime).
-    uniform_hint:
-        The hint byte used by the ``uniform`` scheme.
+    Every hint has zero stall bits; memory operations and barriers also
+    carry :data:`YIELD_FLAG`.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown control-hint scheme '{scheme}'; expected one of {SCHEMES}")
-    if scheme == "minimal":
-        hints = _minimal_hints(kernel)
-    elif scheme == "latency":
-        if latencies is None:
-            from repro.arch.specs import kepler_gtx680
-            from repro.sim.pipelines import latency_table_for
-
-            latencies = latency_table_for(kepler_gtx680())
-        hints = _latency_hints(kernel, latencies)
-    else:
-        hints = [uniform_hint] * len(kernel.instructions)
+    hints = [
+        YIELD_FLAG if instruction.is_memory or instruction.is_barrier else 0
+        for instruction in kernel.instructions
+    ]
     return replace_instructions(
         kernel,
         kernel.instructions,
         control_notations=build_notations(hints),
-        metadata_updates={"opt.control_hints": scheme},
+        metadata_updates={"opt.control_hints": True},
     )

@@ -33,7 +33,7 @@ problem (banks first, indices second):
 The pass validates itself: the reallocated kernel is re-analysed with
 :func:`repro.sgemm.conflict_analysis.analyse_ffma_conflicts` and the result
 is rejected (original kernel returned) if the renaming somehow increased the
-FFMA conflict count — the pipeline therefore never regresses a kernel.
+FFMA conflict count — the optimizer therefore never regresses a kernel.
 """
 
 from __future__ import annotations
@@ -182,10 +182,14 @@ def _conflict_tuples(
 _ALL_BANKS = tuple(RegisterBank)
 
 
-def _bank_capacities(max_register: int) -> dict[RegisterBank, int]:
-    """Number of physical indices available per bank in [0, max_register]."""
+#: Cap on local-search moves in the bank-assignment phase.
+MAX_MOVES = 256
+
+
+def _bank_capacities() -> dict[RegisterBank, int]:
+    """Number of physical indices available per bank in [0, MAX_GPR_INDEX]."""
     capacities = {bank: 0 for bank in _ALL_BANKS}
-    for index in range(max_register + 1):
+    for index in range(MAX_GPR_INDEX + 1):
         capacities[register_bank(index)] += 1
     return capacities
 
@@ -388,8 +392,8 @@ class _BankSolver:
             moved.offset = original
         return gain, plan
 
-    def solve(self, max_moves: int = 256) -> None:
-        """Greedy best-improvement moves until a fixed point (or move cap).
+    def solve(self) -> None:
+        """Greedy best-improvement moves until a fixed point (or :data:`MAX_MOVES`).
 
         Three move kinds, tried in order of cost: re-signing one unit
         (subject to bank capacity); swapping the signatures of two
@@ -401,7 +405,7 @@ class _BankSolver:
         """
         movable = [unit for unit in self._units if any(r in self._tuples_of for r in unit.registers)]
         swappable = [unit for unit in self._units]
-        for _ in range(max_moves):
+        for _ in range(MAX_MOVES):
             best_gain = 0
             best_move: tuple[_Unit, int] | None = None
             for unit in movable:
@@ -467,12 +471,9 @@ class _BankSolver:
 # --------------------------------------------------------------------- #
 
 
-def _assign_indices(
-    units: list[_Unit],
-    max_register: int,
-) -> dict[int, int]:
+def _assign_indices(units: list[_Unit]) -> dict[int, int]:
     """Place every unit at concrete indices honoring its bank signature."""
-    free = set(range(max_register + 1))
+    free = set(range(MAX_GPR_INDEX + 1))
     mapping: dict[int, int] = {}
 
     def place_run(unit: _Unit) -> None:
@@ -483,7 +484,7 @@ def _assign_indices(
         # performance property for a hardware-invalid kernel, so running out
         # of legal windows aborts the reallocation instead (the caller then
         # keeps the original kernel).
-        all_starts = list(range(max_register - length + 2))
+        all_starts = list(range(MAX_GPR_INDEX - length + 2))
         starts = [s for s in all_starts if s % 8 == unit.offset % 8]
         starts += [
             s
@@ -573,39 +574,18 @@ def rename_registers(instruction: Instruction, mapping: dict[int, int]) -> Instr
 # --------------------------------------------------------------------- #
 
 
-def reallocate_registers(
-    kernel: Kernel,
-    *,
-    max_register: int = MAX_GPR_INDEX,
-    max_moves: int = 256,
-) -> ReallocationResult:
+def reallocate_registers(kernel: Kernel) -> ReallocationResult:
     """Compute and apply a bank-conflict-minimizing register renaming.
 
-    Parameters
-    ----------
-    kernel:
-        Any assembled kernel.
-    max_register:
-        Highest physical index the renaming may use (R62 by default — the
-        6-bit encoding limit).
-    max_moves:
-        Cap on local-search moves in the bank-assignment phase.
-
-    Returns
-    -------
-    ReallocationResult
-        The (possibly unchanged) kernel plus before/after conflict reports.
-        The renaming is only applied when it does not increase the FFMA
-        conflict count, so the pass never regresses a kernel.
+    The renaming may use every encodable index up to R62 (the 6-bit limit).
+    It is only applied when it does not increase the FFMA conflict count,
+    so the pass never regresses a kernel; the result carries the (possibly
+    unchanged) kernel plus before/after conflict reports.
     """
     before = analyse_ffma_conflicts(kernel)
     used = _used_registers(kernel.instructions)
     if not used:
         return ReallocationResult(kernel=kernel, mapping={}, before=before, after=before, applied=False)
-    if max(used) > max_register:
-        raise RegisterAllocationError(
-            f"kernel uses R{max(used)}, beyond the requested max register R{max_register}"
-        )
 
     runs = _wide_runs(kernel.instructions)
     accesses = _wide_accesses(kernel.instructions)
@@ -631,10 +611,9 @@ def reallocate_registers(
         for register in sorted(used - in_run)
     ]
 
-    solver = _BankSolver(units, tuples, _bank_capacities(max_register))
-    solver.solve(max_moves=max_moves)
+    _BankSolver(units, tuples, _bank_capacities()).solve()
     try:
-        mapping = _assign_indices(units, max_register)
+        mapping = _assign_indices(units)
     except RegisterAllocationError:
         # No legal placement (e.g. alignment constraints exhausted the free
         # windows): keep the original kernel rather than emit a worse one.

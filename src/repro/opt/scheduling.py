@@ -11,12 +11,11 @@ reproduces that discipline mechanically:
   predicate dependences, and per-memory-space load/store ordering);
 * a list scheduler emits the region in a new order: at each step it picks,
   among the dependence-ready instructions, the one heading the longest
-  latency-weighted path to the region exit (critical path first), optionally
-  steering the FFMA:LDS interleave toward a target ratio.
+  latency-weighted path to the region exit (critical path first).
 
 Any topological order of the region DAG preserves the kernel's semantics
 (cross-region order is untouched and all same-register and same-memory-space
-orderings are kept), so the pass is safe by construction; the pipeline
+orderings are kept), so the pass is safe by construction; ``optimize_kernel``
 additionally re-validates structural invariants after it runs.
 """
 
@@ -42,16 +41,10 @@ class ScheduleStats:
         Number of schedulable regions found.
     instructions_moved:
         Instructions whose position changed relative to program order.
-    estimated_stall_cycles_before / after:
-        Sum over instructions of the single-thread issue stalls a sequential
-        in-order reading of the stream would incur (a cheap proxy for how
-        well latency is hidden; the simulator gives the real number).
     """
 
     regions: int
     instructions_moved: int
-    estimated_stall_cycles_before: float
-    estimated_stall_cycles_after: float
 
 
 #: Dependence kinds; RAW carries the producer latency, the rest only ordering.
@@ -147,29 +140,7 @@ def _critical_path(
     return path
 
 
-def _estimate_stalls(instructions: list[Instruction], latencies: LatencyTable) -> float:
-    """Issue stalls of an in-order single-warp reading of the stream."""
-    ready_at: dict[int, float] = {}
-    cycle = 0.0
-    stalls = 0.0
-    for instruction in instructions:
-        du = def_use(instruction)
-        operands_ready = max((ready_at.get(r, 0.0) for r in du.reg_uses), default=0.0)
-        if operands_ready > cycle:
-            stalls += operands_ready - cycle
-            cycle = operands_ready
-        finish = cycle + latencies.latency_for(instruction)
-        for register in du.reg_defs:
-            ready_at[register] = finish
-        cycle += 1.0
-    return stalls
-
-
-def _schedule_region(
-    instructions: list[Instruction],
-    latencies: LatencyTable,
-    ffma_per_lds: float | None,
-) -> list[int]:
+def _schedule_region(instructions: list[Instruction], latencies: LatencyTable) -> list[int]:
     """List-schedule one region; returns the new order as original indices.
 
     Selection is pure critical-path-first: among dependence-ready
@@ -180,10 +151,7 @@ def _schedule_region(
     it in every warp.  (A readiness-horizon scheduler that avoids own-thread
     stalls — optimal for an in-order CPU — measurably regresses the
     simulated SGEMM by pushing the prologue's global loads behind cheap
-    accumulator initialisation.)
-
-    When ``ffma_per_lds`` is set, a secondary steer nudges the FFMA:LDS
-    interleave toward that ratio whenever both kinds are ready.
+    accumulator initialisation.)  Ties go to the earlier instruction.
     """
     count = len(instructions)
     if count <= 1:
@@ -194,30 +162,14 @@ def _schedule_region(
     unscheduled_preds = [len(p) for p in preds]
     ready: list[int] = [i for i in range(count) if unscheduled_preds[i] == 0]
     order: list[int] = []
-    ffma_run = 0.0
+
+    def urgency(index: int) -> tuple[float, int]:
+        return (-priority[index], index)
 
     while ready:
-
-        def sort_key(index: int) -> tuple:
-            instruction = instructions[index]
-            steer = 0.0
-            if ffma_per_lds is not None:
-                # Positive steer deprioritizes; once `ffma_per_lds` FFMAs have
-                # issued since the last shared load, prefer an LDS next.
-                if instruction.is_ffma and ffma_run >= ffma_per_lds:
-                    steer = 1.0
-                elif instruction.is_shared_load and ffma_run < ffma_per_lds:
-                    steer = 0.5
-            return (steer, -priority[index], index)
-
-        chosen = min(ready, key=sort_key)
+        chosen = min(ready, key=urgency)
         ready.remove(chosen)
         order.append(chosen)
-        if ffma_per_lds is not None:
-            if instructions[chosen].is_ffma:
-                ffma_run += 1.0
-            elif instructions[chosen].is_shared_load:
-                ffma_run = max(0.0, ffma_run - ffma_per_lds)
         for successor in succs[chosen]:
             unscheduled_preds[successor] -= 1
             if unscheduled_preds[successor] == 0:
@@ -228,51 +180,12 @@ def _schedule_region(
     return order
 
 
-def derive_ffma_lds_ratio(kernel: Kernel) -> float | None:
-    """Static FFMA:LDS ratio of the kernel (None when it has no shared loads)."""
-    ffma = sum(1 for i in kernel.instructions if i.is_ffma)
-    lds = sum(1 for i in kernel.instructions if i.is_shared_load)
-    if ffma == 0 or lds == 0:
-        return None
-    return ffma / lds
-
-
-def schedule_kernel(
-    kernel: Kernel,
-    *,
-    gpu: GpuSpec | None = None,
-    latencies: LatencyTable | None = None,
-    ffma_per_lds: float | None | str = None,
-) -> tuple[Kernel, ScheduleStats]:
+def schedule_kernel(kernel: Kernel, *, gpu: GpuSpec) -> tuple[Kernel, ScheduleStats]:
     """Reorder independent instructions to hide latency.
 
-    Parameters
-    ----------
-    kernel:
-        Any assembled kernel.
-    gpu:
-        Machine description whose latency table drives the priorities
-        (defaults to the Fermi regime when neither ``gpu`` nor ``latencies``
-        is given).
-    latencies:
-        Explicit latency table (overrides ``gpu``).
-    ffma_per_lds:
-        Target FFMA:LDS interleave ratio; ``"auto"`` derives it from the
-        kernel's static mix (the paper's 6:1 for the B_R=6/LDS.64 kernel),
-        ``None`` (the default) disables steering — critical-path priority
-        already produces a near-target interleave, so the steer is a tuning
-        knob for the autotuner rather than a default.
+    ``gpu``'s latency table drives the critical-path priorities.
     """
-    if latencies is None:
-        from repro.arch.specs import fermi_gtx580
-
-        latencies = latency_table_for(gpu if gpu is not None else fermi_gtx580())
-    ratio: float | None
-    if ffma_per_lds == "auto":
-        ratio = derive_ffma_lds_ratio(kernel)
-    else:
-        ratio = ffma_per_lds  # type: ignore[assignment]
-
+    latencies = latency_table_for(gpu)
     instructions = list(kernel.instructions)
     permutation: list[int] = []  # original index of each new position
     moved = 0
@@ -283,7 +196,7 @@ def schedule_kernel(
             permutation.append(cursor)
             cursor += 1
         regions += 1
-        order = _schedule_region(instructions[start:stop], latencies, ratio)
+        order = _schedule_region(instructions[start:stop], latencies)
         moved += sum(1 for position, original in enumerate(order) if position != original)
         permutation.extend(start + original for original in order)
         cursor = stop
@@ -307,12 +220,7 @@ def schedule_kernel(
         ]
         notations = build_notations([old_hints[original] for original in permutation])
 
-    stats = ScheduleStats(
-        regions=regions,
-        instructions_moved=moved,
-        estimated_stall_cycles_before=_estimate_stalls(instructions, latencies),
-        estimated_stall_cycles_after=_estimate_stalls(new_order, latencies),
-    )
+    stats = ScheduleStats(regions=regions, instructions_moved=moved)
     scheduled = replace_instructions(
         kernel,
         tuple(new_order),

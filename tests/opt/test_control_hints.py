@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.isa.control_notation import (
-    DEFAULT_HINT,
     GROUP_SIZE,
     decode_control_word,
     encode_control_word,
@@ -15,47 +12,18 @@ from repro.opt.control_hints import YIELD_FLAG, assign_control_hints
 
 class TestSchemes:
     def test_minimal_zeroes_stalls_everywhere(self, naive_kernel):
-        kernel = assign_control_hints(naive_kernel, scheme="minimal")
+        kernel = assign_control_hints(naive_kernel)
         for index in range(kernel.instruction_count):
             notation = kernel.control_notation_for(index)
             assert notation is not None
             assert notation.stall_cycles(index % GROUP_SIZE) == 0
 
     def test_minimal_yields_after_memory_ops(self, naive_kernel):
-        kernel = assign_control_hints(naive_kernel, scheme="minimal")
+        kernel = assign_control_hints(naive_kernel)
         for index, instruction in enumerate(kernel.instructions):
             notation = kernel.control_notation_for(index)
             expected = instruction.is_memory or instruction.is_barrier
             assert notation.yield_flag(index % GROUP_SIZE) == expected
-
-    def test_latency_scheme_stalls_back_to_back_dependences(self):
-        from repro.isa.builder import KernelBuilder
-
-        builder = KernelBuilder()
-        builder.mov32i(0, 1)
-        builder.iadd(1, 0, 2)  # immediately consumes R0
-        builder.exit()
-        kernel = assign_control_hints(builder.build(), scheme="latency")
-        assert kernel.control_notation_for(0).stall_cycles(0) == 7  # capped at 7
-
-    def test_latency_scheme_no_stall_for_independent_neighbours(self):
-        from repro.isa.builder import KernelBuilder
-
-        builder = KernelBuilder()
-        builder.mov32i(0, 1)
-        builder.mov32i(1, 2)
-        builder.exit()
-        kernel = assign_control_hints(builder.build(), scheme="latency")
-        assert kernel.control_notation_for(0).stall_cycles(0) == 0
-
-    def test_uniform_scheme_matches_seed_behaviour(self, naive_kernel):
-        kernel = assign_control_hints(naive_kernel, scheme="uniform")
-        notation = kernel.control_notation_for(0)
-        assert notation.hints == tuple([DEFAULT_HINT] * GROUP_SIZE)
-
-    def test_unknown_scheme_rejected(self, naive_kernel):
-        with pytest.raises(ValueError):
-            assign_control_hints(naive_kernel, scheme="bogus")
 
 
 class TestStructure:

@@ -6,12 +6,7 @@ from repro.arch import fermi_gtx580
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import MemRef, Opcode
 from repro.isa.registers import Register, predicate
-from repro.opt.scheduling import (
-    _build_dag,
-    _region_boundaries,
-    derive_ffma_lds_ratio,
-    schedule_kernel,
-)
+from repro.opt.scheduling import _build_dag, _region_boundaries, schedule_kernel
 
 
 def _position_of(kernel, opcode, occurrence=0):
@@ -119,20 +114,11 @@ class TestScheduling:
             for register in du.reg_defs:
                 written_at[register] = index
 
-    def test_ratio_steering_accepts_auto_and_none(self, naive_kernel):
-        auto, _ = schedule_kernel(naive_kernel, gpu=fermi_gtx580(), ffma_per_lds="auto")
-        off, _ = schedule_kernel(naive_kernel, gpu=fermi_gtx580(), ffma_per_lds=None)
-        assert auto.instruction_mix() == off.instruction_mix()
-
-    def test_derive_ratio(self, naive_kernel):
-        # 36 FFMAs and 6 LDS per k-step → 6:1 (paper Section 4.5).
-        assert derive_ffma_lds_ratio(naive_kernel) == 6.0
-
-    def test_empty_like_kernel(self):
+    def test_empty_like_kernel(self, fermi):
         builder = KernelBuilder()
         builder.exit()
         kernel = builder.build()
-        scheduled, stats = schedule_kernel(kernel)
+        scheduled, stats = schedule_kernel(kernel, gpu=fermi)
         assert scheduled.instruction_count == 1
 
     def test_control_hints_follow_their_instructions(self, naive_kernel):
@@ -141,7 +127,7 @@ class TestScheduling:
         from repro.isa.control_notation import GROUP_SIZE
         from repro.opt.control_hints import assign_control_hints
 
-        hinted = assign_control_hints(naive_kernel, scheme="minimal")
+        hinted = assign_control_hints(naive_kernel)
         scheduled, _ = schedule_kernel(hinted, gpu=fermi_gtx580())
         for index, instruction in enumerate(scheduled.instructions):
             notation = scheduled.control_notation_for(index)

@@ -143,9 +143,8 @@ class TestPipelineTelemetry:
             labels = (("pass", stats.name),)
             assert registry.counter_value("opt.passes_run", labels) == 1.0
             assert registry.histogram_stat("opt.pass_seconds", labels).count == 1
-            delta = registry.histogram_stat("opt.pass.instruction_delta", labels)
-            assert delta.count == 1
-            assert delta.sum == 0.0  # pinned by the structural invariant
+            registers = registry.histogram_stat("opt.pass.register_delta", labels)
+            assert registers.sum == stats.register_count_after - stats.register_count_before
             conflict = registry.histogram_stat("opt.pass.conflict_delta", labels)
             assert conflict.sum == (
                 stats.ffma_conflicts_after - stats.ffma_conflicts_before

@@ -57,7 +57,7 @@ def test_uninstalled_helpers_retain_zero_allocations():
         for _ in range(100):
             counter_inc("tile.schedule_cache.hits", 1, (("cache", "sp"),))
             gauge_set("sim.cycles", 8125.0, (("workload", "tile_sgemm"),))
-            observe("opt.pass.instruction_delta", 0.0, (("pass", "schedule"),))
+            observe("opt.pass.register_delta", 0.0, (("pass", "schedule"),))
             trace_instant("candidate.golden", "autotune", cycles=8125.0, ok=True)
             record_run("sim", "run:tile_sgemm", metrics={"cycles": 8125.0})
             fault_point("kcache.store.read.meta")
