@@ -115,12 +115,13 @@ def optimize_kernel(kernel: Kernel, gpu: GpuSpec) -> PipelineResult:
     stats: list[PassStats] = []
     current = kernel
     conflicts = _conflict_count(kernel)
+    mix = kernel.instruction_mix()
     for name, step in _STEPS:
         with trace_span(f"opt.{name}", category="opt", kernel=kernel.name):
             started = time.perf_counter()
             transformed, notes = step(current, gpu)
             seconds = time.perf_counter() - started
-        _verify_invariants(name, current, transformed)
+        mix = _verify_invariants(name, current, transformed, mix)
         after = _conflict_count(transformed)
         if current_context().metrics is not None:
             labels = (("pass", name),)
@@ -146,9 +147,16 @@ def optimize_kernel(kernel: Kernel, gpu: GpuSpec) -> PipelineResult:
     return PipelineResult(kernel=current, stats=tuple(stats))
 
 
-def _verify_invariants(step_name: str, before: Kernel, after: Kernel) -> None:
-    """Structural invariants every step must preserve."""
-    if after.instruction_mix() != before.instruction_mix():
+def _verify_invariants(
+    step_name: str, before: Kernel, after: Kernel, before_mix: dict[str, int]
+) -> dict[str, int]:
+    """Structural invariants every step must preserve; returns ``after``'s mix.
+
+    ``before_mix`` is ``before.instruction_mix()``, carried over from the
+    previous step's check so each kernel's mix is counted once.
+    """
+    after_mix = before_mix if after is before else after.instruction_mix()
+    if after_mix != before_mix:
         raise AssemblyError(f"pass '{step_name}' changed the instruction mix")
     if after.register_count > 63:
         raise AssemblyError(
@@ -161,3 +169,4 @@ def _verify_invariants(step_name: str, before: Kernel, after: Kernel) -> None:
         or after.threads_per_block != before.threads_per_block
     ):
         raise AssemblyError(f"pass '{step_name}' changed the kernel's launch resources")
+    return after_mix

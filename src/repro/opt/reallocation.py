@@ -38,7 +38,7 @@ FFMA conflict count — the optimizer therefore never regresses a kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from repro.arch.register_file import (
     _BANK_CODE_BY_RESIDUE,
@@ -185,6 +185,9 @@ _ALL_BANKS = tuple(RegisterBank)
 #: Cap on local-search moves in the bank-assignment phase.
 MAX_MOVES = 256
 
+#: Offsets a singleton is tried at: one canonical residue per bank.
+_SINGLETON_OFFSETS = (0, 1, 4, 5)
+
 
 def _bank_capacities() -> dict[RegisterBank, int]:
     """Number of physical indices available per bank in [0, MAX_GPR_INDEX]."""
@@ -211,17 +214,42 @@ class _Unit:
     def is_run(self) -> bool:
         return len(self.registers) > 1
 
+    @property
+    def constrained(self) -> bool:
+        """Whether the unit consumes bank capacity in phase 1.
+
+        Weight-0 singletons (bookkeeping registers that never feed a
+        bank-sensitive instruction) are flexible: phase 2 places them in
+        whatever slots remain.  Runs always count — their contiguity pins
+        them to concrete banks.
+        """
+        return self.is_run or self.weight > 0
+
     def __post_init__(self) -> None:
         self._position = {reg: i for i, reg in enumerate(self.registers)}
 
-    def bank_of(self, register: int, offset: int | None = None) -> RegisterBank:
-        """Bank of ``register`` when the unit sits at ``offset`` (mod 8)."""
-        base = self.offset if offset is None else offset
-        return register_bank((base + self._position[register]) % 8)
+
+def _shift(counts: list[int], positions, start: int, end: int) -> None:
+    """Move the bank counts of a unit's ``positions`` from offset ``start`` to ``end``."""
+    codes = _BANK_CODE_BY_RESIDUE
+    for position in positions:
+        counts[codes[(start + position) % 8]] -= 1
+        counts[codes[(end + position) % 8]] += 1
 
 
 class _BankSolver:
-    """Deterministic local search over unit bank signatures."""
+    """Deterministic local search over unit bank signatures.
+
+    The search state is kept current move by move instead of being recounted
+    for every candidate: the per-bank demand of the constrained units, the
+    bank histogram of every conflict tuple, and a cache of each unit's
+    penalty at each offset (its *move penalties*).  A move re-signs one unit,
+    so it shifts that unit's banks in the demand and in the histograms of its
+    own tuples, and drops the cached penalties of exactly the units that
+    share a tuple with it — no other penalty can change.  Every figure the
+    search compares is therefore the one a full recount would give, and the
+    moves it picks are the same.
+    """
 
     def __init__(
         self,
@@ -229,134 +257,162 @@ class _BankSolver:
         tuples: dict[tuple[int, ...], int],
         capacities: dict[RegisterBank, int],
     ) -> None:
-        self._units = units
+        self.units = units
         self._tuples = tuples
-        self._capacities = capacities
-        self._unit_of: dict[int, _Unit] = {}
-        for unit in units:
-            for register in unit.registers:
-                self._unit_of[register] = unit
-        self._tuples_of: dict[int, list[tuple[int, ...]]] = {}
-        for regs in tuples:
-            for register in regs:
-                self._tuples_of.setdefault(register, []).append(regs)
-        # Static per-tuple membership: (unit, position-in-unit) per register,
-        # and the de-duplicated tuple list around each unit.  The penalty
-        # loops below run ~100k times during the local search; resolving
-        # unit/position once keeps them to integer arithmetic.
-        self._members: dict[tuple[int, ...], list[tuple[_Unit, int]]] = {
-            regs: [(self._unit_of[r], self._unit_of[r]._position[r]) for r in regs]
-            for regs in tuples
-        }
-        self._around: dict[int, list[tuple[tuple[int, ...], int, list[tuple[_Unit, int]]]]] = {}
-        for unit in units:
-            seen: set[tuple[int, ...]] = set()
-            entries = []
-            for register in unit.registers:
-                for regs in self._tuples_of.get(register, ()):
-                    if regs in seen:
-                        continue
-                    seen.add(regs)
-                    entries.append((regs, tuples[regs], self._members[regs]))
-            self._around[id(unit)] = entries
-
-    def _penalty_around(self, unit: _Unit, offset: int | None = None) -> int:
-        """Weighted penalty of all tuples touching ``unit`` (at ``offset``)."""
-        base = unit.offset if offset is None else offset
         codes = _BANK_CODE_BY_RESIDUE
-        total = 0
-        for _, weight, members in self._around[id(unit)]:
+        self._capacity = [0, 0, 0, 0]
+        for residue in range(8):
+            self._capacity[codes[residue]] = capacities[register_bank(residue)]
+        unit_of: dict[int, _Unit] = {}
+        for unit in units:
+            for register in unit.registers:
+                unit_of[register] = unit
+        # Per tuple: (unit, position-in-unit) of every member register.  Per
+        # unit: each tuple it is in with its own positions there, and the
+        # units sharing a tuple with it (itself included).
+        self._members: dict[tuple[int, ...], list[tuple[_Unit, int]]] = {}
+        self._around: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], int]]] = {
+            id(unit): [] for unit in units
+        }
+        self._neighbours: dict[int, dict[int, _Unit]] = {
+            id(unit): {id(unit): unit} for unit in units
+        }
+        for regs in tuples:
+            members = [(unit_of[r], unit_of[r]._position[r]) for r in regs]
+            self._members[regs] = members
+            positions: dict[int, list[int]] = {}
+            for member, position in members:
+                positions.setdefault(id(member), []).append(position)
+            sharing = {id(member): member for member, _ in members}
+            for key, unit_positions in positions.items():
+                self._around[key].append((regs, tuple(unit_positions), tuples[regs]))
+                self._neighbours[key].update(sharing)
+        self._bank_counts = self._count_banks()
+        self._demand = self._count_demand()
+        self._move_penalties: dict[int, list[int | None]] = {
+            id(unit): [None] * 8 for unit in units
+        }
+
+    # -- state, counted from scratch (construction and checks) ----------- #
+
+    def _count_banks(self) -> dict[tuple[int, ...], list[int]]:
+        """Bank histogram of every conflict tuple at the units' offsets."""
+        codes = _BANK_CODE_BY_RESIDUE
+        histograms: dict[tuple[int, ...], list[int]] = {}
+        for regs, members in self._members.items():
             counts = [0, 0, 0, 0]
             for member, position in members:
-                member_base = base if member is unit else member.offset
-                counts[codes[(member_base + position) % 8]] += 1
-            worst = max(counts)
-            if worst > 1:
-                total += (worst - 1) * weight
-        return total
+                counts[codes[(member.offset + position) % 8]] += 1
+            histograms[regs] = counts
+        return histograms
 
-    def total_penalty(self) -> int:
+    def _count_demand(self) -> list[int]:
+        """Per-bank demand of the constrained units, indexed by bank code."""
+        codes = _BANK_CODE_BY_RESIDUE
+        demand = [0, 0, 0, 0]
+        for unit in self.units:
+            if unit.constrained:
+                for position in range(len(unit.registers)):
+                    demand[codes[(unit.offset + position) % 8]] += 1
+        return demand
+
+    # -- pricing ----------------------------------------------------------- #
+
+    def _penalty_around(self, unit: _Unit, offset: int | None = None) -> int:
+        """Weighted penalty of all tuples touching ``unit`` (at ``offset``).
+
+        Priced off the per-tuple bank histograms, so the cost is
+        O(the unit's tuples) whatever the tuples' sizes.
+        """
+        current = unit.offset
+        base = current if offset is None else offset
         codes = _BANK_CODE_BY_RESIDUE
         total = 0
-        for regs, weight in self._tuples.items():
-            counts = [0, 0, 0, 0]
-            for member, position in self._members[regs]:
-                counts[codes[(member.offset + position) % 8]] += 1
+        for regs, positions, weight in self._around[id(unit)]:
+            counts = self._bank_counts[regs]
+            if base != current:
+                counts = counts.copy()
+                for position in positions:
+                    counts[codes[(current + position) % 8]] -= 1
+                    counts[codes[(base + position) % 8]] += 1
             worst = max(counts)
             if worst > 1:
                 total += (worst - 1) * weight
         return total
 
-    def _demand(self) -> dict[RegisterBank, int]:
-        """Per-bank demand of the *constrained* units only.
+    def _move_penalty(self, unit: _Unit, offset: int) -> int:
+        """:meth:`_penalty_around` at ``offset``, cached until a neighbour moves."""
+        cache = self._move_penalties[id(unit)]
+        penalty = cache[offset]
+        if penalty is None:
+            penalty = cache[offset] = self._penalty_around(unit, offset)
+        return penalty
 
-        Weight-0 singletons (bookkeeping registers that never feed a
-        bank-sensitive instruction) are flexible: phase 2 places them in
-        whatever slots remain, so they do not consume capacity here.  Runs
-        always count — their contiguity pins them to concrete banks.
-        """
-        demand = {bank: 0 for bank in _ALL_BANKS}
-        for unit in self._units:
-            if not unit.is_run and unit.weight == 0:
-                continue
-            for register in unit.registers:
-                demand[unit.bank_of(register)] += 1
-        return demand
+    def total_penalty(self) -> int:
+        total = 0
+        for regs, counts in self._bank_counts.items():
+            worst = max(counts)
+            if worst > 1:
+                total += (worst - 1) * self._tuples[regs]
+        return total
+
+    # -- moves ------------------------------------------------------------- #
+
+    def _move(self, unit: _Unit, offset: int) -> None:
+        """Re-sign ``unit``, keeping demand, histograms and move penalties current."""
+        if offset == unit.offset:
+            return
+        if unit.constrained:
+            _shift(self._demand, range(len(unit.registers)), unit.offset, offset)
+        self._shift_tuples(unit, unit.offset, offset)
+        unit.offset = offset
+        for key in self._neighbours[id(unit)]:
+            self._move_penalties[key] = [None] * 8
+
+    def _shift_tuples(self, unit: _Unit, start: int, end: int) -> None:
+        """Move ``unit``'s members from offset ``start`` to ``end`` in its tuples' histograms."""
+        for regs, positions, _ in self._around[id(unit)]:
+            _shift(self._bank_counts[regs], positions, start, end)
 
     def _fits(self, unit: _Unit, offset: int) -> bool:
         """Whether moving ``unit`` to ``offset`` keeps every bank in capacity."""
-        demand = self._demand()
-        for register in unit.registers:
-            demand[unit.bank_of(register)] -= 1
-        for position in range(len(unit.registers)):
-            demand[register_bank((offset + position) % 8)] += 1
-        return all(demand[bank] <= self._capacities[bank] for bank in _ALL_BANKS)
+        demand = self._demand.copy()
+        _shift(demand, range(len(unit.registers)), unit.offset, offset)
+        return all(need <= room for need, room in zip(demand, self._capacity))
 
     def _swap_fits(self, first: _Unit, second: _Unit) -> bool:
         """Capacity check for a signature swap (matters when one side is
         flexible — a weight-0 singleton — and thus absent from demand)."""
-        first.offset, second.offset = second.offset, first.offset
-        demand = self._demand()
-        fits = all(demand[bank] <= self._capacities[bank] for bank in _ALL_BANKS)
-        first.offset, second.offset = second.offset, first.offset
-        return fits
+        demand = self._demand.copy()
+        for unit, offset in ((first, second.offset), (second, first.offset)):
+            if unit.constrained:
+                _shift(demand, range(len(unit.registers)), unit.offset, offset)
+        return all(need <= room for need, room in zip(demand, self._capacity))
 
     def _swap_gain(self, first: _Unit, second: _Unit) -> int:
-        """Penalty reduction from exchanging the signatures of two units."""
-        before = self._penalty_around(first) + self._penalty_around_excluding(second, first)
-        first.offset, second.offset = second.offset, first.offset
-        after = self._penalty_around(first) + self._penalty_around_excluding(second, first)
-        first.offset, second.offset = second.offset, first.offset
-        return before - after
+        """Penalty reduction from exchanging the signatures of two units.
 
-    def _penalty_around_excluding(self, unit: _Unit, excluded: _Unit) -> int:
-        """Like :meth:`_penalty_around` but skipping tuples already counted."""
-        excluded_tuples: set[tuple[int, ...]] = set()
-        for register in excluded.registers:
-            excluded_tuples.update(self._tuples_of.get(register, ()))
-        codes = _BANK_CODE_BY_RESIDUE
-        total = 0
-        for regs, weight, members in self._around[id(unit)]:
-            if regs in excluded_tuples:
-                continue
-            counts = [0, 0, 0, 0]
-            for member, position in members:
-                counts[codes[(member.offset + position) % 8]] += 1
-            worst = max(counts)
-            if worst > 1:
-                total += (worst - 1) * weight
-        return total
+        The exchange is priced as two moves in a row: ``first`` to
+        ``second``'s offset, then ``second`` to ``first``'s old one with
+        ``first`` already there.  When no tuple holds both, the second move
+        does not see the first, and both halves are cached move penalties.
+        """
+        a, b = first.offset, second.offset
+        gain = self._move_penalty(first, a) - self._move_penalty(first, b)
+        if id(second) not in self._neighbours[id(first)]:
+            return gain + self._move_penalty(second, b) - self._move_penalty(second, a)
+        self._shift_tuples(first, a, b)
+        gain += self._penalty_around(second) - self._penalty_around(second, a)
+        self._shift_tuples(first, b, a)
+        return gain
 
     def _partners_of(self, unit: _Unit) -> list[_Unit]:
         """Singleton units sharing a conflict tuple with ``unit`` (weight-desc)."""
-        partners: dict[int, _Unit] = {}
-        for register in unit.registers:
-            for regs in self._tuples_of.get(register, ()):
-                for other_register in regs:
-                    other = self._unit_of[other_register]
-                    if other is not unit and not other.is_run:
-                        partners[id(other)] = other
-        return sorted(partners.values(), key=lambda u: (-u.weight, u.registers))
+        partners = [
+            other for other in self._neighbours[id(unit)].values()
+            if other is not unit and not other.is_run
+        ]
+        return sorted(partners, key=lambda u: (-u.weight, u.registers))
 
     def _composite_gain(self, unit: _Unit, offset: int) -> tuple[int, list[tuple[_Unit, int]]]:
         """Gain from moving ``unit`` to ``offset`` with partner adaptation.
@@ -365,19 +421,21 @@ class _BankSolver:
         singletons it shares tuples with (e.g. FFMA accumulators) re-pick
         their banks too.  This evaluates the run move together with a greedy
         re-pick of every singleton partner, which escapes the plateaus a
-        one-unit-at-a-time search cannot cross.
+        one-unit-at-a-time search cannot cross.  Its trial moves go through
+        :meth:`_move` and are undone the same way, so each partner's
+        capacity check sees the demand the earlier trial moves left.
         """
-        before = self.total_penalty()
-        saved = [(unit, unit.offset)] + [(p, p.offset) for p in self._partners_of(unit)]
-        plan: list[tuple[_Unit, int]] = []
         if not self._fits(unit, offset):
             return 0, []
-        unit.offset = offset
-        plan.append((unit, offset))
-        for partner in self._partners_of(unit):
+        before = self.total_penalty()
+        partners = self._partners_of(unit)
+        saved = [(unit, unit.offset)] + [(p, p.offset) for p in partners]
+        self._move(unit, offset)
+        plan: list[tuple[_Unit, int]] = [(unit, offset)]
+        for partner in partners:
             best_offset = partner.offset
             best_penalty = self._penalty_around(partner)
-            for candidate in (0, 1, 4, 5):
+            for candidate in _SINGLETON_OFFSETS:
                 if candidate == partner.offset:
                     continue
                 penalty = self._penalty_around(partner, candidate)
@@ -385,11 +443,11 @@ class _BankSolver:
                     best_penalty = penalty
                     best_offset = candidate
             if best_offset != partner.offset:
-                partner.offset = best_offset
+                self._move(partner, best_offset)
                 plan.append((partner, best_offset))
         gain = before - self.total_penalty()
         for moved, original in saved:
-            moved.offset = original
+            self._move(moved, original)
         return gain, plan
 
     def solve(self) -> None:
@@ -403,35 +461,33 @@ class _BankSolver:
         strictly reduces the weighted conflict penalty, so the search
         terminates.
         """
-        movable = [unit for unit in self._units if any(r in self._tuples_of for r in unit.registers)]
-        swappable = [unit for unit in self._units]
+        movable = [unit for unit in self.units if self._around[id(unit)]]
         for _ in range(MAX_MOVES):
             best_gain = 0
             best_move: tuple[_Unit, int] | None = None
             for unit in movable:
-                current = self._penalty_around(unit)
+                current = self._move_penalty(unit, unit.offset)
                 if current == 0:
                     continue
                 # Runs sweep their alignment-legal signatures; singletons only
                 # need one canonical offset per bank (0/1/4/5).
-                offsets = unit.allowed_offsets if unit.is_run else (0, 1, 4, 5)
+                offsets = unit.allowed_offsets if unit.is_run else _SINGLETON_OFFSETS
                 for offset in offsets:
                     if offset == unit.offset:
                         continue
-                    gain = current - self._penalty_around(unit, offset)
+                    gain = current - self._move_penalty(unit, offset)
                     if gain > best_gain and self._fits(unit, offset):
                         best_gain = gain
                         best_move = (unit, offset)
             if best_move is not None:
-                unit, offset = best_move
-                unit.offset = offset
+                self._move(*best_move)
                 continue
 
             best_swap: tuple[_Unit, _Unit] | None = None
             for unit in movable:
-                if self._penalty_around(unit) == 0:
+                if self._move_penalty(unit, unit.offset) == 0:
                     continue
-                for other in swappable:
+                for other in self.units:
                     if other is unit or len(other.registers) != len(unit.registers):
                         continue
                     if other.offset == unit.offset:
@@ -446,12 +502,14 @@ class _BankSolver:
                         best_swap = (unit, other)
             if best_swap is not None:
                 first, second = best_swap
-                first.offset, second.offset = second.offset, first.offset
+                first_offset, second_offset = first.offset, second.offset
+                self._move(first, second_offset)
+                self._move(second, first_offset)
                 continue
 
             best_plan: list[tuple[_Unit, int]] | None = None
             for unit in movable:
-                if not unit.is_run or self._penalty_around(unit) == 0:
+                if not unit.is_run or self._move_penalty(unit, unit.offset) == 0:
                     continue
                 for offset in unit.allowed_offsets:
                     if offset == unit.offset:
@@ -463,7 +521,7 @@ class _BankSolver:
             if best_plan is None:
                 return
             for unit, offset in best_plan:
-                unit.offset = offset
+                self._move(unit, offset)
 
 
 # --------------------------------------------------------------------- #
@@ -529,44 +587,50 @@ def _assign_indices(units: list[_Unit]) -> dict[int, int]:
 # --------------------------------------------------------------------- #
 
 
-def _rename_register(register: Register, mapping: dict[int, int]) -> Register:
-    if register.is_zero:
-        return register
-    new_index = mapping.get(register.index, register.index)
-    if new_index == register.index:
-        return register
-    return Register(new_index)
-
-
 def rename_registers(instruction: Instruction, mapping: dict[int, int]) -> Instruction:
     """``instruction`` with every register operand renamed through ``mapping``.
 
-    Returns ``instruction`` itself when no operand actually changes — the
-    identity mapping is common and ``dataclasses.replace`` is not free.
+    ``mapping`` holds general-purpose indices only, so RZ keeps its index.
+    Every renamed operand is a fresh :class:`Register`.  Returns
+    ``instruction`` itself when no operand actually changes — the identity
+    mapping is common and building an instruction is not free.
     """
     changed = False
     new_sources = []
     for operand in instruction.sources:
         if isinstance(operand, Register):
-            renamed = _rename_register(operand, mapping)
-            changed = changed or renamed is not operand
-            new_sources.append(renamed)
-        elif isinstance(operand, MemRef):
-            base = _rename_register(operand.base, mapping)
-            if base is operand.base:
-                new_sources.append(operand)
-            else:
+            index = mapping.get(operand.index, operand.index)
+            if index != operand.index:
+                operand = Register(index)
                 changed = True
-                new_sources.append(MemRef(base=base, offset=operand.offset))
-        else:
-            new_sources.append(operand)
+        elif isinstance(operand, MemRef):
+            index = mapping.get(operand.base.index, operand.base.index)
+            if index != operand.base.index:
+                operand = MemRef(base=Register(index), offset=operand.offset)
+                changed = True
+        new_sources.append(operand)
     dest = instruction.dest
     if dest is not None:
-        dest = _rename_register(dest, mapping)
-        changed = changed or dest is not instruction.dest
+        index = mapping.get(dest.index, dest.index)
+        if index != dest.index:
+            dest = Register(index)
+            changed = True
     if not changed:
         return instruction
-    return dc_replace(instruction, dest=dest, sources=tuple(new_sources))
+    return Instruction(
+        opcode=instruction.opcode,
+        dest=dest,
+        sources=tuple(new_sources),
+        predicate=instruction.predicate,
+        predicate_negated=instruction.predicate_negated,
+        width=instruction.width,
+        dest_predicate=instruction.dest_predicate,
+        compare_op=instruction.compare_op,
+        special=instruction.special,
+        target=instruction.target,
+        comment=instruction.comment,
+        provenance=instruction.provenance,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -574,23 +638,12 @@ def rename_registers(instruction: Instruction, mapping: dict[int, int]) -> Instr
 # --------------------------------------------------------------------- #
 
 
-def reallocate_registers(kernel: Kernel) -> ReallocationResult:
-    """Compute and apply a bank-conflict-minimizing register renaming.
-
-    The renaming may use every encodable index up to R62 (the 6-bit limit).
-    It is only applied when it does not increase the FFMA conflict count,
-    so the pass never regresses a kernel; the result carries the (possibly
-    unchanged) kernel plus before/after conflict reports.
-    """
-    before = analyse_ffma_conflicts(kernel)
-    used = _used_registers(kernel.instructions)
-    if not used:
-        return ReallocationResult(kernel=kernel, mapping={}, before=before, after=before, applied=False)
-
-    runs = _wide_runs(kernel.instructions)
-    accesses = _wide_accesses(kernel.instructions)
+def _bank_solver(instructions: tuple[Instruction, ...], used: set[int]) -> _BankSolver:
+    """The phase-1 search over the relocatable units of ``instructions``."""
+    runs = _wide_runs(instructions)
+    accesses = _wide_accesses(instructions)
     in_run = {register for run in runs for register in run}
-    tuples = _conflict_tuples(kernel.instructions)
+    tuples = _conflict_tuples(instructions)
 
     weight_of: dict[int, int] = {}
     for regs, weight in tuples.items():
@@ -610,10 +663,26 @@ def reallocate_registers(kernel: Kernel) -> ReallocationResult:
         _Unit(registers=(register,), offset=register % 8, weight=weight_of.get(register, 0))
         for register in sorted(used - in_run)
     ]
+    return _BankSolver(units, tuples, _bank_capacities())
 
-    _BankSolver(units, tuples, _bank_capacities()).solve()
+
+def reallocate_registers(kernel: Kernel) -> ReallocationResult:
+    """Compute and apply a bank-conflict-minimizing register renaming.
+
+    The renaming may use every encodable index up to R62 (the 6-bit limit).
+    It is only applied when it does not increase the FFMA conflict count,
+    so the pass never regresses a kernel; the result carries the (possibly
+    unchanged) kernel plus before/after conflict reports.
+    """
+    before = analyse_ffma_conflicts(kernel)
+    used = _used_registers(kernel.instructions)
+    if not used:
+        return ReallocationResult(kernel=kernel, mapping={}, before=before, after=before, applied=False)
+
+    solver = _bank_solver(kernel.instructions, used)
+    solver.solve()
     try:
-        mapping = _assign_indices(units)
+        mapping = _assign_indices(solver.units)
     except RegisterAllocationError:
         # No legal placement (e.g. alignment constraints exhausted the free
         # windows): keep the original kernel rather than emit a worse one.

@@ -21,6 +21,7 @@ additionally re-validates structural invariants after it runs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.arch.specs import GpuSpec
@@ -49,6 +50,9 @@ class ScheduleStats:
 
 #: Dependence kinds; RAW carries the producer latency, the rest only ordering.
 _RAW, _ORDER = 0, 1
+
+#: Offset of predicate names above the register indices in the DAG builder.
+_PREDICATE_NAME = 64
 
 
 def _region_boundaries(kernel: Kernel) -> list[tuple[int, int]]:
@@ -81,8 +85,9 @@ def _build_dag(
     preds: list[list[tuple[int, int]]] = [[] for _ in instructions]
     succs: list[list[int]] = [[] for _ in instructions]
 
-    last_write: dict[str, int] = {}
-    reads_since_write: dict[str, list[int]] = {}
+    # Dependence names: register r is r, predicate p is _PREDICATE_NAME + p.
+    last_write: dict[int, int] = {}
+    reads_since_write: dict[int, list[int]] = {}
     last_store: dict[MemSpace, int] = {}
     loads_since_store: dict[MemSpace, list[int]] = {}
 
@@ -94,8 +99,8 @@ def _build_dag(
 
     for index, instruction in enumerate(instructions):
         du = def_use(instruction)
-        uses = [f"r{r}" for r in du.reg_uses] + [f"p{p}" for p in du.pred_uses]
-        defs = [f"r{r}" for r in du.reg_defs] + [f"p{p}" for p in du.pred_defs]
+        uses = du.reg_uses + tuple(_PREDICATE_NAME + p for p in du.pred_uses)
+        defs = du.reg_defs + tuple(_PREDICATE_NAME + p for p in du.pred_defs)
 
         for name in uses:
             if name in last_write:
@@ -160,20 +165,18 @@ def _schedule_region(instructions: list[Instruction], latencies: LatencyTable) -
     priority = _critical_path(instructions, succs, latencies)
 
     unscheduled_preds = [len(p) for p in preds]
-    ready: list[int] = [i for i in range(count) if unscheduled_preds[i] == 0]
+    # A heap of (-priority, index): the most urgent ready instruction pops
+    # first, the earlier one on a tie.
+    ready = [(-priority[i], i) for i in range(count) if unscheduled_preds[i] == 0]
+    heapq.heapify(ready)
     order: list[int] = []
-
-    def urgency(index: int) -> tuple[float, int]:
-        return (-priority[index], index)
-
     while ready:
-        chosen = min(ready, key=urgency)
-        ready.remove(chosen)
+        _, chosen = heapq.heappop(ready)
         order.append(chosen)
         for successor in succs[chosen]:
             unscheduled_preds[successor] -= 1
             if unscheduled_preds[successor] == 0:
-                ready.append(successor)
+                heapq.heappush(ready, (-priority[successor], successor))
 
     if len(order) != count:  # pragma: no cover - DAG is acyclic by construction
         raise AssertionError("list scheduler failed to schedule every instruction")

@@ -599,11 +599,20 @@ def _format_stmts(stmts: tuple[Stmt, ...], lines: list[str], indent: int) -> Non
 
 
 def walk_stmts(stmts: tuple[Stmt, ...]) -> Iterator[Stmt]:
-    """Depth-first pre-order walk over a statement tree."""
-    for stmt in stmts:
-        yield stmt
-        if isinstance(stmt, (Loop, Guard)):
-            yield from walk_stmts(stmt.body)
+    """Depth-first pre-order walk over a statement tree.
+
+    One generator with an explicit stack of sibling iterators, so a
+    statement costs the same at any depth.
+    """
+    stack = [iter(stmts)]
+    while stack:
+        for stmt in stack[-1]:
+            yield stmt
+            if isinstance(stmt, (Loop, Guard)):
+                stack.append(iter(stmt.body))
+                break
+        else:
+            stack.pop()
 
 
 def map_stmts(stmts: tuple[Stmt, ...], fn) -> tuple[Stmt, ...]:
@@ -738,10 +747,10 @@ def check_proc(proc: Proc) -> None:
             lo, hi = expr.bounds(ranges)
             for guard_expr, bound in guards:
                 # A guard `e < bound` caps any index that differs from e by a
-                # constant — the predicate_tail pattern.
-                difference = expr - guard_expr
-                if difference.is_constant:
-                    hi = min(hi, bound - 1 + difference.const)
+                # constant — the predicate_tail pattern.  Terms are kept
+                # normalised, so that is exactly "the same terms".
+                if expr.terms == guard_expr.terms:
+                    hi = min(hi, bound - 1 + expr.const - guard_expr.const)
             if lo < 0 or hi >= shape[dim]:
                 raise TileError(
                     f"index {expr} of '{name}' spans [{lo}, {hi}] outside dimension {shape[dim]}"

@@ -309,6 +309,8 @@ class _Lowering:
         self._split_cache: dict[tuple, tuple] = {}
         # id(Read) -> env-independent half of _resolve_read.
         self._resolve_cache: dict[int, tuple] = {}
+        # (id(Guard), values of its variables) -> _fold_guard result.
+        self._folds: dict[tuple, tuple] = {}
         self._geometry = launch_geometry(proc)
         if not any(
             stmt.kind.is_thread
@@ -1027,7 +1029,19 @@ class _Lowering:
             position += 1
 
     def _fold_guard(self, stmt: Guard, env: dict[str, int]):
-        """(decision, residual): 'taken'/'skipped' when static, else 'runtime'."""
+        """(decision, residual): 'taken'/'skipped' when static, else 'runtime'.
+
+        A fold depends only on the guard and the values its own variables
+        take, so it is kept per guard and values: the batch walk and the
+        emission walk meet the same guard once per unrolled iteration.
+        """
+        key = (id(stmt), *[env.get(var) for var, _ in stmt.expr.terms])
+        folded = self._folds.get(key)
+        if folded is None:
+            folded = self._folds[key] = self._fold(stmt, env)
+        return folded
+
+    def _fold(self, stmt: Guard, env: dict[str, int]):
         const = stmt.expr.const
         residual: dict[str, int] = {}
         for var, coeff in stmt.expr.terms:
@@ -1694,9 +1708,13 @@ class _Lowering:
 
     def _register_element(self, buffer_name: str, index: tuple[Affine, ...],
                           env: dict[str, int]) -> Register:
-        buffer = self._proc.buffer(buffer_name)
-        coords = []
-        for expr in index:
+        """The register of one register-buffer element, flattened row-major.
+
+        No range check: :func:`lower` runs :func:`check_proc` first, which
+        proves every index inside the buffer's shape.
+        """
+        flat = 0
+        for expr, extent in zip(index, self._proc.buffer(buffer_name).shape):
             total = expr.const
             for var, coeff in expr.terms:
                 value = env.get(var)
@@ -1706,8 +1724,7 @@ class _Lowering:
                         f"expression {expr}"
                     )
                 total += coeff * value
-            coords.append(total)
-        flat = int(np.ravel_multi_index(tuple(coords), buffer.shape))
+            flat = flat * extent + total
         return self._buffer_regs[buffer_name][flat]
 
     def _scratch_address(self, pointer: _Pointer, base: Register, offset: int,
@@ -1729,39 +1746,60 @@ class _Lowering:
                 builder.imad(scratch, up, coeff, scratch)
         return scratch, offset, scratch
 
-    def _collect_reads(self, stmts: tuple[Stmt, ...], env: dict[str, int]):
-        """Unique loadable reads of a compute subtree, with use counts."""
-        found: dict[tuple, list] = {}
+    def _collect_leaves(self, stmts: tuple[Stmt, ...], env: dict[str, int]) -> list:
+        """Every loadable read of a compute batch, resolved once.
 
-        def visit(stmts_: tuple[Stmt, ...], env_: dict[str, int], group: int) -> None:
+        One walk over the batch's unrolled iterations.  Each leaf is
+        ``(frames, resolved)``: ``frames`` holds ``(value, container)`` for
+        every loop entered on the way down — its iteration value and the
+        statement tuple the loop sits in — so a batch split into iterations
+        takes each sub-batch's reads and groups from this one walk.
+        """
+        leaves: list = []
+
+        def visit(stmts_: tuple[Stmt, ...], env_: dict[str, int], frames: tuple) -> None:
             for stmt in stmts_:
                 if isinstance(stmt, Loop):
                     for value in range(stmt.extent):
                         visit(stmt.body, {**env_, stmt.var: value},
-                              group if stmts_ is not stmts else value)
+                              frames + ((value, stmts_),))
                 elif isinstance(stmt, Guard):
                     if self._fold_guard(stmt, env_)[0] != "skipped":
-                        visit(stmt.body, env_, group)
+                        visit(stmt.body, env_, frames)
                 elif isinstance(stmt, Assign):
                     for r in expr_reads(stmt.value):
                         resolved = self._resolve_read(r, env_)
-                        if resolved[0] != "mem":
-                            continue
-                        _, pointer, base, offset, shared, seq = resolved
-                        key = (id(pointer), offset)
-                        entry = found.setdefault(
-                            key, [pointer, base, offset, shared, seq, set()]
-                        )
-                        entry[5].add(group)
+                        if resolved[0] == "mem":
+                            leaves.append((frames, resolved))
 
-        visit(stmts, env, -1)
+        visit(stmts, env, ())
+        return leaves
+
+    @staticmethod
+    def _batch_reads(leaves: list, depth: int, root: tuple[Stmt, ...]) -> dict:
+        """Unique loadable reads of a batch, with the groups that use them.
+
+        A read's group is its iteration of the loop at ``depth`` when that
+        loop sits directly in the batch's statements ``root``, else -1.
+        """
+        found: dict[tuple, list] = {}
+        for frames, (_, pointer, base, offset, shared, seq) in leaves:
+            key = (id(pointer), offset)
+            entry = found.get(key)
+            if entry is None:
+                entry = found[key] = [pointer, base, offset, shared, seq, set()]
+            if len(frames) > depth and frames[depth][1] is root:
+                entry[5].add(frames[depth][0])
+            else:
+                entry[5].add(-1)
         return found
 
     def _emit_compute(self, stmts: tuple[Stmt, ...], env: dict[str, int], pred) -> None:
         mark = self._pool.mark()
         self._compute_cache: dict[tuple, Register] = {}
         with self._builder.provenance("compute"):
-            self._emit_compute_rec(stmts, env, pred, self._compute_cache)
+            self._emit_compute_rec(stmts, env, pred, self._compute_cache,
+                                   self._collect_leaves(stmts, env), 0)
         self._pool.restore(mark)
 
     def _guard_scratch_reserve(self, stmts: tuple[Stmt, ...]) -> int:
@@ -1776,7 +1814,8 @@ class _Lowering:
         return 0
 
     def _emit_compute_rec(self, stmts: tuple[Stmt, ...], env: dict[str, int], pred,
-                          cache: dict[tuple, Register]) -> None:
+                          cache: dict[tuple, Register], leaves: list, depth: int) -> None:
+        """Emit a batch whose loadable reads are ``leaves`` (``depth`` loops down)."""
         if len(stmts) == 1 and isinstance(stmts[0], Guard):
             # A guard heading the batch: fold it, drop it, or predicate the
             # whole batch, then keep batching its body.
@@ -1785,16 +1824,16 @@ class _Lowering:
             if decision == "skipped":
                 return
             if decision == "taken" or id(stmt) in self._droppable:
-                self._emit_compute_rec(stmt.body, env, pred, cache)
+                self._emit_compute_rec(stmt.body, env, pred, cache, leaves, depth)
                 return
             guard = self._compute_guard(expr, stmt.bound, pred)
             self._active_guard_slots.append(guard.index)
             try:
-                self._emit_compute_rec(stmt.body, env, guard, cache)
+                self._emit_compute_rec(stmt.body, env, guard, cache, leaves, depth)
             finally:
                 self._active_guard_slots.pop()
             return
-        reads = self._collect_reads(stmts, env)
+        reads = self._batch_reads(leaves, depth, stmts)
         uncached = {k: v for k, v in reads.items() if k not in cache}
         budget = self._pool.free_count - self._guard_scratch_reserve(stmts)
         if len(uncached) <= budget:
@@ -1816,10 +1855,15 @@ class _Lowering:
                 f"-register pool; raise pool_size or split the loop further"
             )
         self._preload(common, pred, cache)
+        # Every leaf sits under this loop: split them by its iteration.
+        per_value: list[list] = [[] for _ in range(loop.extent)]
+        for leaf in leaves:
+            per_value[leaf[0][depth][0]].append(leaf)
         for value in range(loop.extent):
             mark = self._pool.mark()
             inner_cache = dict(cache)
-            self._emit_compute_rec(loop.body, {**env, loop.var: value}, pred, inner_cache)
+            self._emit_compute_rec(loop.body, {**env, loop.var: value}, pred, inner_cache,
+                                   per_value[value], depth + 1)
             self._pool.restore(mark)
 
     def _preload(self, reads: dict, pred, cache: dict[tuple, Register]) -> None:

@@ -103,6 +103,21 @@ def _enumerated_fraction(guards, ranges: dict[str, int]) -> float:
     return satisfied / total if total else 1.0
 
 
+def _independent_groups(items, vars_of) -> list[tuple[set[str], list]]:
+    """Partition ``items`` into groups whose variable sets are disjoint."""
+    groups: list[tuple[set[str], list]] = []
+    for item in items:
+        merged: tuple[set[str], list] = (set(vars_of(item)), [item])
+        remaining = []
+        for group_vars, group_items in groups:
+            if group_vars & merged[0]:
+                merged = (merged[0] | group_vars, merged[1] + group_items)
+            else:
+                remaining.append((group_vars, group_items))
+        groups = remaining + [merged]
+    return groups
+
+
 def _guard_fraction(guards, ranges: dict[str, int]) -> float:
     """Fraction of iterations (over the guard expressions' variables) that
     satisfy every active guard.
@@ -114,19 +129,8 @@ def _guard_fraction(guards, ranges: dict[str, int]) -> float:
     """
     if not guards:
         return 1.0
-    groups: list[tuple[set[str], list]] = []
-    for guard in guards:
-        vars_ = set(guard[0].vars())
-        merged: tuple[set[str], list] = (set(vars_), [guard])
-        remaining = []
-        for group_vars, group_guards in groups:
-            if group_vars & merged[0]:
-                merged = (merged[0] | group_vars, merged[1] + group_guards)
-            else:
-                remaining.append((group_vars, group_guards))
-        groups = remaining + [merged]
     fraction = 1.0
-    for _, group_guards in groups:
+    for _, group_guards in _independent_groups(guards, lambda guard: guard[0].vars()):
         fraction *= _enumerated_fraction(group_guards, ranges)
     return fraction
 
@@ -139,33 +143,31 @@ def _window_elements(base, sizes_by_dim: dict[int, int], limits,
     per-dimension in-bounds counts over the values of the base expressions'
     loop variables (the boundary tiles of an imperfect problem copy fewer
     elements, and that is the *compulsory* traffic the bound model prices).
+    Clipped dimensions whose bases share no variable vary independently, so
+    the sum over every combination of values is the product of each
+    group's own sum: exact integers, divided once.
     """
     sizes = [sizes_by_dim.get(dim, 1) for dim in range(rank)]
-    if not limits or all(limit is None for limit in limits):
-        total = 1.0
-        for size in sizes:
-            total *= size
-        return total
-    involved = sorted({
-        var
-        for dim in range(rank)
-        if limits[dim] is not None
-        for var in base[dim].vars()
-    })
-    count = 0
-    total = 0.0
-    for values in product(*(range(ranges[v]) for v in involved)):
-        env = dict(zip(involved, values))
-        elements = 1.0
-        for dim in range(rank):
-            if limits[dim] is None:
-                elements *= sizes[dim]
-            else:
+    clipped = [dim for dim in range(rank) if limits and limits[dim] is not None]
+    total = 1
+    for dim in range(rank):
+        if dim not in clipped:
+            total *= sizes[dim]
+    count = 1
+    for group_vars, dims in _independent_groups(clipped, lambda dim: base[dim].vars()):
+        involved = sorted(group_vars)
+        group_total = 0
+        for values in product(*(range(ranges[v]) for v in involved)):
+            env = dict(zip(involved, values))
+            elements = 1
+            for dim in dims:
                 in_bounds = min(sizes[dim], limits[dim] - base[dim].evaluate(env))
                 elements *= max(0, in_bounds)
-        count += 1
-        total += elements
-    return total / count if count else 0.0
+            group_total += elements
+        total *= group_total
+        for var in involved:
+            count *= ranges[var]
+    return total / count
 
 
 def proc_resources(proc: Proc) -> WorkloadResources:

@@ -35,14 +35,27 @@ from repro.tile.lower import launch_geometry, lower
 from repro.tile.resources import proc_resources
 
 
+@dataclass
+class _Scheduled:
+    """One memo entry: a scheduled proc and, once priced, its resources.
+
+    The resources live here rather than on the proc, which the kernel store
+    pickles into its entries.
+    """
+
+    proc: Proc
+    resources: WorkloadResources | None = None
+
+
 #: Memoized schedule applications, keyed by *schedule hash* — the (workload,
 #: frozen config) pair identifies the schedule point exactly, and a proc does
 #: not depend on the GPU.  Procs are immutable, so the sweep machinery (bound
 #: pruning, resource counting, lowering, launch plumbing) can re-request the
-#: same point without re-running ~30 primitive applications each time.
+#: same point without re-running ~30 primitive applications each time, and
+#: the bound prune and the sweep price each point's resources once.
 #: Capped FIFO so a long sweep cannot grow memory without bound.
 _SCHEDULE_CACHE_LIMIT = 256
-_SCHEDULED_PROCS: dict[tuple[str, object], Proc] = {}
+_SCHEDULED_PROCS: dict[tuple[str, object], _Scheduled] = {}
 
 #: Metrics-facade label set of the memo (a constant tuple, so the uninstalled
 #: facade path allocates nothing at these call sites).
@@ -72,20 +85,24 @@ class TileWorkload(Workload):
         """The golden schedule applied to the naive proc."""
         raise NotImplementedError
 
-    def cached_scheduled_proc(self, config) -> Proc:
-        """The scheduled proc, memoized by schedule hash."""
+    def _scheduled(self, config) -> _Scheduled:
+        """The memo entry of ``config``'s schedule point."""
         key = (self.name, config)
-        proc = _SCHEDULED_PROCS.get(key)
-        if proc is not None:
+        entry = _SCHEDULED_PROCS.get(key)
+        if entry is not None:
             counter_inc("tile.schedule_cache.hits", 1, _SCHEDULED_LABELS)
-            return proc
+            return entry
         counter_inc("tile.schedule_cache.misses", 1, _SCHEDULED_LABELS)
-        proc = self.scheduled_proc(config)
+        entry = _Scheduled(self.scheduled_proc(config))
         if len(_SCHEDULED_PROCS) >= _SCHEDULE_CACHE_LIMIT:
             _SCHEDULED_PROCS.pop(next(iter(_SCHEDULED_PROCS)))
             counter_inc("tile.schedule_cache.evictions", 1, _SCHEDULED_LABELS)
-        _SCHEDULED_PROCS[key] = proc
-        return proc
+        _SCHEDULED_PROCS[key] = entry
+        return entry
+
+    def cached_scheduled_proc(self, config) -> Proc:
+        """The scheduled proc, memoized by schedule hash."""
+        return self._scheduled(config).proc
 
     def lds_width_bits(self, config) -> int:
         return 64
@@ -110,9 +127,12 @@ class TileWorkload(Workload):
         No hand-derived traffic formulas: :func:`repro.tile.resources
         .proc_resources` counts flops, DRAM and shared traffic off the IR
         (and the tests pin it against the hand workloads' Eq. 6-style
-        accounting).
+        accounting).  Priced once per memoized schedule point.
         """
-        return proc_resources(self.cached_scheduled_proc(config))
+        entry = self._scheduled(config)
+        if entry.resources is None:
+            entry.resources = proc_resources(entry.proc)
+        return entry.resources
 
     def build_launch(self, config, inputs: dict[str, np.ndarray]) -> WorkloadLaunch:
         proc = self.cached_scheduled_proc(config)

@@ -3,10 +3,15 @@
 ``optimize_kernel`` must emit the same bytes for the same input: every
 kernel the registry and the generative sweep build goes through it, and the
 cycle-level pins only see the kernels they simulate.  These cases freeze,
-at a known-good commit, the ``kernel_hash`` of the optimized kernel and the
-four ``PassStats`` rows for every registry workload configuration on both
-GPUs, and the ``kernel_hash`` of every ``tile_sgemm`` sweep candidate at the
-193x161x97 tail shape.
+at a known-good commit, for every registry workload configuration on both
+GPUs and every ``tile_sgemm`` sweep candidate at the 193x161x97 tail shape:
+
+* the ``kernel_hash`` of the naive kernel (the lowering's output, which is
+  the optimizer's input);
+* the ``kernel_hash`` of the optimized kernel;
+* for registry points, the four ``PassStats`` rows;
+* for ``tile_*`` points, the ``proc_resources`` of the scheduled proc
+  (flops, DRAM and shared bytes), which price ``prune_by_bound``.
 
 The pins live in ``optimizer_pins.json`` beside this file.  Re-record them
 only when the optimizer's output changes on purpose, and say so in the
@@ -26,10 +31,10 @@ import pytest
 
 from repro.arch import get_gpu_spec
 from repro.kernels import get_workload, workload_names
-from repro.opt.pipeline import optimize_kernel
+from repro.opt.pipeline import PipelineResult, optimize_kernel
 from repro.opt.rewrite import kernel_hash
 from repro.tile.autotune import schedule_space
-from repro.tile.workloads import TileSgemmConfig
+from repro.tile.workloads import TileSgemmConfig, TileWorkload
 
 PINS_PATH = Path(__file__).with_name("optimizer_pins.json")
 
@@ -39,28 +44,39 @@ GPUS = ("gtx580", "gtx680")
 SWEEP_SHAPE = TileSgemmConfig(m=193, n=161, k=97)
 
 
+def point_observation(workload, config, gpu) -> tuple[dict, PipelineResult]:
+    """Naive and optimized kernel hashes of one point, plus a tile proc's resources."""
+    naive = workload.generate_naive(config)
+    result = optimize_kernel(naive, gpu)
+    observed = {
+        "naive_hash": kernel_hash(naive),
+        "kernel_hash": kernel_hash(result.kernel),
+    }
+    if isinstance(workload, TileWorkload):
+        observed["resources"] = dataclasses.asdict(workload.resources(config))
+    return observed, result
+
+
 def registry_observations(name: str, gpu_name: str) -> dict:
-    """Kernel hash and pass rows of every ``config_space()`` point of ``name``."""
+    """Hashes, pass rows and resources of every ``config_space()`` point of ``name``."""
     workload = get_workload(name)
     gpu = get_gpu_spec(gpu_name)
     observed = {}
     for index, config in enumerate(workload.config_space()):
-        result = optimize_kernel(workload.generate_naive(config), gpu)
-        observed[f"{name}.{index}.{gpu_name}"] = {
-            "kernel_hash": kernel_hash(result.kernel),
-            "stats": [dataclasses.asdict(row) for row in result.stats],
-        }
+        point, result = point_observation(workload, config, gpu)
+        point["stats"] = [dataclasses.asdict(row) for row in result.stats]
+        observed[f"{name}.{index}.{gpu_name}"] = point
     return observed
 
 
 def sweep_observations(gpu_name: str) -> dict:
-    """Kernel hash of every ``tile_sgemm`` candidate at :data:`SWEEP_SHAPE`."""
+    """Hashes and resources of every ``tile_sgemm`` candidate at :data:`SWEEP_SHAPE`."""
     gpu = get_gpu_spec(gpu_name)
     workload = get_workload("tile_sgemm")
     return {
-        f"sweep.{candidate.label}.{gpu_name}": kernel_hash(
-            optimize_kernel(workload.generate_naive(candidate.config), gpu).kernel
-        )
+        f"sweep.{candidate.label}.{gpu_name}": point_observation(
+            workload, candidate.config, gpu
+        )[0]
         for candidate in schedule_space(sgemm=SWEEP_SHAPE, tail_sizes=())
         if candidate.workload == "tile_sgemm"
     }

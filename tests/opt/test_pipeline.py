@@ -90,9 +90,10 @@ class TestPipelineMechanics:
             replace_instructions(naive_kernel, naive_kernel.instructions[:-1])
         swapped = (naive_kernel.instructions[-1],) + naive_kernel.instructions[1:]
         broken = replace_instructions(naive_kernel, swapped)
+        mix = naive_kernel.instruction_mix()
         with pytest.raises(AssemblyError, match="changed the instruction mix"):
-            _verify_invariants("broken", naive_kernel, broken)
-        _verify_invariants("identity", naive_kernel, naive_kernel)
+            _verify_invariants("broken", naive_kernel, broken, mix)
+        assert _verify_invariants("identity", naive_kernel, naive_kernel, mix) == mix
 
     def test_generator_entry_point(self, kepler):
         from repro.kernels.registry import get_workload

@@ -7,10 +7,18 @@ import pytest
 from repro.isa.builder import KernelBuilder
 from repro.isa.instructions import MemRef, Opcode
 from repro.isa.registers import Register
-from repro.opt.reallocation import _wide_runs, reallocate_registers
+from repro.kernels import get_workload, workload_names
+from repro.opt.reallocation import (
+    _bank_solver,
+    _used_registers,
+    _wide_runs,
+    reallocate_registers,
+)
 from repro.sgemm.config import SgemmKernelConfig, SgemmVariant
 from repro.sgemm.conflict_analysis import analyse_ffma_conflicts
 from repro.sgemm.generator import generate_naive_sgemm_kernel
+from repro.tile.autotune import schedule_space
+from repro.tile.workloads import TileSgemmConfig
 
 
 class TestWideRuns:
@@ -135,3 +143,39 @@ class TestReallocation:
         result = reallocate_registers(kernel)
         assert not result.applied
         assert result.kernel is kernel
+
+
+def _pinned_points() -> list:
+    """(workload, config, id) of every kernel ``test_optimizer_pins`` reallocates."""
+    points = []
+    for name in workload_names():
+        for index, config in enumerate(get_workload(name).config_space()):
+            points.append(pytest.param(name, config, id=f"{name}.{index}"))
+    sweep_shape = TileSgemmConfig(m=193, n=161, k=97)
+    for candidate in schedule_space(sgemm=sweep_shape, tail_sizes=()):
+        if candidate.workload == "tile_sgemm":
+            points.append(
+                pytest.param("tile_sgemm", candidate.config, id=f"sweep.{candidate.label}")
+            )
+    return points
+
+
+class TestIncrementalSolverState:
+    """The bank solver keeps its state current move by move; after a whole
+    search every piece of it must equal a recount from the units' offsets."""
+
+    @pytest.mark.parametrize("name, config", _pinned_points())
+    def test_state_matches_a_recount(self, name, config):
+        kernel = get_workload(name).generate_naive(config)
+        solver = _bank_solver(kernel.instructions, _used_registers(kernel.instructions))
+        solver.solve()
+        assert solver._demand == solver._count_demand()
+        assert solver._bank_counts == solver._count_banks()
+        checked = 0
+        for unit in solver.units:
+            for offset, penalty in enumerate(solver._move_penalties[id(unit)]):
+                if penalty is not None:
+                    assert penalty == solver._penalty_around(unit, offset)
+                    checked += 1
+        # A kernel with conflict tuples ends on a search pass that priced them.
+        assert checked > 0 or not solver._tuples

@@ -8,6 +8,7 @@ from repro.tile.ir import (
     Assign,
     Buffer,
     Const,
+    Guard,
     Loop,
     LoopKind,
     Proc,
@@ -129,6 +130,37 @@ class TestCheckProc:
         )
         with pytest.raises(TileError, match="both bound"):
             check_proc(proc)
+
+    @staticmethod
+    def _guarded_proc(index: Affine, guard: Affine) -> Proc:
+        """``t[index] = 0`` under ``if guard < 10`` over i, j in 4 x 4 (t has 10 elements)."""
+        return Proc(
+            name="p",
+            params=(TensorParam("t", (10,)),),
+            body=(
+                Loop(var="i", extent=4, body=(
+                    Loop(var="j", extent=4, body=(
+                        Guard(expr=guard, bound=10, body=(
+                            Assign(tensor="t", index=(index,), value=Const(0.0)),
+                        )),
+                    )),
+                )),
+            ),
+        )
+
+    def test_guard_caps_an_index_with_its_terms(self):
+        # 4*i + j spans [0, 15]; the predicate_tail guard keeps it below 10.
+        e = Affine.var("i") * 4 + Affine.var("j")
+        check_proc(self._guarded_proc(e, e))
+
+    def test_guard_cap_ignores_the_order_terms_were_built_in(self):
+        e = Affine.var("i") * 4 + Affine.var("j")
+        check_proc(self._guarded_proc(e, Affine.var("j") + Affine.var("i") * 4))
+
+    def test_guard_cap_keeps_the_constant_difference(self):
+        e = Affine.var("i") * 4 + Affine.var("j")
+        with pytest.raises(TileError, match=r"spans \[1, 10\] outside dimension 10"):
+            check_proc(self._guarded_proc(e + 1, e))
 
     def test_buffer_validation(self):
         with pytest.raises(TileError, match="padded"):
