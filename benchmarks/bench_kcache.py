@@ -14,7 +14,8 @@ clipped **tile_sgemm 193x161x97 on Fermi**, and records into
   ``warm_speedup`` is the headline figure, asserted >= 100x;
 * ``warm_start_192x160x96_fermi`` — the warm-start policy's economics: the
   neighbouring 192x160x96 sweep cold vs seeded from the tuned 193x161x97
-  record (never-worse winner, strictly fewer simulations).
+  record (fewer simulations; the winner is no worse on this pair, though
+  the warm prune is a heuristic and does not promise that).
 
 ``cycles`` figures feed the trajectory cycle ladder (regression-gated at
 2%); the wall-clock ``*_speedup`` rates land in the ungated rate ladder —
@@ -26,7 +27,7 @@ path silently re-entering the build chain, not scheduler jitter.
 
 from __future__ import annotations
 
-from repro.kcache import KernelStore, get_kernel
+from repro.kcache import KernelStore, get_kernel, warm_seed_candidates
 from repro.tile.autotune import run_generative_sweep
 from repro.tile.workloads import TileSgemmConfig, clear_schedule_caches
 
@@ -91,14 +92,9 @@ def test_cold_sweep_vs_warm_lookup(tmp_path, fermi):
 
     # --- warm-start economics on the neighbouring shape -------------------
     clear_schedule_caches()
-    cold_sweep = run_generative_sweep(
-        fermi, workload="tile_sgemm", sgemm=NEIGHBOUR, tail_sizes=(),
-        warm_start=False,
-    )
-    warm_sweep = run_generative_sweep(
-        fermi, workload="tile_sgemm", sgemm=NEIGHBOUR, tail_sizes=(),
-        warm_start=True, store=store,
-    )
+    cold_sweep = run_generative_sweep(fermi, "tile_sgemm", NEIGHBOUR)
+    seeds = warm_seed_candidates(store, "tile_sgemm", "gtx580", NEIGHBOUR)
+    warm_sweep = run_generative_sweep(fermi, "tile_sgemm", NEIGHBOUR, seeds=seeds)
     cold_best = next(o for o in cold_sweep.outcomes if o.ok)
     warm_best = next(o for o in warm_sweep.outcomes if o.ok)
     assert warm_best.cycles <= cold_best.cycles

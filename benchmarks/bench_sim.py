@@ -104,7 +104,7 @@ def test_generative_sweep_throughput(fermi):
         sweeps = []
         for _ in range(MEASUREMENTS):
             mark = sampler.mark()
-            sweep = run_generative_sweep(fermi, workload="tile_sgemm", include_tails=False)
+            sweep = run_generative_sweep(fermi, "tile_sgemm")
             sweeps.append((sweep.total_elapsed_s / slowdown(sampler.since(mark)), sweep))
     finally:
         sampler.stop()

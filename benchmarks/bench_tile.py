@@ -177,13 +177,10 @@ def test_bound_pruned_sweep_economics(benchmark, fermi):
 
     base = TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2,
                            stride=2, b_window=2)
-    space = [
-        c for c in schedule_space(
-            sgemm=base, tiles=(4, 8), register_blockings=(2, 4),
-            strides=(2, 4), b_windows=(1, 2), tail_sizes=(),
-        )
-        if c.workload == "tile_sgemm"
-    ]
+    space = schedule_space(
+        "tile_sgemm", base, tiles=(4, 8), register_blockings=(2, 4),
+        strides=(2, 4), b_windows=(1, 2),
+    )
 
     # Start the memos cold so the recorded hit rates measure this sweep's
     # own reuse, not whatever earlier benchmarks happened to populate.

@@ -69,9 +69,10 @@ def main() -> None:
         )
     print()
 
-    # 4. Sweep the schedule space (a small serial slice for demo purposes).
+    # 4. Sweep every tile_sgemm schedule point at the default 96x96x16 shape,
+    #    serially and without bound pruning, so the leaderboard shows them all.
     print("=== schedule sweep on Fermi (staging / pipelining / windowing)")
-    candidates = [c for c in schedule_space() if c.workload == "tile_sgemm"]
+    candidates = schedule_space("tile_sgemm")
     print(format_leaderboard(autotune_workloads(fermi_gtx580(), candidates, workers=1)))
 
 

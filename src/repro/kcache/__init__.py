@@ -41,9 +41,9 @@ from repro.kcache.store import (
 from repro.kcache.warmstart import (
     SCHEDULE_FIELDS,
     WarmSeed,
-    block_cycle_floor,
     nearest_tuned,
     shape_distance,
+    warm_seed_candidates,
     warm_seed_configs,
 )
 
@@ -66,7 +66,6 @@ __all__ = [
     "StoreEntry",
     "StoreStats",
     "WarmSeed",
-    "block_cycle_floor",
     "claim_build",
     "clear_session_store",
     "config_fingerprint",
@@ -77,5 +76,6 @@ __all__ = [
     "shape_of",
     "shard_of",
     "wait_for",
+    "warm_seed_candidates",
     "warm_seed_configs",
 ]

@@ -11,10 +11,10 @@ Four outcomes, in order of preference:
   returns it, so N concurrent requesters of one cold key trigger exactly one
   build;
 * **built** — the claim was won: the kernel is built (directly at the
-  requested schedule point, or — with ``tune=True`` — by a warm-started
-  generative sweep over the requested problem size, whose winner is
-  published with the sweep's own measurement of it), published durably, and
-  the claim released;
+  requested schedule point, or — with ``tune=True`` — by a generative sweep
+  over the requested problem size, seeded from the store's nearest tuned
+  shapes, whose winner is published with the sweep's own measurement of
+  it), published durably, and the claim released;
 * **degraded** — the durable store is unusable (read-only, full, failing):
   the kernel is built anyway and served from an in-memory session store,
   correct but not persisted (``kcache.degraded`` telemetry).
@@ -55,7 +55,7 @@ from repro.errors import BuildFailedError, KernelCacheError, ReproError, StoreUn
 from repro.kcache.keys import routine_key, shape_of
 from repro.kcache.locks import STALE_CLAIM_S, ClaimTimeout, claim_build, wait_for
 from repro.kcache.store import DEFAULT_POISON_TTL_S, KernelStore, StoreEntry
-from repro.kcache.warmstart import SCHEDULE_FIELDS
+from repro.kcache.warmstart import SCHEDULE_FIELDS, warm_seed_candidates
 from repro.telemetry.metrics import counter_inc, observe
 
 __all__ = [
@@ -336,12 +336,12 @@ def _provenance_metrics(workload, config, cycles, gflops, efficiency) -> dict:
     return metrics
 
 
-def _build_direct(publish, key, workload, name, config, spec, gpu_key, *, max_cycles):
+def _build_direct(publish, key, workload, name, config, spec, gpu_key):
     """Cold-miss path without tuning: build the requested point and publish."""
     from repro.opt.autotune import simulate_one_block
 
     artifacts, hashes = _entry_payload(workload, config, spec)
-    result = simulate_one_block(spec, artifacts["kernel_opt"], max_cycles=max_cycles)
+    result = simulate_one_block(spec, artifacts["kernel_opt"])
     return publish(
         key,
         kind="tuned",
@@ -363,49 +363,36 @@ def _build_direct(publish, key, workload, name, config, spec, gpu_key, *, max_cy
 
 def _build_tuned(
     publish, store, key, workload, name, config, spec, gpu_key,
-    *, max_cycles, keep_within, workers, warm_start, space,
+    *, workers, warm_start, space,
 ):
-    """Cold-miss path with tuning: warm-started sweep over the problem size.
+    """Cold-miss path with tuning: a sweep over the requested problem size.
 
-    Workloads without a :data:`repro.tile.autotune.SPACE_BASE_FIELD` entry
-    have no schedule space to sweep and fall back to a direct build at the
-    requested configuration.
+    Workloads outside :data:`repro.tile.autotune.SWEPT_WORKLOADS` have no
+    schedule space to sweep and fall back to a direct build at the
+    requested configuration.  With ``warm_start``, the winners of the
+    store's nearest tuned shapes seed the sweep
+    (:func:`repro.kcache.warmstart.warm_seed_candidates`).
 
     The winner is not simulated again: its entry publishes the sweep's own
     measurement once the rebuilt kernel's content hash matches the one the
     sweep simulated.  A mismatch fails the build: the key is poisoned and
     nothing is published.
     """
-    from repro.tile.autotune import SPACE_BASE_FIELD, run_generative_sweep
+    from repro.tile.autotune import SWEPT_WORKLOADS, run_generative_sweep
 
-    space_field = SPACE_BASE_FIELD.get(name)
-    if space_field is None:
-        return _build_direct(
-            publish, key, workload, name, config, spec, gpu_key, max_cycles=max_cycles
-        )
-    space_kwargs = {"tail_sizes": (), **(space or {}), space_field: config}
+    if name not in SWEPT_WORKLOADS:
+        return _build_direct(publish, key, workload, name, config, spec, gpu_key)
+    seeds = warm_seed_candidates(store, name, gpu_key, config) if warm_start else ()
     sweep = run_generative_sweep(
-        spec,
-        workload=name,
-        keep_within=keep_within,
-        workers=workers,
-        max_cycles=max_cycles,
-        warm_start=warm_start,
-        store=store,
-        **space_kwargs,
+        spec, name, config, seeds=seeds, workers=workers, **(space or {})
     )
     winner = next((o for o in sweep.outcomes if o.ok), None)
     if winner is None:
         # Nothing in the swept space was viable for this shape (e.g. every
         # generative tile is structurally invalid): the requested point
         # itself is still buildable.
-        return _build_direct(
-            publish, key, workload, name, config, spec, gpu_key, max_cycles=max_cycles
-        )
-    by_label = {c.display_label: c for c in (*sweep.seed_candidates, *sweep.prune.kept)}
-    candidate = by_label.get(winner.label)
-    if candidate is None:
-        raise KernelCacheError(f"sweep winner {winner.label!r} has no candidate for {key!r}")
+        return _build_direct(publish, key, workload, name, config, spec, gpu_key)
+    candidate = winner.candidate
     artifacts, hashes = _entry_payload(
         workload, candidate.config, spec, optimize=candidate.optimize
     )
@@ -578,8 +565,6 @@ def get_kernel(
     tune: bool = False,
     store: KernelStore | None = None,
     workers: int | None = 1,
-    max_cycles: int = 2_000_000,
-    keep_within: float = 1.2,
     warm_start: bool = True,
     space: dict | None = None,
     timeout: float = 120.0,
@@ -598,17 +583,20 @@ def get_kernel(
     gpu:
         Machine description or its name (``"gtx580"``, ``"gtx680"``).
     tune:
-        On a cold miss, run the warm-started generative sweep over the
-        requested problem size and store its winner, instead of building the
-        requested schedule point directly.
+        On a cold miss, run the generative sweep over the requested problem
+        size and store its winner, instead of building the requested
+        schedule point directly.
     store:
         Explicit store; defaults to the one installed in the process context
         (:func:`repro.context.current`), else the default root.
-    workers / max_cycles / keep_within / warm_start:
-        Forwarded to the sweep on a tuned cold miss.
+    workers:
+        Process count of the sweep on a tuned cold miss.
+    warm_start:
+        Seed a tuned cold miss's sweep with the winners of the store's
+        nearest tuned shapes.
     space:
-        Extra :func:`repro.tile.autotune.schedule_space` axes for the tuned
-        sweep (e.g. ``{"tiles": (4, 8)}`` for small problems).
+        :func:`repro.tile.autotune.schedule_space` axes for the tuned sweep
+        (e.g. ``{"tiles": (4, 8)}`` for small problems).
     timeout:
         The single per-request deadline (seconds).  One monotonic budget
         spans lookup, claim contention, dedupe waits and every
@@ -644,12 +632,9 @@ def get_kernel(
         if tune:
             return lambda: _build_tuned(
                 publish, store, key, obj, name, config, spec, gpu_key,
-                max_cycles=max_cycles, keep_within=keep_within,
                 workers=workers, warm_start=warm_start, space=space,
             )
-        return lambda: _build_direct(
-            publish, key, obj, name, config, spec, gpu_key, max_cycles=max_cycles,
-        )
+        return lambda: _build_direct(publish, key, obj, name, config, spec, gpu_key)
 
     started = time.perf_counter()
     entry = store.load(key)

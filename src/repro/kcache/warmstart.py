@@ -4,35 +4,46 @@ A tuned entry (:mod:`repro.kcache.service`) records the winning schedule's
 parameters next to its artifacts.  When a *new* shape of the same workload
 arrives, the shapes already tuned for the same GPU are ranked by log-space
 distance and their winning schedules are re-instantiated at the new shape as
-**seed candidates**, simulated ahead of the bound-pruned enumeration.
+**seed candidates** (:func:`warm_seed_candidates`), which the sweep
+(:func:`repro.tile.autotune.run_generative_sweep`) simulates ahead of the
+bound-pruned enumeration.
 
-The seeds then buy a second, sound pruning pass: a seed's *measured* block
-cycles are an achieved figure in exactly the leaderboard's metric, and every
-candidate has an analytic **per-block cycle floor** (the Eq. 6/8/9 bound of
-its scheduled nest, rescaled to one block — :func:`block_cycle_floor`).  A
-candidate whose floor already exceeds the best seed's achieved cycles cannot
-win the leaderboard, so it is discarded *unsimulated*.  Because the floor is
-a lower bound and the threshold an achieved measurement, warm pruning never
-changes the sweep's winner — it only skips simulations the winner was never
-in.
+The seeds then buy a second pruning pass: a seed's *measured* block cycles
+are an achieved figure in exactly the leaderboard's metric, and every
+candidate has a **per-block cycle floor**
+(:func:`repro.tile.autotune.block_cycle_floor`).  A candidate whose floor
+already exceeds the best seed's achieved cycles is discarded *unsimulated*.
+This is a heuristic, not a sound cut: the floor bounds a full run of the
+block, but the sweep measures a truncated one (one pass through each loop
+body).  At 192x160x96 on gtx580, 7 of the 19 bound-kept candidates
+simulate below their floor, so warm pruning can drop the candidate that
+would have won.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.kcache.keys import shape_of
 from repro.kcache.store import KernelStore
 
+if TYPE_CHECKING:
+    from repro.opt.autotune import WorkloadCandidate
+
 __all__ = [
     "SCHEDULE_FIELDS",
+    "WARM_SEEDS",
     "WarmSeed",
-    "block_cycle_floor",
     "nearest_tuned",
     "shape_distance",
+    "warm_seed_candidates",
     "warm_seed_configs",
 ]
+
+#: How many of the nearest tuned entries seed one sweep.
+WARM_SEEDS = 2
 
 #: Configuration fields that make up a *schedule* (copied from a neighbour's
 #: winner onto the new shape; everything else — the problem dims — stays).
@@ -153,52 +164,30 @@ def warm_seed_configs(
     return seeds
 
 
-def _max_warp_issues_per_cycle(gpu) -> float:
-    """The simulator's hard cap on warp instructions issued per cycle.
+def warm_seed_candidates(
+    store: KernelStore, workload: str, gpu_key: str, config: object
+) -> list[WorkloadCandidate]:
+    """Seed candidates for a sweep of ``workload`` at ``config``'s shape.
 
-    Mirrors :class:`repro.sim.sm_sim.SmSimulator`'s issue loop exactly: one
-    issue per warp scheduler, except Kepler where each scheduler's two
-    dispatch units allow dual issue.
+    The winners of the :data:`WARM_SEEDS` nearest tuned entries
+    (:func:`nearest_tuned`), re-instantiated at ``config``'s shape
+    (:func:`warm_seed_configs`) and filtered by the sweep's own structural
+    validity rule, as optimized
+    :class:`~repro.opt.autotune.WorkloadCandidate` points labelled
+    ``"{workload}:warm{i}"``.
     """
-    from repro.arch.specs import GpuGeneration
+    from repro.opt.autotune import WorkloadCandidate
+    from repro.tile.autotune import sgemm_point_valid
 
-    if gpu.generation is GpuGeneration.KEPLER:
-        return float(gpu.sm.dispatch_units)
-    return float(max(1, gpu.sm.warp_schedulers))
-
-
-def block_cycle_floor(workload, config, gpu) -> float:
-    """A sound lower bound on one simulated block's cycles for ``config``.
-
-    Built on an *invariant of the simulator itself*, not the analytic
-    performance model (whose clock normalisation is not comparable to
-    simulated cycles): the issue loop retires at most
-    :func:`_max_warp_issues_per_cycle` warp instructions per cycle, and the
-    FFMA stream alone is ``flops / 2 / 32`` warp instructions.  Dividing the
-    whole problem's compulsory flops (:meth:`Workload.resources`, counted
-    off the scheduled IR) by the grid's block count gives the *average*
-    per-block FFMA work; the autotuner simulates block (0, 0) — an interior,
-    full-tile block whose share is never below the average (tail blocks are
-    clipped) — so the average is a valid floor for the simulated block.  No
-    pass pipeline removes FFMAs, so the floor holds for naive and optimized
-    candidates alike, and a candidate whose floor exceeds an *achieved*
-    cycle count cannot place above it on the leaderboard.
-
-    Returns 0.0 (prunes nothing) when the floor cannot be priced — e.g.
-    flop-free workloads like the transposes.
-    """
-    from repro.errors import ReproError
-    from repro.tile.lower import launch_geometry
-
-    scheduled = getattr(workload, "cached_scheduled_proc", None)
-    if scheduled is None:
-        return 0.0
-    try:
-        proc = scheduled(config)
-        geometry = launch_geometry(proc)
-        resources = workload.resources(config)
-    except ReproError:
-        return 0.0
-    blocks = max(1, geometry.grid_x * geometry.grid_y)
-    ffma_warps_per_block = (resources.flops / 2.0) / blocks / 32.0
-    return ffma_warps_per_block / _max_warp_issues_per_cycle(gpu)
+    neighbours = nearest_tuned(store, workload, gpu_key, shape_of(config), limit=WARM_SEEDS)
+    valid = sgemm_point_valid if workload == "tile_sgemm" else None
+    seeds = warm_seed_configs(config, neighbours, valid=valid)
+    return [
+        WorkloadCandidate(
+            workload=workload,
+            config=seed.config,
+            optimize=True,
+            label=f"{workload}:warm{index}",
+        )
+        for index, seed in enumerate(seeds)
+    ]

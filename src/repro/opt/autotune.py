@@ -40,7 +40,11 @@ from repro.telemetry.metrics import counter_inc
 
 @dataclass(frozen=True)
 class TuneOutcome:
-    """Evaluation result of one candidate on one GPU."""
+    """Evaluation result of one candidate on one GPU.
+
+    ``candidate`` is the sweep point that was measured, so a caller can
+    rebuild the winner from its outcome alone.
+    """
 
     label: str
     kernel_name: str
@@ -52,6 +56,7 @@ class TuneOutcome:
     ffma_conflicts: int
     register_count: int
     bound_gflops: float | None
+    candidate: WorkloadCandidate
     error: str | None = None
 
     @property
@@ -95,11 +100,11 @@ def simulate_one_block(
     return simulator.run(launch, block_indices=[(0, 0)], collect_profile=collect_profile)
 
 
-def _error_outcome(label: str, kernel_name: str, gpu_key: str, exc: Exception) -> TuneOutcome:
+def _error_outcome(candidate: WorkloadCandidate, gpu_key: str, exc: Exception) -> TuneOutcome:
     """The failed-candidate placeholder outcome."""
     return TuneOutcome(
-        label=label,
-        kernel_name=kernel_name,
+        label=candidate.display_label,
+        kernel_name=candidate.workload,
         kernel_hash="",
         gpu_key=gpu_key,
         cycles=float("inf"),
@@ -108,6 +113,7 @@ def _error_outcome(label: str, kernel_name: str, gpu_key: str, exc: Exception) -
         ffma_conflicts=-1,
         register_count=-1,
         bound_gflops=None,
+        candidate=candidate,
         error=f"{type(exc).__name__}: {exc}",
     )
 
@@ -144,8 +150,6 @@ class WorkloadCandidate:
 def evaluate_workload_candidate(
     gpu: GpuSpec | str,
     candidate: WorkloadCandidate,
-    *,
-    max_cycles: int = 2_000_000,
 ) -> TuneOutcome:
     """Generate, (optionally) optimize and simulate one candidate.
 
@@ -154,12 +158,11 @@ def evaluate_workload_candidate(
     machine description (preserving any caller customisation) or a name
     resolved via :func:`get_gpu_spec`.
     """
-    label = candidate.display_label
     try:
         spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
         gpu_key = normalize_gpu(spec.name)
     except ReproError as exc:
-        return _error_outcome(label, candidate.workload, str(gpu), exc)
+        return _error_outcome(candidate, str(gpu), exc)
     try:
         from repro.kernels.registry import get_workload
 
@@ -175,9 +178,9 @@ def evaluate_workload_candidate(
             bound = None
         digest = kernel_hash(kernel)
         conflicts = analyse_ffma_conflicts(kernel)
-        result = simulate_one_block(spec, kernel, max_cycles=max_cycles)
+        result = simulate_one_block(spec, kernel)
         return TuneOutcome(
-            label=label,
+            label=candidate.display_label,
             kernel_name=kernel.name,
             kernel_hash=digest,
             gpu_key=gpu_key,
@@ -187,16 +190,13 @@ def evaluate_workload_candidate(
             ffma_conflicts=conflicts.two_way + conflicts.three_way,
             register_count=kernel.register_count,
             bound_gflops=bound,
+            candidate=candidate,
         )
     except ReproError as exc:
-        return _error_outcome(label, candidate.workload, gpu_key, exc)
+        return _error_outcome(candidate, gpu_key, exc)
 
 
-def workload_candidates(
-    names: tuple[str, ...] | None = None,
-    *,
-    include_naive: bool = True,
-) -> list[WorkloadCandidate]:
+def workload_candidates(names: tuple[str, ...] | None = None) -> list[WorkloadCandidate]:
     """The registry sweep: every workload's config space × {naive, pipeline}."""
     from repro.kernels.registry import get_workload, workload_names
 
@@ -206,12 +206,11 @@ def workload_candidates(
         space = workload.config_space()
         for index, config in enumerate(space):
             tag = f"{name}#{index}" if len(space) > 1 else name
-            if include_naive:
-                candidates.append(
-                    WorkloadCandidate(
-                        workload=name, config=config, optimize=False, label=f"{tag}:naive"
-                    )
+            candidates.append(
+                WorkloadCandidate(
+                    workload=name, config=config, optimize=False, label=f"{tag}:naive"
                 )
+            )
             candidates.append(
                 WorkloadCandidate(
                     workload=name, config=config, optimize=True, label=f"{tag}:pipeline"
@@ -221,8 +220,7 @@ def workload_candidates(
 
 
 def _evaluate_star(packed: tuple) -> TuneOutcome:
-    gpu, candidate, max_cycles = packed
-    return evaluate_workload_candidate(gpu, candidate, max_cycles=max_cycles)
+    return evaluate_workload_candidate(*packed)
 
 
 def autotune_workloads(
@@ -230,7 +228,6 @@ def autotune_workloads(
     candidates: list[WorkloadCandidate] | None = None,
     *,
     workers: int | None = None,
-    max_cycles: int = 2_000_000,
 ) -> list[TuneOutcome]:
     """Evaluate ``candidates`` on ``gpu``, best (fewest cycles) first.
 
@@ -245,8 +242,9 @@ def autotune_workloads(
         Process count for the multiprocessing pool; ``None`` uses the CPU
         count (capped by the candidate count), ``1`` runs serially
         in-process.
-    max_cycles:
-        Per-simulation cycle cap.
+
+    Every candidate simulates under :func:`simulate_one_block`'s default
+    cycle cap.
     """
     spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
     if candidates is None:
@@ -262,7 +260,7 @@ def autotune_workloads(
     with trace_span(
         "autotune.sweep", category="autotune", candidates=len(candidates), workers=workers
     ):
-        jobs = [(spec, candidate, max_cycles) for candidate in candidates]
+        jobs = [(spec, candidate) for candidate in candidates]
         if workers == 1:
             outcomes = [_evaluate_star(job) for job in jobs]
         else:

@@ -21,9 +21,8 @@ from repro.sim.launch import BlockGrid, LaunchConfig
 from repro.sim.memory import GlobalMemory, KernelParams, SharedMemoryArray
 from repro.sim.reference import ReferenceExecutor, run_block_reference
 from repro.sim.results import SimResult, StallBreakdown
-from repro.sim.sm_sim import EXECUTORS, SmSimulator
+from repro.sim.sm_sim import EXECUTORS, SmSimulator, simulate_kernel
 from repro.sim.vectorized import VectorizedEngine, WarpTrace
-from repro.sim.gpu_sim import GpuSimulator, simulate_kernel
 
 __all__ = [
     "BlockGrid",
@@ -39,6 +38,5 @@ __all__ = [
     "SmSimulator",
     "VectorizedEngine",
     "WarpTrace",
-    "GpuSimulator",
     "simulate_kernel",
 ]

@@ -52,7 +52,7 @@ from repro.arch.specs import GpuGeneration, GpuSpec
 from repro.errors import SimulationError
 from repro.isa.assembler import Kernel
 from repro.isa.instructions import Instruction, Opcode
-from repro.sim.launch import LaunchConfig
+from repro.sim.launch import BlockGrid, LaunchConfig
 from repro.sim.memory import GlobalMemory, KernelParams, SharedMemoryArray
 from repro.sim.pipelines import CostModel
 from repro.sim.reference import ReferenceExecutor
@@ -788,6 +788,31 @@ class SmSimulator:
         raise SimulationError(
             "divergent branch encountered; the simulator only supports warp-uniform branches"
         )
+
+
+def simulate_kernel(
+    gpu: GpuSpec,
+    kernel: Kernel,
+    grid: BlockGrid,
+    *,
+    global_memory: GlobalMemory | None = None,
+    params: KernelParams | None = None,
+    functional: bool = True,
+    max_cycles: int = 5_000_000,
+    executor: str = "vectorized",
+) -> SimResult:
+    """Convenience wrapper: simulate all blocks of ``grid`` on one SM.
+
+    Suitable for small functional-validation runs and micro-benchmarks where
+    the grid fits on (or is intended for) a single SM.  ``executor`` selects
+    the functional engine (``"vectorized"`` fast path or the scalar
+    ``"reference"`` oracle); both produce bit-identical results.
+    """
+    simulator = SmSimulator(
+        gpu, kernel, global_memory=global_memory, params=params, executor=executor
+    )
+    config = LaunchConfig(grid=grid, functional=functional, max_cycles=max_cycles)
+    return simulator.run(config)
 
 
 def _active_lanes(warp: WarpState, instruction: Instruction) -> int:

@@ -7,46 +7,57 @@ the same :class:`~repro.opt.autotune.WorkloadCandidate` machinery that sweeps
 the hand generators' knobs evaluates DSL schedules, shares the
 multiprocessing pool, and ranks everything on one leaderboard.
 
-This module closes the paper's §5.5 loop mechanically:
+This module closes the paper's §5.5 loop mechanically, for one workload at
+one problem shape:
 
-* :func:`schedule_space` *generates* the candidate set — the cross product of
-  (block tile, register blocking B_R, staging stride L, B-window) filtered
-  by the structural validity rules the lowering imposes, crossed with
-  imperfect *tail* problem sizes (``predicate_tail`` schedules), plus the
-  named staging/pipelining ablations (``nostage``/``noprefetch``/``w1``);
+* :func:`schedule_space` *generates* the candidate set — for ``tile_sgemm``
+  the cross product of (block tile, register blocking B_R, staging stride L,
+  B-window, double buffering) filtered by the structural validity rules the
+  lowering imposes, plus the named staging/pipelining ablations
+  (``nostage``/``noprefetch``/``w1``);
 * :func:`prune_by_bound` evaluates each candidate's **analytic upper bound**
   (:func:`repro.tile.resources.proc_resources` feeding
   :func:`repro.model.analyse_workload_bound`) and discards everything whose
-  bound is hopeless before any simulation runs — the "where to look" half of
-  the paper's argument;
+  bound is far from the best before any simulation runs — the "where to
+  look" half of the paper's argument;
 * :func:`repro.opt.autotune.autotune_workloads` simulates the survivors —
   the one sweep harness every candidate goes through;
-* :func:`run_generative_sweep` chains the three, timing each phase and
-  optionally warm-starting from the kernel store's nearest tuned shapes.
+* :func:`run_generative_sweep` chains the three, timing each phase, and
+  simulates the caller's warm-start seed candidates ahead of them.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.arch.specs import GpuSpec, get_gpu_spec, normalize_gpu
+from repro.arch.specs import GpuGeneration, GpuSpec, get_gpu_spec, normalize_gpu
 from repro.context import current
 from repro.errors import ReproError, ResourceLimitError
+from repro.kernels.registry import get_workload
 from repro.opt.autotune import TuneOutcome, WorkloadCandidate, autotune_workloads
 from repro.prof.trace import trace_span
 from repro.telemetry.ledger import config_digest, record_run
 from repro.telemetry.metrics import counter_inc, observe
+from repro.tile.lower import launch_geometry
 from repro.tile.resources import proc_occupancy
-from repro.tile.workloads import TileSgemmConfig, TileSgemvConfig, TileTransposeConfig
+from repro.tile.workloads import TileSgemmConfig
 
 __all__ = [
+    "KEEP_WITHIN",
+    "SWEPT_WORKLOADS",
     "PruneReport",
     "schedule_space",
     "prune_by_bound",
     "run_generative_sweep",
     "sweep_summary",
+    "block_cycle_floor",
+    "sgemm_point_valid",
 ]
+
+#: The workloads :func:`schedule_space` generates a space for.
+SWEPT_WORKLOADS = ("tile_sgemm", "tile_transpose", "tile_sgemv")
 
 #: Default generative axes of the SGEMM schedule space.
 SGEMM_TILES = (24, 48, 96)
@@ -55,12 +66,15 @@ SGEMM_STRIDES = (8, 16)
 SGEMM_WINDOWS = (1, 2)
 SGEMM_DOUBLE_BUFFERS = (False, True)
 
-#: Default imperfect problem sizes crossed into the sweep (predicate-tail
-#: schedules: none of these is a multiple of any swept tile).
-TAIL_SIZES = ((100, 92, 20),)
+#: :func:`prune_by_bound` keeps a candidate whose analytic bound is within
+#: this factor of the space's best bound.  A heuristic: it compares bounds
+#: with bounds, and a candidate with a worse bound can still simulate
+#: faster.  At 193x161x97 on gtx680 it discards ``t48b6l8w2db``, the
+#: candidate whose whole grid runs fastest (ROADMAP.md direction 2).
+KEEP_WITHIN = 1.2
 
 
-def _sgemm_valid(config: TileSgemmConfig) -> bool:
+def sgemm_point_valid(config: TileSgemmConfig) -> bool:
     """Structural validity of one SGEMM schedule point.
 
     Mirrors the constraints the schedule and lowering impose: the register
@@ -99,14 +113,14 @@ def _sgemm_points(
     blockings: tuple[int, ...],
     strides: tuple[int, ...],
     windows: tuple[int, ...],
-    double_buffers: tuple[bool, ...] = SGEMM_DOUBLE_BUFFERS,
+    double_buffers: tuple[bool, ...],
 ) -> list[tuple[str, TileSgemmConfig]]:
     """The generative (tile, B_R, L, window, double-buffer) grid, filtered."""
     points: list[tuple[str, TileSgemmConfig]] = []
     seen: set[TileSgemmConfig] = set()
 
     def push(label: str, config: TileSgemmConfig) -> None:
-        if config in seen or not _sgemm_valid(config):
+        if config in seen or not sgemm_point_valid(config):
             return
         seen.add(config)
         points.append((label, config))
@@ -143,75 +157,54 @@ def _sgemm_points(
 
 
 def schedule_space(
+    workload: str,
+    config=None,
     *,
-    sgemm: TileSgemmConfig | None = None,
-    transpose: TileTransposeConfig | None = None,
-    sgemv: TileSgemvConfig | None = None,
-    include_naive: bool = False,
     tiles: tuple[int, ...] = SGEMM_TILES,
     register_blockings: tuple[int, ...] = SGEMM_BLOCKINGS,
     strides: tuple[int, ...] = SGEMM_STRIDES,
     b_windows: tuple[int, ...] = SGEMM_WINDOWS,
     double_buffers: tuple[bool, ...] = SGEMM_DOUBLE_BUFFERS,
-    tail_sizes: tuple[tuple[int, int, int], ...] = TAIL_SIZES,
 ) -> list[WorkloadCandidate]:
-    """The unpruned generative sweep over every DSL workload's schedules.
+    """The unpruned schedule space of one tile workload at one shape.
 
-    ``include_naive`` additionally evaluates every point without the pass
-    pipeline, doubling the sweep (useful for before/after tables).
-    ``tail_sizes`` crosses the SGEMM grid with imperfect (M, N, K) problem
-    sizes — every candidate carries its problem size in the label.
-    ``double_buffers`` is the double-buffering axis: ``True`` points stage
-    two alternating shared tiles (one barrier per main-loop iteration, twice
-    the footprint); :func:`prune_by_bound` discards the ones whose doubled
-    tiles cannot even be resident.
+    ``config`` fixes the problem shape and the base schedule the named
+    points vary; ``None`` uses the workload's ``default_config()``.  Every
+    candidate is labelled ``"{workload}:{point}"``.
+
+    ``tile_sgemm`` crosses the axes ``tiles`` … ``double_buffers``;
+    ``True`` points of ``double_buffers`` stage two alternating shared
+    tiles (one barrier per main-loop iteration, twice the footprint), and
+    :func:`prune_by_bound` discards the ones that cannot even be resident.
+    ``tile_transpose`` and ``tile_sgemv`` have three named points each and
+    no axes.
     """
-    candidates: list[WorkloadCandidate] = []
-
-    def push(workload: str, label: str, config) -> None:
-        if include_naive:
-            candidates.append(
-                WorkloadCandidate(
-                    workload=workload, config=config, optimize=False,
-                    label=f"{workload}:{label}:naive",
-                )
-            )
-        candidates.append(
-            WorkloadCandidate(
-                workload=workload, config=config, optimize=True,
-                label=f"{workload}:{label}",
-            )
+    if config is None:
+        config = get_workload(workload).default_config()
+    if workload == "tile_sgemm":
+        points = _sgemm_points(
+            config, tiles, register_blockings, strides, b_windows, double_buffers
         )
-
-    base = sgemm or TileSgemmConfig()
-    for label, config in _sgemm_points(
-        base, tiles, register_blockings, strides, b_windows, double_buffers
-    ):
-        push("tile_sgemm", label, config)
-    for m, n, k in tail_sizes:
-        tail_base = replace(base, m=m, n=n, k=k)
-        for label, config in _sgemm_points(
-            tail_base, tiles, register_blockings, strides, b_windows, double_buffers
-        ):
-            push("tile_sgemm", f"{label}@{m}x{n}x{k}", config)
-
-    transpose = transpose or TileTransposeConfig()
-    for label, config in (
-        ("nopad", replace(transpose, pad=0)),
-        ("golden", transpose),
-        ("t8", replace(transpose, tile=8)),
-    ):
-        push("tile_transpose", label, config)
-
-    sgemv = sgemv or TileSgemvConfig()
-    for label, config in (
-        ("w1", replace(sgemv, k_window=1)),
-        ("noprefetch", replace(sgemv, prefetch=False)),
-        ("golden", sgemv),
-    ):
-        push("tile_sgemv", label, config)
-
-    return candidates
+    elif workload == "tile_transpose":
+        points = [
+            ("nopad", replace(config, pad=0)),
+            ("golden", config),
+            ("t8", replace(config, tile=8)),
+        ]
+    elif workload == "tile_sgemv":
+        points = [
+            ("w1", replace(config, k_window=1)),
+            ("noprefetch", replace(config, prefetch=False)),
+            ("golden", config),
+        ]
+    else:
+        raise ReproError(f"workload {workload!r} has no schedule space")
+    return [
+        WorkloadCandidate(
+            workload=workload, config=point, optimize=True, label=f"{workload}:{label}"
+        )
+        for label, point in points
+    ]
 
 
 @dataclass(frozen=True)
@@ -239,33 +232,20 @@ class PruneReport:
         return len(self.pruned) / self.total if self.total else 0.0
 
 
-def _size_key(candidate: WorkloadCandidate) -> tuple:
-    config = candidate.config
-    return (
-        candidate.workload,
-        getattr(config, "m", None),
-        getattr(config, "n", None),
-        getattr(config, "k", None),
-    )
-
-
 def prune_by_bound(
     gpu: GpuSpec | str,
     candidates: list[WorkloadCandidate],
-    *,
-    keep_within: float = 1.2,
 ) -> PruneReport:
-    """Discard candidates whose analytic bound is hopeless before simulating.
+    """Discard candidates whose analytic bound is far from the best.
 
-    Each candidate's scheduled proc yields its compulsory traffic
+    ``candidates`` is one space: one workload at one problem shape, as
+    :func:`schedule_space` builds it.  Each candidate's scheduled proc
+    yields its compulsory traffic
     (:func:`repro.tile.resources.proc_resources`), and the generalized
-    Eq. 6/8/9 bound turns that into a minimum execution time.  Within each
-    (workload, problem size) group, candidates whose *bound* exceeds
-    ``keep_within ×`` the group's best bound are pruned unsimulated.  This
-    is a heuristic, not a guarantee: it compares bounds with bounds, and a
-    candidate with a worse bound can still simulate faster than one with a
-    better bound.  ROADMAP.md direction 2 records measured cases where the
-    pruned candidate was the better kernel.
+    Eq. 6/8/9 bound turns that into a minimum execution time.  Candidates
+    whose bound exceeds :data:`KEEP_WITHIN` × the space's best bound are
+    pruned unsimulated.  This is a heuristic, not a guarantee: see
+    :data:`KEEP_WITHIN`.
 
     Occupancy prunes on top of the bound: a schedule whose shared-memory
     footprint cannot be resident on ``gpu`` at all — double-buffered tiles
@@ -275,12 +255,10 @@ def prune_by_bound(
     """
     started = time.perf_counter()
     spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
-    if keep_within < 1.0:
-        raise ReproError("keep_within must be >= 1.0 (a ratio over the best bound)")
     with trace_span(
         "autotune.prune_by_bound", category="autotune", candidates=len(candidates)
     ) as span:
-        report = _prune_by_bound(spec, candidates, keep_within, started)
+        report = _prune_by_bound(spec, candidates, started)
         span["kept"] = len(report.kept)
         span["pruned"] = len(report.pruned)
     if current().metrics is not None:
@@ -294,14 +272,12 @@ def prune_by_bound(
 def _prune_by_bound(
     spec: GpuSpec,
     candidates: list[WorkloadCandidate],
-    keep_within: float,
     started: float,
 ) -> PruneReport:
-    from repro.kernels.registry import get_workload
-
-    times: dict[int, float] = {}
-    groups: dict[tuple, list[int]] = {}
-    unresident: set[int] = set()
+    # Bound seconds by candidate position; infinite when it cannot be
+    # resident.  Unboundable candidates are absent and always kept: the
+    # simulator reports their error.
+    bounds: dict[int, float] = {}
     for position, candidate in enumerate(candidates):
         try:
             workload = get_workload(candidate.workload)
@@ -315,20 +291,14 @@ def _prune_by_bound(
                 try:
                     proc_occupancy(scheduled(config), spec)
                 except ResourceLimitError:
-                    times[position] = float("inf")
-                    unresident.add(position)
+                    bounds[position] = math.inf
                     continue
-            times[position] = workload.bound(config, spec).bound_time_s
+            bounds[position] = workload.bound(config, spec).bound_time_s
         except ReproError:
-            continue  # unboundable: let the simulator report the error
-        groups.setdefault(_size_key(candidate), []).append(position)
+            continue
 
-    pruned: set[int] = set(unresident)
-    for members in groups.values():
-        best = min(times[position] for position in members)
-        for position in members:
-            if times[position] > keep_within * best:
-                pruned.add(position)
+    best = min((bound for bound in bounds.values() if bound < math.inf), default=0.0)
+    pruned = {position for position, bound in bounds.items() if bound > KEEP_WITHIN * best}
     return PruneReport(
         kept=tuple(
             candidate
@@ -336,7 +306,7 @@ def _prune_by_bound(
             if position not in pruned
         ),
         pruned=tuple(
-            (candidates[position].display_label, times[position])
+            (candidates[position].display_label, bounds[position])
             for position in sorted(pruned)
         ),
         elapsed_s=time.perf_counter() - started,
@@ -369,8 +339,8 @@ def sweep_summary(report: PruneReport, outcomes: list[TuneOutcome]) -> str:
     bound pruned (and how long pruning took), how many the simulator ran,
     and the winner::
 
-        swept 63 candidates: pruned 41 by bound in 0.52s, simulated 22,
-        best tile_sgemm:golden @ 8125 cycles
+        swept 32 candidates: pruned 23 by bound in 0.17s, simulated 9,
+        best tile_sgemm:t96b6l8w2 @ 4879 cycles
 
     With a metrics registry installed (:func:`repro.context.session`), the
     schedule-memo economics — hits, misses and FIFO evictions — ride along,
@@ -413,13 +383,14 @@ class SweepReport:
     sim_elapsed_s:
         Host wall time of the simulation phase (warm seeds included).
     seed_candidates:
-        Warm-start candidates injected from the kernel store's nearest
-        tuned shapes (:mod:`repro.kcache.warmstart`); empty when the sweep
-        ran cold.
+        The warm-start seeds the caller passed; empty when the sweep ran
+        cold.
     warm_pruned:
         Candidates discarded *unsimulated* because their per-block cycle
-        floor already exceeded the best warm seed's achieved cycles (a
-        sound cut: the floor is a lower bound, the threshold a measurement).
+        floor (:func:`block_cycle_floor`) exceeded the best seed's achieved
+        cycles.  A heuristic cut: the floor is not a lower bound on the
+        truncated cycles the sweep measures, so a cut candidate may have
+        been the winner.
     """
 
     prune: PruneReport
@@ -446,63 +417,78 @@ class SweepReport:
         return self.prune.total / self.total_elapsed_s
 
 
-#: Which :func:`schedule_space` keyword carries each workload's base config
-#: (the shape the warm-start policy measures neighbour distance against, and
-#: the requested configuration a tuned kernel-cache miss sweeps around).
-SPACE_BASE_FIELD = {
-    "tile_sgemm": "sgemm",
-    "tile_transpose": "transpose",
-    "tile_sgemv": "sgemv",
-}
-
 #: Constant label set of the warm-start counters.
 _WARM_LABELS = (("stage", "warm_start"),)
 
 
-def _warm_seed_candidates(
-    store, workload: str, spec: GpuSpec, base, *, limit: int
-) -> list[WorkloadCandidate]:
-    """Warm-start candidates from the store's nearest tuned shapes."""
-    from repro.kcache.keys import shape_of
-    from repro.kcache.warmstart import nearest_tuned, warm_seed_configs
+def _max_warp_issues_per_cycle(gpu: GpuSpec) -> float:
+    """The simulator's hard cap on warp instructions issued per cycle.
 
-    neighbours = nearest_tuned(
-        store, workload, normalize_gpu(spec.name), shape_of(base), limit=limit
-    )
-    valid = _sgemm_valid if workload == "tile_sgemm" else None
-    seeds = warm_seed_configs(base, neighbours, valid=valid)
-    return [
-        WorkloadCandidate(
-            workload=workload,
-            config=seed.config,
-            optimize=True,
-            label=f"{workload}:warm{index}",
-        )
-        for index, seed in enumerate(seeds)
-    ]
+    Mirrors :class:`repro.sim.sm_sim.SmSimulator`'s issue loop exactly: one
+    issue per warp scheduler, except Kepler where each scheduler's two
+    dispatch units allow dual issue.
+    """
+    if gpu.generation is GpuGeneration.KEPLER:
+        return float(gpu.sm.dispatch_units)
+    return float(max(1, gpu.sm.warp_schedulers))
+
+
+def block_cycle_floor(workload, config, gpu: GpuSpec) -> float:
+    """An issue-rate floor on one full block's cycles for ``config``.
+
+    Built on an *invariant of the simulator itself*, not the analytic
+    performance model (whose clock normalisation is not comparable to
+    simulated cycles): the issue loop retires at most
+    :func:`_max_warp_issues_per_cycle` warp instructions per cycle, and the
+    FFMA stream alone is ``flops / 2 / 32`` warp instructions.  Dividing the
+    whole problem's compulsory flops (:meth:`Workload.resources`, counted
+    off the scheduled IR) by the grid's block count gives the *average*
+    per-block FFMA work, and block (0, 0) — an interior, full-tile block —
+    never does less.  No pass pipeline removes FFMAs, so the figure is the
+    same for naive and optimized candidates.
+
+    It is a floor on a *full* run of the block, which the sweep does not
+    measure: its timing-only run takes no branch, so it covers one pass
+    through each loop body.  Against that truncated figure the floor is a
+    heuristic.  At 192x160x96 on gtx580, 7 of the 19 bound-kept candidates,
+    all with 96-wide tiles, simulate below it; ``golden`` runs 9,281 cycles
+    against a floor of 11,520.
+
+    Returns 0.0 (prunes nothing) when the floor cannot be priced — e.g.
+    flop-free workloads like the transposes.
+    """
+    scheduled = getattr(workload, "cached_scheduled_proc", None)
+    if scheduled is None:
+        return 0.0
+    try:
+        proc = scheduled(config)
+        geometry = launch_geometry(proc)
+        resources = workload.resources(config)
+    except ReproError:
+        return 0.0
+    blocks = max(1, geometry.grid_x * geometry.grid_y)
+    ffma_warps_per_block = (resources.flops / 2.0) / blocks / 32.0
+    return ffma_warps_per_block / _max_warp_issues_per_cycle(gpu)
 
 
 def _warm_prune(
     kept: list[WorkloadCandidate],
-    seed_candidates: list[WorkloadCandidate],
+    seeds: list[WorkloadCandidate],
     seed_outcomes: list[TuneOutcome],
     spec: GpuSpec,
 ) -> tuple[list[WorkloadCandidate], int]:
-    """Drop candidates a warm seed's *measurement* proves cannot win.
+    """Drop candidates whose floor exceeds the best seed's measurement.
 
-    A candidate whose analytic per-block cycle floor
-    (:func:`repro.kcache.warmstart.block_cycle_floor`) exceeds the best
-    seed's achieved cycles cannot place above that seed on the leaderboard,
-    so simulating it buys nothing.  Candidates identical to a seed config
-    are dropped too — their outcome is already on the board.
+    A candidate whose per-block cycle floor (:func:`block_cycle_floor`)
+    exceeds the best seed's achieved cycles is not simulated.  The floor is
+    a heuristic against the sweep's truncated cycles (see there), so this
+    can drop the candidate that would have won.  Candidates identical to a
+    seed config are dropped too — their outcome is already on the board.
     """
-    from repro.kernels.registry import get_workload
-    from repro.kcache.warmstart import block_cycle_floor
-
     best_seed = min((o.cycles for o in seed_outcomes if o.ok), default=None)
     if best_seed is None:
         return kept, 0
-    seed_points = {(c.workload, c.config) for c in seed_candidates}
+    seed_points = {(c.workload, c.config) for c in seeds}
     survivors: list[WorkloadCandidate] = []
     pruned = 0
     for candidate in kept:
@@ -518,69 +504,41 @@ def _warm_prune(
 
 def run_generative_sweep(
     gpu: GpuSpec | str,
+    workload: str,
+    config=None,
     *,
-    workload: str | None = None,
-    keep_within: float = 1.2,
+    seeds: tuple[WorkloadCandidate, ...] = (),
     workers: int | None = 1,
-    max_cycles: int = 2_000_000,
-    include_tails: bool = True,
-    warm_start: bool = False,
-    store=None,
-    warm_limit: int = 2,
-    **space_kwargs,
+    **axes,
 ) -> SweepReport:
-    """Generate, prune and simulate the schedule space, timing each phase.
+    """Generate, prune and simulate one workload's space at one shape.
 
     The single-entry-point version of the :func:`schedule_space` →
-    :func:`prune_by_bound` → :func:`autotune_workloads` chain, with wall
-    times captured where benchmarks need them.  ``workload`` restricts the
-    space to one workload's candidates (e.g. ``"tile_sgemm"``);
-    ``include_tails=False`` additionally drops the ``@``-labelled tail
-    problem sizes, matching the benchmark harness's fixed-size sweep.
+    :func:`prune_by_bound` → :func:`autotune_workloads` chain over
+    ``schedule_space(workload, config, **axes)``, with wall times captured
+    where benchmarks need them.
 
-    With ``warm_start=True`` and a kernel store available (``store`` or the
-    store installed in :func:`repro.context.current`), the winning
-    schedules of the nearest cached shapes are re-instantiated at this
-    sweep's shape and simulated *first*; their measured cycles then prune
-    every enumerated candidate whose analytic per-block floor proves it
-    cannot beat them (:func:`_warm_prune`) — never-worse winners in strictly
-    fewer simulations.
+    ``seeds`` are warm-start candidates; the kernel store builds them from
+    the winners of its nearest tuned shapes.  They are simulated *first*,
+    their best measured cycles then drop every bound-kept candidate whose
+    per-block floor exceeds them (:func:`_warm_prune`), and their outcomes
+    join the leaderboard.  The floor is a heuristic against the sweep's
+    truncated cycles (:func:`block_cycle_floor`), so a seeded sweep runs
+    fewer simulations but can miss the winner of the unseeded one.
     """
     spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
-    candidates = schedule_space(**space_kwargs)
-    if workload is not None:
-        candidates = [c for c in candidates if c.workload == workload]
-    if not include_tails:
-        candidates = [c for c in candidates if "@" not in c.label]
-
-    seed_candidates: list[WorkloadCandidate] = []
-    seed_outcomes: list[TuneOutcome] = []
-    if warm_start and workload in SPACE_BASE_FIELD:
-        if store is None:
-            store = current().store
-        if store is not None:
-            base_field = SPACE_BASE_FIELD[workload]
-            base = space_kwargs.get(base_field)
-            if base is None:
-                from repro.kernels.registry import get_workload
-
-                base = get_workload(workload).default_config()
-            seed_candidates = _warm_seed_candidates(
-                store, workload, spec, base, limit=warm_limit
-            )
+    candidates = schedule_space(workload, config, **axes)
+    seeds = list(seeds)
 
     started = time.perf_counter()
-    if seed_candidates:
-        seed_outcomes = autotune_workloads(
-            spec, seed_candidates, workers=workers, max_cycles=max_cycles
-        )
+    seed_outcomes = autotune_workloads(spec, seeds, workers=workers) if seeds else []
     seed_sim_s = time.perf_counter() - started
-    report = prune_by_bound(spec, candidates, keep_within=keep_within)
-    kept, warm_pruned = _warm_prune(list(report.kept), seed_candidates, seed_outcomes, spec)
+    report = prune_by_bound(spec, candidates)
+    kept, warm_pruned = _warm_prune(list(report.kept), seeds, seed_outcomes, spec)
     started = time.perf_counter()
-    outcomes = autotune_workloads(spec, kept, workers=workers, max_cycles=max_cycles)
-    if seed_candidates:
-        counter_inc("kcache.warm.seeds", len(seed_candidates), _WARM_LABELS)
+    outcomes = autotune_workloads(spec, kept, workers=workers)
+    if seeds:
+        counter_inc("kcache.warm.seeds", len(seeds), _WARM_LABELS)
         counter_inc("kcache.warm.pruned", warm_pruned, _WARM_LABELS)
     combined = sorted(
         (*seed_outcomes, *outcomes), key=lambda o: (not o.ok, o.cycles, o.label)
@@ -589,28 +547,18 @@ def run_generative_sweep(
         prune=report,
         outcomes=tuple(combined),
         sim_elapsed_s=seed_sim_s + (time.perf_counter() - started),
-        seed_candidates=tuple(seed_candidates),
+        seed_candidates=tuple(seeds),
         warm_pruned=warm_pruned,
     )
     if current().ledger is not None:
-        _ledger_sweep(
-            sweep,
-            spec,
-            workload,
-            config={
-                "keep_within": keep_within,
-                "max_cycles": max_cycles,
-                "include_tails": include_tails,
-                **space_kwargs,
-            },
-        )
+        _ledger_sweep(sweep, spec, workload, config={"config": config, **axes})
     return sweep
 
 
 def _ledger_sweep(
     sweep: SweepReport,
     spec: GpuSpec,
-    workload: str | None,
+    workload: str,
     *,
     config: dict[str, object],
 ) -> None:
@@ -641,8 +589,8 @@ def _ledger_sweep(
         kernel_hash = best.kernel_hash
     record_run(
         "sweep",
-        f"sweep:{workload or 'all'}:{gpu_key}:{config_digest(config)}",
-        workload=workload or "all",
+        f"sweep:{workload}:{gpu_key}:{config_digest(config)}",
+        workload=workload,
         gpu=gpu_key,
         kernel_hash=kernel_hash,
         config=config,

@@ -11,7 +11,8 @@ GPUs and every ``tile_sgemm`` sweep candidate at the 193x161x97 tail shape:
 * the ``kernel_hash`` of the optimized kernel;
 * for registry points, the four ``PassStats`` rows;
 * for ``tile_*`` points, the ``proc_resources`` of the scheduled proc
-  (flops, DRAM and shared bytes), which price ``prune_by_bound``.
+  (flops, DRAM and shared bytes), which price ``prune_by_bound``;
+* for sweep candidates, whether ``prune_by_bound`` keeps them (``kept``).
 
 The pins live in ``optimizer_pins.json`` beside this file.  Re-record them
 only when the optimizer's output changes on purpose, and say so in the
@@ -33,7 +34,7 @@ from repro.arch import get_gpu_spec
 from repro.kernels import get_workload, workload_names
 from repro.opt.pipeline import PipelineResult, optimize_kernel
 from repro.opt.rewrite import kernel_hash
-from repro.tile.autotune import schedule_space
+from repro.tile.autotune import prune_by_bound, schedule_space
 from repro.tile.workloads import TileSgemmConfig, TileWorkload
 
 PINS_PATH = Path(__file__).with_name("optimizer_pins.json")
@@ -70,15 +71,18 @@ def registry_observations(name: str, gpu_name: str) -> dict:
 
 
 def sweep_observations(gpu_name: str) -> dict:
-    """Hashes and resources of every ``tile_sgemm`` candidate at :data:`SWEEP_SHAPE`."""
+    """Hashes, resources and prune decision of every ``tile_sgemm`` candidate
+    at :data:`SWEEP_SHAPE`."""
     gpu = get_gpu_spec(gpu_name)
     workload = get_workload("tile_sgemm")
+    space = schedule_space("tile_sgemm", SWEEP_SHAPE)
+    kept = {candidate.label for candidate in prune_by_bound(gpu, space).kept}
     return {
-        f"sweep.{candidate.label}.{gpu_name}": point_observation(
-            workload, candidate.config, gpu
-        )[0]
-        for candidate in schedule_space(sgemm=SWEEP_SHAPE, tail_sizes=())
-        if candidate.workload == "tile_sgemm"
+        f"sweep.{candidate.label}.{gpu_name}": {
+            **point_observation(workload, candidate.config, gpu)[0],
+            "kept": candidate.label in kept,
+        }
+        for candidate in space
     }
 
 

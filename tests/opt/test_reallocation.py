@@ -152,11 +152,10 @@ def _pinned_points() -> list:
         for index, config in enumerate(get_workload(name).config_space()):
             points.append(pytest.param(name, config, id=f"{name}.{index}"))
     sweep_shape = TileSgemmConfig(m=193, n=161, k=97)
-    for candidate in schedule_space(sgemm=sweep_shape, tail_sizes=()):
-        if candidate.workload == "tile_sgemm":
-            points.append(
-                pytest.param("tile_sgemm", candidate.config, id=f"sweep.{candidate.label}")
-            )
+    for candidate in schedule_space("tile_sgemm", sweep_shape):
+        points.append(
+            pytest.param("tile_sgemm", candidate.config, id=f"sweep.{candidate.label}")
+        )
     return points
 
 

@@ -1,4 +1,4 @@
-"""Tests for warp state, launch geometry and the GPU-level extrapolation."""
+"""Tests for warp state, launch geometry and one-SM block runs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.isa import KernelBuilder
 from repro.microbench import mix_kernel
-from repro.sim import BlockGrid, GpuSimulator, LaunchConfig
+from repro.sim import BlockGrid, LaunchConfig, SmSimulator
 from repro.sim.warp import WarpState, build_warps_for_block
 
 
@@ -62,26 +62,12 @@ class TestWarpState:
         assert warps[1].active_mask.sum() == 16
 
 
-class TestGpuSimulator:
-    def test_grid_estimate_scales_with_waves(self, fermi):
-        kernel = mix_kernel(6, 64, dependent=False, groups=16)
-        simulator = GpuSimulator(fermi)
-        small = simulator.estimate_grid_time(
-            kernel, BlockGrid(grid_x=16, block_x=256), functional=False,
-            registers_per_thread=40,
-        )
-        large = simulator.estimate_grid_time(
-            kernel, BlockGrid(grid_x=64, block_x=256), functional=False,
-            registers_per_thread=40,
-        )
-        assert large.waves > small.waves
-        assert large.total_cycles > small.total_cycles
-
+class TestSmSimulator:
     def test_run_block_counts_one_block(self, fermi):
         kernel = mix_kernel(4, 64, dependent=False, groups=8)
-        simulator = GpuSimulator(fermi)
-        result = simulator.run_block(
-            kernel, BlockGrid(grid_x=4, block_x=128), block_idx=(2, 0), functional=False
+        result = SmSimulator(fermi, kernel).run(
+            LaunchConfig(grid=BlockGrid(grid_x=4, block_x=128), functional=False),
+            block_indices=[(2, 0)],
         )
         assert result.blocks_simulated == 1
         assert result.warps_simulated == 4
@@ -89,22 +75,24 @@ class TestGpuSimulator:
     def test_empty_kernel_rejected(self, fermi):
         builder = KernelBuilder()
         kernel = builder.build()
-        simulator = GpuSimulator(fermi)
         with pytest.raises(SimulationError):
-            simulator.run_block(kernel, BlockGrid(grid_x=1, block_x=32), functional=False)
+            SmSimulator(fermi, kernel).run(
+                LaunchConfig(grid=BlockGrid(grid_x=1, block_x=32), functional=False)
+            )
 
     def test_cycle_limit_enforced(self, fermi):
         kernel = mix_kernel(6, 64, dependent=False, groups=64)
-        simulator = GpuSimulator(fermi)
         with pytest.raises(SimulationError):
-            simulator.run_block(
-                kernel,
-                BlockGrid(grid_x=1, block_x=1024),
-                functional=False,
-                max_cycles=10,
+            SmSimulator(fermi, kernel).run(
+                LaunchConfig(
+                    grid=BlockGrid(grid_x=1, block_x=1024),
+                    functional=False,
+                    max_cycles=10,
+                )
             )
 
-    def test_launch_config_defaults(self):
-        config = LaunchConfig(grid=BlockGrid(grid_x=1, block_x=32))
-        assert config.functional
-        assert config.max_cycles > 0
+
+def test_launch_config_defaults():
+    config = LaunchConfig(grid=BlockGrid(grid_x=1, block_x=32))
+    assert config.functional
+    assert config.max_cycles > 0

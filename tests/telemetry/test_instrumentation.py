@@ -67,9 +67,7 @@ class TestRunWorkloadTelemetry:
 class TestSweepTelemetry:
     def test_sweep_produces_one_ledger_record(self, gpu, tmp_path):
         with session(ledger=RunLedger(tmp_path / "ledger")):
-            report = run_generative_sweep(
-                gpu, workload="tile_sgemm", include_tails=False
-            )
+            report = run_generative_sweep(gpu, "tile_sgemm")
         (record,) = RunLedger(tmp_path / "ledger").records(kind="sweep")
         best = next(o for o in report.outcomes if o.ok)
         assert record.metric("cycles") == best.cycles
@@ -82,8 +80,8 @@ class TestSweepTelemetry:
 
     def test_identical_sweeps_share_a_key(self, gpu, tmp_path):
         with session(ledger=RunLedger(tmp_path / "ledger")):
-            run_generative_sweep(gpu, workload="tile_sgemm", include_tails=False)
-            run_generative_sweep(gpu, workload="tile_sgemm", include_tails=False)
+            run_generative_sweep(gpu, "tile_sgemm")
+            run_generative_sweep(gpu, "tile_sgemm")
         records = RunLedger(tmp_path / "ledger").records(kind="sweep")
         assert len(records) == 2
         assert records[0].key == records[1].key
@@ -91,9 +89,7 @@ class TestSweepTelemetry:
     def test_sweep_counters(self, gpu):
         registry = MetricsRegistry()
         with session(metrics=registry):
-            report = run_generative_sweep(
-                gpu, workload="tile_sgemm", include_tails=False
-            )
+            report = run_generative_sweep(gpu, "tile_sgemm")
         assert registry.counter_value("autotune.candidates_generated") == \
             report.prune.total
         assert registry.counter_value("autotune.candidates_pruned") == \
@@ -110,23 +106,21 @@ class TestScheduleCacheMetrics:
         clear_schedule_caches()
         registry = MetricsRegistry()
         with session(metrics=registry):
-            run_generative_sweep(gpu, workload="tile_sgemm", include_tails=False)
+            run_generative_sweep(gpu, "tile_sgemm")
             snapshot = registry.snapshot()
         assert snapshot.counter_total("tile.schedule_cache.misses") > 0
 
     def test_sweep_summary_reads_the_facade(self, gpu):
         clear_schedule_caches()
         with session(metrics=MetricsRegistry()):
-            report = run_generative_sweep(
-                gpu, workload="tile_sgemm", include_tails=False
-            )
+            report = run_generative_sweep(gpu, "tile_sgemm")
             line = sweep_summary(report.prune, list(report.outcomes))
         assert "\n" not in line
         assert "schedule cache" in line
         assert "evictions" in line
 
     def test_sweep_summary_without_facade_is_unchanged(self, gpu):
-        report = run_generative_sweep(gpu, workload="tile_sgemm", include_tails=False)
+        report = run_generative_sweep(gpu, "tile_sgemm")
         line = sweep_summary(report.prune, list(report.outcomes))
         assert "schedule cache" not in line
         assert "swept" in line

@@ -15,21 +15,19 @@ from repro.tile.workloads import TileSgemmConfig
 
 def _tiny_space():
     """A doll-house sweep: one block, small tiles, every knob still live."""
-    base = TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2,
-                           stride=2, b_window=2)
-    return base, schedule_space(
-        sgemm=base,
+    return schedule_space(
+        "tile_sgemm",
+        TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2, stride=2, b_window=2),
         tiles=(4, 8),
         register_blockings=(2, 4),
         strides=(2, 4),
         b_windows=(1, 2),
-        tail_sizes=(),
     )
 
 
 def test_double_buffer_axis_in_the_space():
     """The sweep generates double-buffered twins of staged schedule points."""
-    _, space = _tiny_space()
+    space = _tiny_space()
     labels = {c.label for c in space}
     assert any(label.endswith("db") for label in labels)
     db = [c for c in space if c.label.endswith("db")]
@@ -57,7 +55,7 @@ def test_occupancy_kills_oversized_double_buffers(fermi):
 
 
 def test_prune_report_carries_wall_time(fermi):
-    _, space = _tiny_space()
+    space = _tiny_space()
     first = prune_by_bound(fermi, space)
     assert first.elapsed_s > 0.0
     # The schedule applications are memoized by schedule hash, so a repeated
@@ -69,14 +67,11 @@ def test_prune_report_carries_wall_time(fermi):
 
 
 def test_tiny_sweep_prunes_and_the_winner_beats_naive(fermi):
-    base, space = _tiny_space()
-    sgemm_space = [c for c in space if c.workload == "tile_sgemm"]
-    report = prune_by_bound(fermi, sgemm_space)
+    space = _tiny_space()
+    report = prune_by_bound(fermi, space)
     assert report.pruned, "the analytic bound must prune something"
 
-    naive = next(
-        c for c in sgemm_space if c.label == "tile_sgemm:nostage"
-    )
+    naive = next(c for c in space if c.label == "tile_sgemm:nostage")
     candidates = list(report.kept)
     if all(c.label != naive.label for c in candidates):
         candidates.append(replace(naive))
@@ -94,9 +89,8 @@ def test_sweep_summary_one_liner(fermi):
     time, simulation count, and the winner."""
     from repro.tile.autotune import sweep_summary
 
-    _, space = _tiny_space()
-    sgemm_space = [c for c in space if c.workload == "tile_sgemm"]
-    report = prune_by_bound(fermi, sgemm_space)
+    space = _tiny_space()
+    report = prune_by_bound(fermi, space)
     outcomes = autotune_workloads(fermi, list(report.kept), workers=1)
 
     line = sweep_summary(report, outcomes)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ReproError
 from repro.kernels import get_workload, run_workload, workload_cycles
 from repro.opt import autotune_workloads
 from repro.tile.autotune import prune_by_bound, schedule_space
@@ -111,10 +112,14 @@ class TestImperfectSizes:
 
 class TestScheduleAutotuning:
     def test_candidate_set_covers_every_tile_workload(self):
-        labels = [c.label for c in schedule_space()]
         for name in TILE_WORKLOADS:
-            assert any(label.startswith(name) for label in labels)
+            space = schedule_space(name)
+            assert space and all(c.label.startswith(f"{name}:") for c in space)
+            assert all(c.workload == name and c.optimize for c in space)
+        with pytest.raises(ReproError, match="no schedule space"):
+            schedule_space("sgemm")
         # The sweep varies genuine schedule decisions, not just sizes.
+        labels = [c.label for c in schedule_space("tile_sgemm")]
         assert any("nostage" in label for label in labels)
         assert any("noprefetch" in label for label in labels)
         assert any(":w1" in label for label in labels)
@@ -123,7 +128,7 @@ class TestScheduleAutotuning:
         # A small slice of the sweep keeps the test fast; the full sweep runs
         # in benchmarks/bench_tile.py.
         candidates = [
-            c for c in schedule_space()
+            c for c in schedule_space("tile_transpose") + schedule_space("tile_sgemv")
             if c.label in ("tile_transpose:golden", "tile_transpose:nopad",
                            "tile_sgemv:golden", "tile_sgemv:w1")
         ]
@@ -139,15 +144,16 @@ class TestScheduleAutotuning:
 
 class TestGenerativeSweep:
     def test_space_is_generative_not_curated(self):
-        labels = [c.label for c in schedule_space()]
+        space = schedule_space("tile_sgemm", TileSgemmConfig(m=100, n=92, k=20))
+        labels = [c.label for c in space]
         # Grid points over (tile, B_R, L, window)...
         assert any(label.startswith("tile_sgemm:t48b6l8") for label in labels)
         assert any(label.startswith("tile_sgemm:t24b") for label in labels)
-        # ...crossed with imperfect tail problem sizes.
-        assert any("@100x92x20" in label for label in labels)
+        # ...all at the one requested (imperfect) problem size.
+        assert {(c.config.m, c.config.n, c.config.k) for c in space} == {(100, 92, 20)}
 
     def test_bound_prunes_at_least_half_before_simulation(self, fermi):
-        report = prune_by_bound(fermi, schedule_space())
+        report = prune_by_bound(fermi, schedule_space("tile_sgemm"))
         assert report.pruned_fraction >= 0.5
         kept = [c.label for c in report.kept]
         # The paper-point schedule is never pruned; the unstaged strawman is.
@@ -155,16 +161,14 @@ class TestGenerativeSweep:
         assert any("nostage" in label for label, _ in report.pruned)
 
     def test_pruned_candidates_have_worse_bounds(self, fermi):
-        space = schedule_space()
-        report = prune_by_bound(fermi, space)
+        report = prune_by_bound(fermi, schedule_space("tile_sgemm"))
         workload = get_workload("tile_sgemm")
         golden = next(c for c in report.kept if c.label == "tile_sgemm:golden")
         best = workload.bound(golden.config, fermi).bound_time_s
-        for label, bound_time in report.pruned:
-            if label.startswith("tile_sgemm") and "@" not in label:
-                assert bound_time > best
+        for _, bound_time in report.pruned:
+            assert bound_time > best
 
     def test_gpu_argument_prunes_schedule_candidates(self, fermi):
-        full = schedule_space()
+        full = schedule_space("tile_sgemm")
         pruned = prune_by_bound(fermi, full).kept
         assert len(pruned) < len(full)
