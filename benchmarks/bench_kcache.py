@@ -77,7 +77,7 @@ def test_cold_sweep_vs_warm_lookup(tmp_path, fermi):
         "cold_build_s": round(cold.build_s, 4),
         "warm_lookup_s": round(warm_lookup_s, 6),
         "warm_speedup": round(speedup, 1),
-        "payload_bytes": store.entry_bytes(cold.key),
+        "payload_bytes": meta["payload_bytes"],
         "sweep": {
             "candidates": meta["metrics"]["sweep_candidates"],
             "pruned": meta["metrics"]["sweep_pruned"],

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import AssemblyError
-from repro.isa.instructions import cached_property
+from repro.isa.instructions import cached_property, declared_state
 from repro.isa.control_notation import (
     ControlNotation,
     GROUP_SIZE,
@@ -59,6 +59,8 @@ class Kernel:
     shared_memory_bytes: int = 0
     threads_per_block: int = 0
     metadata: dict[str, object] = field(default_factory=dict)
+
+    __getstate__ = declared_state
 
     @property
     def instruction_count(self) -> int:

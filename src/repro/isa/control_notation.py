@@ -89,9 +89,9 @@ def encode_control_word(notation: ControlNotation) -> int:
     Layout (low to high): 4 identifier bits (0x7), then seven 8-bit hint
     fields, then 4 identifier bits (0x2) in the top nibble.
     """
-    padded = notation.padded()
+    hints = notation.hints + (DEFAULT_HINT,) * (GROUP_SIZE - len(notation.hints))
     word = LOW_IDENTIFIER & 0xF
-    for slot, hint in enumerate(padded.hints):
+    for slot, hint in enumerate(hints):
         word |= (hint & 0xFF) << (4 + 8 * slot)
     word |= (HIGH_IDENTIFIER & 0xF) << 60
     return word

@@ -52,6 +52,18 @@ class cached_property:  # noqa: N801 — drop-in for functools.cached_property
         return value
 
 
+def declared_state(obj) -> dict:
+    """``obj``'s declared dataclass fields: all the state it pickles.
+
+    Values cached on the instance (:class:`cached_property` results and the
+    encoder's, liveness analysis's and conflict analysis's memos) are left
+    out and recomputed when next used, so a pickle's bytes do not depend on
+    which analyses ran on the object before it was pickled.
+    """
+    state = obj.__dict__
+    return {name: state[name] for name in obj.__dataclass_fields__}
+
+
 class Opcode(str, Enum):
     """Mnemonics of the modelled instruction set."""
 
@@ -322,6 +334,8 @@ class Instruction:
             raise IsaError("S2R requires a special register source")
         if self.opcode is Opcode.BRA and self.target is None:
             raise IsaError("BRA requires a target label")
+
+    __getstate__ = declared_state
 
     # ------------------------------------------------------------------ #
     # Classification helpers used throughout the simulator and analyses. #

@@ -29,20 +29,30 @@ MAX_GPR_INDEX = 62
 RZ_INDEX = 63
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Register:
     """A general-purpose 32-bit register ``R<index>``.
 
-    ``Register(63)`` denotes ``RZ``, the hard-wired zero register.
+    ``Register(63)`` denotes ``RZ``, the hard-wired zero register.  There is
+    one instance per index: ``Register(5) is Register(5)``, so a kernel's
+    operands share 64 objects at most, and a register pickles as
+    ``Register(index)``, which unpickles to that same instance.
     """
 
     index: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.index <= RZ_INDEX:
-            raise IsaError(
-                f"register index must be in [0, {RZ_INDEX}], got {self.index}"
-            )
+    def __new__(cls, index: int | None = None) -> "Register":
+        if index is None:
+            # A pickle written before registers were interned calls
+            # ``Register.__new__`` bare and then fills in ``index`` itself.
+            return object.__new__(cls)
+        register = _REGISTERS.get(index)
+        if register is None:
+            raise IsaError(f"register index must be in [0, {RZ_INDEX}], got {index}")
+        return register
+
+    def __reduce__(self):
+        return (Register, (self.index,))
 
     @property
     def is_zero(self) -> bool:
@@ -71,6 +81,15 @@ class Register:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Register({self.name})"
 
+
+def _interned(index: int) -> Register:
+    register = object.__new__(Register)
+    object.__setattr__(register, "index", index)
+    return register
+
+
+#: The one instance of each register index (``Register(i)`` returns it).
+_REGISTERS: dict[int, Register] = {index: _interned(index) for index in range(RZ_INDEX + 1)}
 
 #: The hard-wired zero register.
 RZ = Register(RZ_INDEX)

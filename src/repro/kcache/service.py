@@ -254,13 +254,8 @@ class KernelReply:
 
     @property
     def kernel(self):
-        """The best kernel on record: optimized when present, else naive."""
+        """The served kernel: the optimized one, else the naive one."""
         return self.entry.artifacts.get("kernel_opt") or self.entry.artifacts.get("kernel")
-
-    @property
-    def naive_kernel(self):
-        """The lowered (pre-pipeline) kernel."""
-        return self.entry.artifacts.get("kernel")
 
     @property
     def durable(self) -> bool:
@@ -297,10 +292,11 @@ def _schedule_dict(config) -> dict:
 def _entry_payload(workload, config, spec, *, optimize: bool = True):
     """Build the artifact dict and kernel hashes for one schedule point.
 
-    Lowers once: the optimized kernel is the pass pipeline run over the very
-    naive kernel stored beside it.  The scheduled proc comes from the
-    workload's memo, so a point the sweep already scheduled in-process is
-    not scheduled again.
+    The entry holds only the kernel it serves: ``kernel_opt``, the pass
+    pipeline run over the naive kernel, or ``kernel`` itself when
+    ``optimize`` is off.  The hashes name both.  The scheduled proc comes
+    from the workload's memo, so a point the sweep already scheduled
+    in-process is not scheduled again.
     """
     from repro.opt.pipeline import optimize_kernel
     from repro.opt.rewrite import kernel_hash
@@ -311,12 +307,13 @@ def _entry_payload(workload, config, spec, *, optimize: bool = True):
     if cached_proc is not None:
         artifacts["proc"] = cached_proc(config)
     naive = workload.generate_naive(config)
-    artifacts["kernel"] = naive
     hashes["kernel"] = kernel_hash(naive)
     if optimize:
         optimized = optimize_kernel(naive, spec).kernel
         artifacts["kernel_opt"] = optimized
         hashes["kernel_opt"] = kernel_hash(optimized)
+    else:
+        artifacts["kernel"] = naive
     return artifacts, hashes
 
 

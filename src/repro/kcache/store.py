@@ -3,7 +3,7 @@
 One entry per routine key (:mod:`repro.kcache.keys`), laid out as::
 
     .repro/kcache/<shard>/<key>.json   # meta: the commit marker
-    .repro/kcache/<shard>/<key>.pkl    # pickled artifacts (Proc, Kernels, ...)
+    .repro/kcache/<shard>/<key>.pkl    # pickled artifacts (proc, served kernel)
 
 Write discipline (the segment-file lesson of :mod:`repro.telemetry.ledger`,
 applied to two-file entries):
@@ -23,6 +23,12 @@ kernel must hash (:func:`repro.opt.rewrite.kernel_hash`) identically to a
 fresh schedule→lower→optimize run, including the provenance tags and control
 notations a text round-trip would drop.  Integrity is checked against the
 pickle bytes' SHA-256 (cheap), not by re-hashing the kernel on every read.
+A kernel entry holds the scheduled proc and the one kernel it serves, and
+kernels and their instructions pickle their declared fields only
+(:func:`repro.isa.instructions.declared_state`): what an analysis cached on
+them is recomputed on use, and each register is a reference to the one
+:class:`repro.isa.registers.Register` of its index, so the bytes a hit reads
+and unpickles are the kernel's content and nothing else.
 
 Every filesystem operation passes through a named :mod:`repro.faults` fault
 point (``kcache.store.payload.write`` … ``kcache.store.read.payload``), so
@@ -75,8 +81,12 @@ __all__ = [
     "StoreStats",
 ]
 
-#: Entry format version, stamped into every meta.
-KCACHE_SCHEMA = 1
+#: Entry format version, stamped into every meta.  Schema 2: a kernel entry
+#: holds only the kernel it serves, and kernels pickle their declared fields
+#: only.  No reader checks the number; both schemas load either way, since a
+#: schema-1 payload's extra naive kernel and cached values are simply ignored
+#: and a schema-2 payload unpickles with schema-1 code.
+KCACHE_SCHEMA = 2
 
 #: Where the store lives unless told otherwise (relative to the CWD).
 DEFAULT_KCACHE_ROOT = ".repro/kcache"
@@ -115,8 +125,10 @@ class StoreEntry:
 
     ``meta`` is the committed JSON object (key, kind, workload, gpu, config
     repr, kernel hashes, metrics, provenance, payload checksum).
-    ``artifacts`` maps artifact names (``"proc"``, ``"kernel"``,
-    ``"kernel_opt"``, ...) to the unpickled objects.
+    ``artifacts`` maps artifact names to the unpickled objects.  An entry of
+    :func:`repro.kcache.get_kernel` holds ``"proc"`` and the kernel it
+    serves: ``"kernel_opt"``, or ``"kernel"`` for an unoptimized point.  Its
+    ``meta["kernel_hashes"]`` names both the naive and the optimized kernel.
     """
 
     key: str

@@ -74,14 +74,14 @@ def kernel_hash(kernel: Kernel) -> str:
     but not the kernel name or free-form metadata, so renamed-but-identical
     kernels hash equal.
     """
-    digest = hashlib.sha256()
-    for encoded in kernel.encoded:
-        digest.update(encoded.to_bytes())
+    digest = hashlib.sha256(b"".join([encoded.to_bytes() for encoded in kernel.encoded]))
     for index in sorted(kernel.branch_targets):
         digest.update(index.to_bytes(4, "little"))
         digest.update(kernel.branch_targets[index].to_bytes(4, "little"))
-    for notation in kernel.control_notations:
-        digest.update(encode_control_word(notation).to_bytes(8, "little"))
+    digest.update(b"".join([
+        encode_control_word(notation).to_bytes(8, "little")
+        for notation in kernel.control_notations
+    ]))
     digest.update(kernel.shared_memory_bytes.to_bytes(8, "little"))
     digest.update(kernel.threads_per_block.to_bytes(4, "little"))
     return digest.hexdigest()

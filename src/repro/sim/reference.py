@@ -284,7 +284,6 @@ class ReferenceExecutor:
         if operand is None:
             raise SimulationError(f"{instruction.mnemonic} has no memory operand")
         data_registers = [op for op in instruction.sources if isinstance(op, Register)]
-        data_registers = [r for r in data_registers if r is not operand.base]
         if not data_registers:
             raise SimulationError(f"{instruction.mnemonic} has no data register")
         source = data_registers[-1]

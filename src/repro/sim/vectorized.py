@@ -575,7 +575,6 @@ class VectorizedEngine:
             data_index = None
         else:
             data_registers = [op for op in instruction.sources if isinstance(op, Register)]
-            data_registers = [r for r in data_registers if r is not operand.base]
             if not data_registers:
                 raise SimulationError(f"{mnemonic} has no data register")
             dest = None

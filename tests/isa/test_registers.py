@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +43,12 @@ class TestRegister:
         assert reg(10).offset(1) == reg(11)
         with pytest.raises(IsaError):
             RZ.offset(1)
+
+    def test_one_instance_per_index(self):
+        assert Register(7) is reg(7)
+        assert reg(7).offset(1) is Register(8)
+        assert parse_register("RZ") is Register(63) is RZ
+        assert pickle.loads(pickle.dumps(reg(7), protocol=pickle.HIGHEST_PROTOCOL)) is reg(7)
 
     def test_bank_property_matches_arch_mapping(self):
         assert reg(8).bank is RegisterBank.EVEN0

@@ -178,3 +178,51 @@ class TestTunedBuildPublishesTheSweepMeasurement:
         assert store.load_poison(key) is not None
         assert store.load(key) is None
         assert store.keys() == []
+
+
+class TestEntryHoldsOnlyTheServedKernel:
+    def test_tuned_entry_stores_kernel_opt_and_both_hashes(self, tmp_path, fermi):
+        store = KernelStore(tmp_path / "kcache")
+        built = get_kernel(
+            "tile_sgemm", TINY, fermi, store=store, tune=True, warm_start=False,
+            space=SPACE,
+        )
+        meta = built.entry.meta
+        assert meta["artifacts"] == ["kernel_opt", "proc"]
+        assert set(meta["kernel_hashes"]) == {"kernel", "kernel_opt"}
+        assert meta["kernel_hashes"]["kernel"] != meta["kernel_hashes"]["kernel_opt"]
+        clear_schedule_caches()
+        hit = get_kernel("tile_sgemm", TINY, fermi, store=store, tune=True)
+        assert hit.source == "hit"
+        assert sorted(hit.entry.artifacts) == ["kernel_opt", "proc"]
+        assert kernel_hash(hit.kernel) == meta["kernel_hashes"]["kernel_opt"]
+
+    def test_unoptimized_point_stores_the_naive_kernel(self, fermi):
+        from repro.kcache.service import _entry_payload
+        from repro.kernels.registry import get_workload
+
+        workload = get_workload("tile_sgemm")
+        artifacts, hashes = _entry_payload(workload, TINY, fermi, optimize=False)
+        assert sorted(artifacts) == ["kernel", "proc"]
+        assert hashes == {"kernel": kernel_hash(artifacts["kernel"])}
+
+    def test_entry_holding_both_kernels_serves_the_optimized_one(self, tmp_path, fermi):
+        """Entries written before the payload held one kernel still serve."""
+        from repro.kernels.registry import get_workload
+
+        workload = get_workload("tile_sgemm")
+        naive = workload.generate_naive(TINY)
+        optimized, _ = workload.generate_optimized(TINY, fermi)
+        store = KernelStore(tmp_path / "kcache")
+        key = routine_key("tile_sgemm", TINY, fermi.name)
+        store.put(
+            key, kind="tuned", workload="tile_sgemm", gpu=fermi.name, config=TINY,
+            artifacts={"proc": workload.cached_scheduled_proc(TINY),
+                       "kernel": naive, "kernel_opt": optimized},
+            kernel_hashes={"kernel": kernel_hash(naive),
+                           "kernel_opt": kernel_hash(optimized)},
+            metrics={"cycles": 1.0},
+        )
+        reply = get_kernel("tile_sgemm", TINY, fermi, store=store)
+        assert reply.source == "hit"
+        assert kernel_hash(reply.kernel) == kernel_hash(optimized)

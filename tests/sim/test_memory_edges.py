@@ -1,6 +1,6 @@
 """Memory edge cases, pinned identically on both functional executors.
 
-Five families of behaviour the differential fuzzer relies on but deserves
+Six families of behaviour the differential fuzzer relies on but deserves
 explicit, named coverage:
 
 * **Out-of-bounds diagnostics** — a global or shared access past the end of
@@ -18,7 +18,10 @@ explicit, named coverage:
   lock-step pass over packed shared memories, yet an address past a block's
   own shared memory raises instead of reaching the next block's, a store to
   a block's last word leaves every other block's memory untouched, and each
-  block reads back its own writes.
+  block reads back its own writes;
+* **a store of its own address** — ``ST [R2], R2`` stores the address: the
+  data operand is the very ``Register`` object of the base (there is one per
+  index), and both executors still find it.
 """
 
 from __future__ import annotations
@@ -121,6 +124,28 @@ class TestOutOfBoundsDiagnostics:
         simulate_kernel(fermi, _kernel(body), BlockGrid(grid_x=1, block_x=32),
                         global_memory=memory, executor=executor)
         assert int(memory.read_array("out", np.uint32, (32,))[0]) == 0xDEADBEEF
+
+
+class TestStoreOfItsOwnAddress:
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_data_register_that_is_the_base_is_stored(self, fermi, executor):
+        memory = GlobalMemory(size_bytes=4096)
+        out = memory.allocate("out", 4 * 32)
+
+        def body(b):
+            b.s2r(1, SpecialRegister.LANEID)
+            b.shl(1, 1, 2)
+            b.mov32i(2, out)
+            b.iadd(2, 2, reg(1))
+            b.st(MemRef(base=reg(2)), reg(2))
+
+        kernel = _kernel(body)
+        store = kernel.instructions[-2]
+        assert store.sources[1] is store.memory_operand.base
+        simulate_kernel(fermi, kernel, BlockGrid(grid_x=1, block_x=32),
+                        global_memory=memory, executor=executor)
+        expected = out + 4 * np.arange(32, dtype=np.uint32)
+        assert np.array_equal(memory.read_array("out", np.uint32, (32,)), expected)
 
 
 class TestFullyMaskedAccesses:
