@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import AssemblyError
-from repro.isa.instructions import cached_property, declared_state
+from repro.isa.instructions import cached_property
 from repro.isa.control_notation import (
     ControlNotation,
     GROUP_SIZE,
@@ -60,7 +60,11 @@ class Kernel:
     threads_per_block: int = 0
     metadata: dict[str, object] = field(default_factory=dict)
 
-    __getstate__ = declared_state
+    def __getstate__(self) -> dict:
+        """The declared fields: what :attr:`register_count` and the analyses
+        cache on a kernel is recomputed on use, never pickled."""
+        state = self.__dict__
+        return {name: state[name] for name in self.__dataclass_fields__}
 
     @property
     def instruction_count(self) -> int:

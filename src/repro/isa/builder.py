@@ -8,6 +8,7 @@ generators read close to the hand-written SASS the paper describes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -132,8 +133,12 @@ class KernelBuilder:
 
     @property
     def current_provenance(self) -> str:
-        """The ``/``-joined provenance path currently in scope."""
-        return "/".join(self._provenance)
+        """The ``/``-joined provenance path currently in scope.
+
+        Interned, so the instructions emitted under equal paths share one
+        string object (and a pickle of the kernel writes it once).
+        """
+        return sys.intern("/".join(self._provenance))
 
     @property
     def instruction_count(self) -> int:

@@ -80,11 +80,30 @@ class EncodedInstruction:
     primary: int
     extension: int = 0
 
+    def __reduce__(self):
+        if self.extension:
+            return (_rebuild_encoded, (self.primary, {"extension": self.extension}))
+        return (_rebuild_encoded, (self.primary,))
+
     def to_bytes(self) -> bytes:
         """Little-endian byte representation (8 or 16 bytes)."""
         if self.extension:
             return struct.pack("<QQ", self.primary, self.extension)
         return struct.pack("<Q", self.primary)
+
+
+def _rebuild_encoded(primary: int, changed=None) -> EncodedInstruction:
+    """The :class:`EncodedInstruction` a pickle names (its ``__reduce__``
+    target): ``primary`` by position, and ``extension`` by name in
+    ``changed`` when it is not 0.  Pickles name this function, so renaming
+    it makes stored pickles unreadable."""
+    encoded = object.__new__(EncodedInstruction)
+    state = encoded.__dict__
+    state["primary"] = primary
+    state["extension"] = 0
+    if changed:
+        state.update(changed)
+    return encoded
 
 
 def _float_bits(value: float) -> int:

@@ -19,7 +19,7 @@ oracle) and timing lives in :mod:`repro.sim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Union
 
@@ -50,18 +50,6 @@ class cached_property:  # noqa: N801 — drop-in for functools.cached_property
         value = self.func(instance)
         instance.__dict__[self.attrname] = value
         return value
-
-
-def declared_state(obj) -> dict:
-    """``obj``'s declared dataclass fields: all the state it pickles.
-
-    Values cached on the instance (:class:`cached_property` results and the
-    encoder's, liveness analysis's and conflict analysis's memos) are left
-    out and recomputed when next used, so a pickle's bytes do not depend on
-    which analyses ran on the object before it was pickled.
-    """
-    state = obj.__dict__
-    return {name: state[name] for name in obj.__dataclass_fields__}
 
 
 class Opcode(str, Enum):
@@ -335,7 +323,15 @@ class Instruction:
         if self.opcode is Opcode.BRA and self.target is None:
             raise IsaError("BRA requires a target label")
 
-    __getstate__ = declared_state
+    def __reduce__(self):
+        state = self.__dict__
+        args = (self.opcode, self.dest, self.sources, self.provenance)
+        changed = {
+            name: state[name]
+            for name, default in _INSTRUCTION_DEFAULTS.items()
+            if state[name] != default
+        }
+        return (_rebuild_instruction, args + (changed,) if changed else args)
 
     # ------------------------------------------------------------------ #
     # Classification helpers used throughout the simulator and analyses. #
@@ -491,6 +487,38 @@ class Instruction:
         if self.opcode is Opcode.ISETP:
             return f"ISETP.{self.compare_op}"
         return self.opcode.value
+
+
+#: Declared defaults of the instruction fields :func:`_rebuild_instruction`
+#: does not take by position, in field order.
+_INSTRUCTION_DEFAULTS = {
+    f.name: f.default
+    for f in fields(Instruction)
+    if f.name not in ("opcode", "dest", "sources", "provenance")
+}
+
+
+def _rebuild_instruction(opcode, dest, sources, provenance, changed=None) -> Instruction:
+    """The :class:`Instruction` a pickle names (the target of its ``__reduce__``).
+
+    The four fields nearly every instruction sets come by position;
+    ``changed`` holds, by name, the other fields whose values differ from
+    their declared defaults, and every field left out takes its default.
+    The instance was validated when first built, so its fields are filled in
+    directly, in declaration order, and nothing cached on the pickled
+    instance comes back.  Pickles name this function, so renaming it makes
+    stored pickles unreadable.
+    """
+    instruction = object.__new__(Instruction)
+    state = instruction.__dict__
+    state["opcode"] = opcode
+    state["dest"] = dest
+    state["sources"] = sources
+    state.update(_INSTRUCTION_DEFAULTS)
+    state["provenance"] = provenance
+    if changed:
+        state.update(changed)
+    return instruction
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,18 @@ kernel must hash (:func:`repro.opt.rewrite.kernel_hash`) identically to a
 fresh schedule→lower→optimize run, including the provenance tags and control
 notations a text round-trip would drop.  Integrity is checked against the
 pickle bytes' SHA-256 (cheap), not by re-hashing the kernel on every read.
-A kernel entry holds the scheduled proc and the one kernel it serves, and
-kernels and their instructions pickle their declared fields only
-(:func:`repro.isa.instructions.declared_state`): what an analysis cached on
-them is recomputed on use, and each register is a reference to the one
-:class:`repro.isa.registers.Register` of its index, so the bytes a hit reads
-and unpickles are the kernel's content and nothing else.
+A kernel entry holds the scheduled proc and the one kernel it serves.  A
+kernel pickles its declared fields only, and each instruction and each
+encoding pickles as one call of a module-level reconstructor
+(``repro.isa.instructions._rebuild_instruction``,
+``repro.isa.encoding._rebuild_encoded``) that takes the fields nearly every
+instance sets by position and only the non-default rest by name.  What an
+analysis cached on them is recomputed on use, and each register is a
+reference to the one :class:`repro.isa.registers.Register` of its index, so
+the bytes a hit reads and unpickles are the kernel's content and nothing
+else.  A hit checks the payload's SHA-256 first and then unpickles it with
+the cyclic collector paused: the thousands of objects a kernel unpickles to
+would otherwise set off collections that find nothing to free.
 
 Every filesystem operation passes through a named :mod:`repro.faults` fault
 point (``kcache.store.payload.write`` … ``kcache.store.read.payload``), so
@@ -57,6 +63,7 @@ that warm-started sweeps read their neighbours from.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
@@ -83,10 +90,13 @@ __all__ = [
 
 #: Entry format version, stamped into every meta.  Schema 2: a kernel entry
 #: holds only the kernel it serves, and kernels pickle their declared fields
-#: only.  No reader checks the number; both schemas load either way, since a
-#: schema-1 payload's extra naive kernel and cached values are simply ignored
-#: and a schema-2 payload unpickles with schema-1 code.
-KCACHE_SCHEMA = 2
+#: only.  Schema 3: instructions and encodings pickle through their
+#: reconstructors.  No reader checks the number.  Schema-1 and schema-2
+#: payloads load and serve (a schema-1 payload's extra naive kernel and
+#: cached values are simply ignored).  Code older than schema 3 cannot find
+#: the reconstructors a schema-3 payload names, so it finds the payload
+#: unpicklable, discards it and rebuilds: it never serves a wrong kernel.
+KCACHE_SCHEMA = 3
 
 #: Where the store lives unless told otherwise (relative to the CWD).
 DEFAULT_KCACHE_ROOT = ".repro/kcache"
@@ -402,13 +412,17 @@ class KernelStore:
     def load(self, key: str, *, on_corrupt: str = "discard") -> StoreEntry | None:
         """The full entry of ``key``, integrity-checked; None on miss.
 
-        A torn, truncated or otherwise corrupt entry (payload checksum or
-        byte count disagreeing with the committed meta, or an unpicklable
-        payload) is *discarded* — both files removed — so the caller's
-        rebuild republishes a clean entry instead of tripping forever.
-        With ``on_corrupt="raise"`` a damaged entry raises
-        :class:`repro.errors.StoreCorruptionError` instead (the doctor's
-        strict mode).
+        The payload's byte count and SHA-256 are checked against the
+        committed meta before anything is unpickled, and the cyclic
+        collector is paused only around that ``pickle.loads`` (its previous
+        state is restored whatever happens).  A torn, truncated or otherwise
+        corrupt entry (payload checksum or byte count disagreeing with the
+        committed meta, or an unpicklable payload, such as one naming a
+        reconstructor this code lacks) is *discarded* — both files removed —
+        so the caller's rebuild republishes a clean entry instead of
+        tripping forever.  With ``on_corrupt="raise"`` a damaged entry
+        raises :class:`repro.errors.StoreCorruptionError` instead (the
+        doctor's strict mode).
         """
         from repro.telemetry.metrics import counter_inc
 
@@ -429,10 +443,18 @@ class KernelStore:
         ):
             reason = "payload bytes disagree with the commit marker"
         else:
+            # Unpickling a kernel makes thousands of objects the cyclic
+            # collector tracks; the passes they would set off find nothing
+            # to free, so the collector waits until the payload is built.
+            collecting = gc.isenabled()
+            gc.disable()
             try:
                 artifacts = pickle.loads(payload)
             except Exception:  # pickle raises broadly on hostile/torn bytes
                 reason = "payload does not unpickle"
+            finally:
+                if collecting:
+                    gc.enable()
         if reason:
             if on_corrupt == "raise":
                 raise StoreCorruptionError(

@@ -16,6 +16,7 @@ simulation.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 from repro.errors import AssemblyError
 from repro.isa.assembler import Kernel
@@ -74,14 +75,19 @@ def kernel_hash(kernel: Kernel) -> str:
     but not the kernel name or free-form metadata, so renamed-but-identical
     kernels hash equal.
     """
-    digest = hashlib.sha256(b"".join([encoded.to_bytes() for encoded in kernel.encoded]))
+    # The bytes of every EncodedInstruction.to_bytes() in a row (the
+    # extension word only when it is not 0), packed in one call.
+    words: list[int] = []
+    for encoded in kernel.encoded:
+        words.append(encoded.primary)
+        if encoded.extension:
+            words.append(encoded.extension)
+    digest = hashlib.sha256(struct.pack(f"<{len(words)}Q", *words))
     for index in sorted(kernel.branch_targets):
         digest.update(index.to_bytes(4, "little"))
         digest.update(kernel.branch_targets[index].to_bytes(4, "little"))
-    digest.update(b"".join([
-        encode_control_word(notation).to_bytes(8, "little")
-        for notation in kernel.control_notations
-    ]))
+    controls = [encode_control_word(notation) for notation in kernel.control_notations]
+    digest.update(struct.pack(f"<{len(controls)}Q", *controls))
     digest.update(kernel.shared_memory_bytes.to_bytes(8, "little"))
     digest.update(kernel.threads_per_block.to_bytes(4, "little"))
     return digest.hexdigest()

@@ -446,9 +446,14 @@ def check_reorder(proc: Proc, outer: str, inner: str) -> Dependence | None:
     Interchange reverses the execution order exactly of instance pairs whose
     distances on ``(outer, inner)`` have strictly opposite signs; a
     dependence is blocking unless that sign pattern is provably impossible.
+    Only accesses nested in both loops can form such a pair: any other pair
+    has no distance on one of the two loops, so it is never solved.
     """
     extents = {var: loop.extent for var, loop in proc.loops().items()}
-    accesses = collect_accesses(proc.body)
+    accesses = [
+        access for access in collect_accesses(proc.body)
+        if outer in access.loops and inner in access.loops
+    ]
     for i, a in enumerate(accesses):
         for b in accesses[i:]:
             if a.tensor != b.tensor or not (a.is_write or b.is_write):

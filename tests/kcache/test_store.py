@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
 from repro.context import session
+from repro.errors import StoreCorruptionError
 from repro.kcache import KernelStore, routine_key
 from repro.opt.autotune import simulate_one_block
 from repro.opt.rewrite import kernel_hash
@@ -106,6 +108,91 @@ class TestTornEntries:
             assert second.source == "built"
             assert kernel_hash(second.kernel) == kernel_hash(first.kernel)
             assert store.load(first.key) is not None
+
+
+#: ``gc.isenabled()`` as seen from inside each ``pickle.loads`` of a
+#: :class:`_CollectorProbe`.
+_SEEN_DURING_LOAD: list[bool] = []
+
+
+def _record_collector_state() -> str:
+    _SEEN_DURING_LOAD.append(gc.isenabled())
+    return "probed"
+
+
+def _fail_to_load():
+    raise ValueError("this payload does not unpickle")
+
+
+class _CollectorProbe:
+    """Unpickles by recording whether the cyclic collector is running."""
+
+    def __reduce__(self):
+        return (_record_collector_state, ())
+
+
+class _Unloadable:
+    """Pickles fine, so its entry's checksum matches, but never unpickles."""
+
+    def __reduce__(self):
+        return (_fail_to_load, ())
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector's state whatever a test leaves behind."""
+    was_enabled = gc.isenabled()
+    yield
+    _set_collector(was_enabled)
+
+
+@pytest.mark.usefixtures("collector_state")
+class TestCollectorPause:
+    """``load`` pauses the cyclic collector only while it unpickles."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_restores_the_collector_state(self, tmp_path, enabled):
+        store = KernelStore(tmp_path / "kcache")
+        store.put("probe", kind="build", artifacts={"probe": _CollectorProbe()})
+        _SEEN_DURING_LOAD.clear()
+        _set_collector(enabled)
+        entry = store.load("probe")
+        assert gc.isenabled() is enabled
+        assert entry is not None and entry.artifacts == {"probe": "probed"}
+        assert _SEEN_DURING_LOAD == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_unpicklable_payload_is_discarded_and_counted(self, tmp_path, enabled):
+        from repro.telemetry.metrics import MetricsRegistry
+
+        store = KernelStore(tmp_path / "kcache")
+        store.put("unloadable", kind="build", artifacts={"value": _Unloadable()})
+        assert store.verify("unloadable") == "payload does not unpickle"
+        registry = MetricsRegistry()
+        _set_collector(enabled)
+        with session(metrics=registry):
+            assert store.load("unloadable") is None
+        assert gc.isenabled() is enabled
+        assert registry.snapshot().counter_total("kcache.store.corrupt") == 1
+        assert not store.meta_path("unloadable").exists()
+        assert not store.payload_path("unloadable").exists()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_unpicklable_payload_raises_when_asked(self, tmp_path, enabled):
+        store = KernelStore(tmp_path / "kcache")
+        store.put("unloadable", kind="build", artifacts={"value": _Unloadable()})
+        _set_collector(enabled)
+        with pytest.raises(StoreCorruptionError, match="does not unpickle"):
+            store.load("unloadable", on_corrupt="raise")
+        assert gc.isenabled() is enabled
+        assert store.meta_path("unloadable").exists()
 
 
 class TestEnumeration:
