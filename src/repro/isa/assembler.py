@@ -16,11 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import AssemblyError
 from repro.isa.instructions import cached_property
-from repro.isa.control_notation import (
-    ControlNotation,
-    GROUP_SIZE,
-    notation_schedule_for,
-)
+from repro.isa.control_notation import ControlNotation, GROUP_SIZE
 from repro.isa.encoding import EncodedInstruction, encode_instruction
 from repro.isa.instructions import Instruction, Opcode, Program
 from repro.isa.parser import parse_program
@@ -124,8 +120,6 @@ def assemble(
     *,
     shared_memory_bytes: int = 0,
     threads_per_block: int = 0,
-    emit_control_notation: bool = False,
-    control_hint: int | None = None,
     metadata: dict[str, object] | None = None,
 ) -> Kernel:
     """Assemble a :class:`Program` into a :class:`Kernel`.
@@ -139,12 +133,8 @@ def assemble(
     threads_per_block:
         Block size the kernel expects (stored as metadata; the simulator can
         still launch other sizes for micro-benchmarks).
-    emit_control_notation:
-        When true, generate Kepler control-notation words (one per group of
-        seven instructions), mimicking the paper's fixed-hint scheme.
-    control_hint:
-        The 8-bit hint used for every slot when ``emit_control_notation`` is
-        set; defaults to the library's default hint.
+    metadata:
+        Annotations merged under the program's own.
 
     Raises
     ------
@@ -167,21 +157,11 @@ def assemble(
                 raise AssemblyError(f"label '{target_name}' points past the end of the kernel")
             branch_targets[index] = target_index
 
-    encoded = tuple(encode_instruction(instruction) for instruction in instructions)
-
-    notations: tuple[ControlNotation, ...] = ()
-    if emit_control_notation:
-        if control_hint is None:
-            notations = tuple(notation_schedule_for(len(instructions)))
-        else:
-            notations = tuple(notation_schedule_for(len(instructions), hint=control_hint))
-
     return Kernel(
         name=program.name,
         instructions=instructions,
         branch_targets=branch_targets,
-        encoded=encoded,
-        control_notations=notations,
+        encoded=tuple(encode_instruction(instruction) for instruction in instructions),
         shared_memory_bytes=shared_memory_bytes,
         threads_per_block=threads_per_block,
         metadata=dict(metadata or {}) | dict(program.metadata),
@@ -194,8 +174,6 @@ def assemble_text(
     name: str = "kernel",
     shared_memory_bytes: int = 0,
     threads_per_block: int = 0,
-    emit_control_notation: bool = False,
-    control_hint: int | None = None,
 ) -> Kernel:
     """Parse assembly text and assemble it in one step."""
     program = parse_program(text, name=name)
@@ -203,6 +181,4 @@ def assemble_text(
         program,
         shared_memory_bytes=shared_memory_bytes,
         threads_per_block=threads_per_block,
-        emit_control_notation=emit_control_notation,
-        control_hint=control_hint,
     )

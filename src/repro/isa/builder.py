@@ -61,15 +61,13 @@ class KernelBuilder:
         Static shared-memory footprint per block.
     threads_per_block:
         Block size the kernel is generated for.
-    emit_control_notation:
-        Whether to emit Kepler control-notation words when assembling.
+    metadata:
+        Annotations the assembled kernel carries.
     """
 
     name: str = "kernel"
     shared_memory_bytes: int = 0
     threads_per_block: int = 0
-    emit_control_notation: bool = False
-    control_hint: int | None = None
     metadata: dict[str, object] = field(default_factory=dict)
     _items: list[object] = field(default_factory=list, repr=False)
     _guard: Predicate = field(default=PT, repr=False)
@@ -319,8 +317,6 @@ class KernelBuilder:
             self.program(),
             shared_memory_bytes=self.shared_memory_bytes,
             threads_per_block=self.threads_per_block,
-            emit_control_notation=self.emit_control_notation,
-            control_hint=self.control_hint,
             metadata=self.metadata,
         )
 

@@ -40,7 +40,6 @@ from repro.kcache.store import (
 )
 from repro.kcache.warmstart import (
     SCHEDULE_FIELDS,
-    WarmSeed,
     nearest_tuned,
     shape_distance,
     warm_seed_candidates,
@@ -65,7 +64,6 @@ __all__ = [
     "KernelStore",
     "StoreEntry",
     "StoreStats",
-    "WarmSeed",
     "claim_build",
     "clear_session_store",
     "config_fingerprint",

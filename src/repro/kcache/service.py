@@ -32,8 +32,9 @@ request either returns a bit-exact kernel or raises a
   deduped followers and later requests fail fast instead of re-running the
   doomed build as a thundering retry storm;
 * :class:`repro.errors.StoreUnavailableError` — transient store errors
-  persisted past the bounded :class:`RetryPolicy` (exponential backoff with
-  deterministic per-key jitter).
+  persisted through a build past the bounded :class:`RetryPolicy`
+  (exponential backoff with deterministic per-key jitter; a claim or a
+  publish that runs out of retries degrades instead).
 
 Economics flow through :mod:`repro.telemetry.metrics`: ``kcache.hits`` /
 ``kcache.misses`` / ``kcache.builds`` counters (labelled by request mode),
@@ -44,7 +45,6 @@ telemetry, plus lookup/build/dedupe-wait second histograms.
 from __future__ import annotations
 
 import errno
-import functools
 import random
 import threading
 import time
@@ -140,25 +140,28 @@ class RetryPolicy:
 DEFAULT_RETRY = RetryPolicy()
 
 
-def _transient(exc: OSError) -> bool:
-    return exc.errno in _TRANSIENT_ERRNOS
+def _retrying(operation, op_labels, retry: RetryPolicy, rng: random.Random,
+              deadline: Deadline):
+    """``operation()``, retried on transient OS errors.
 
-
-def _sleep_backoff(
-    retry: RetryPolicy, attempt: int, rng: random.Random, deadline: Deadline
-) -> None:
-    remaining = deadline.remaining()
-    if remaining > 0:
-        time.sleep(min(retry.delay(attempt, rng), remaining))
-
-
-class _StoreUnusable(Exception):
-    """Internal signal: the durable store rejected an essential operation."""
-
-    def __init__(self, reason_labels, cause: BaseException) -> None:
-        super().__init__(str(cause))
-        self.reason_labels = reason_labels
-        self.cause = cause
+    Retries back off on ``retry``'s schedule while attempts and ``deadline``
+    remain, each counted on ``kcache.retries`` under ``op_labels``.  Once
+    they run out, or for any other error, the error propagates: what an
+    exhausted operation means is the caller's decision.
+    """
+    attempt = 0
+    while True:
+        try:
+            return operation()
+        except OSError as exc:
+            if (exc.errno not in _TRANSIENT_ERRNOS or attempt >= retry.attempts
+                    or deadline.expired):
+                raise
+            counter_inc("kcache.retries", 1, op_labels)
+            remaining = deadline.remaining()
+            if remaining > 0:
+                time.sleep(min(retry.delay(attempt, rng), remaining))
+            attempt += 1
 
 
 # --------------------------------------------------------------------------- #
@@ -190,6 +193,19 @@ def _session_key(store: KernelStore, key: str) -> tuple[str, str]:
 def _session_get(skey: tuple[str, str]) -> StoreEntry | None:
     with _SESSION_LOCK:
         return _SESSION_ENTRIES.get(skey)
+
+
+def _park(store: KernelStore, key: str, meta: dict, artifacts: dict) -> StoreEntry:
+    """Park an entry the durable store could not take in the session store.
+
+    The entry is stamped ``durable=False`` and served as it is; later
+    degraded requests of the key reuse it instead of building again.
+    """
+    entry = StoreEntry(key=key, meta={**meta, "durable": False}, artifacts=dict(artifacts))
+    with _SESSION_LOCK:
+        _SESSION_ENTRIES[_session_key(store, key)] = entry
+    return entry
+
 
 def _session_build_lock(skey: tuple[str, str]) -> threading.Lock:
     with _SESSION_LOCK:
@@ -248,14 +264,9 @@ class KernelReply:
     wait_s: float = 0.0
 
     @property
-    def proc(self):
-        """The scheduled Proc, when the workload has one."""
-        return self.entry.artifacts.get("proc")
-
-    @property
     def kernel(self):
-        """The served kernel: the optimized one, else the naive one."""
-        return self.entry.artifacts.get("kernel_opt") or self.entry.artifacts.get("kernel")
+        """The served kernel: the entry's optimized kernel."""
+        return self.entry.artifacts["kernel_opt"]
 
     @property
     def durable(self) -> bool:
@@ -289,32 +300,21 @@ def _schedule_dict(config) -> dict:
     }
 
 
-def _entry_payload(workload, config, spec, *, optimize: bool = True):
-    """Build the artifact dict and kernel hashes for one schedule point.
+def _entry_payload(workload, config, spec):
+    """The artifacts and kernel hashes of one schedule point's entry.
 
-    The entry holds only the kernel it serves: ``kernel_opt``, the pass
-    pipeline run over the naive kernel, or ``kernel`` itself when
-    ``optimize`` is off.  The hashes name both.  The scheduled proc comes
-    from the workload's memo, so a point the sweep already scheduled
-    in-process is not scheduled again.
+    The entry holds only the kernel it serves, ``kernel_opt``: the pass
+    pipeline run over the naive kernel.  The hashes name both kernels.
     """
     from repro.opt.pipeline import optimize_kernel
     from repro.opt.rewrite import kernel_hash
 
-    artifacts: dict = {}
-    hashes: dict[str, str] = {}
-    cached_proc = getattr(workload, "cached_scheduled_proc", None)
-    if cached_proc is not None:
-        artifacts["proc"] = cached_proc(config)
     naive = workload.generate_naive(config)
-    hashes["kernel"] = kernel_hash(naive)
-    if optimize:
-        optimized = optimize_kernel(naive, spec).kernel
-        artifacts["kernel_opt"] = optimized
-        hashes["kernel_opt"] = kernel_hash(optimized)
-    else:
-        artifacts["kernel"] = naive
-    return artifacts, hashes
+    optimized = optimize_kernel(naive, spec).kernel
+    return (
+        {"kernel_opt": optimized},
+        {"kernel": kernel_hash(naive), "kernel_opt": kernel_hash(optimized)},
+    )
 
 
 def _provenance_metrics(workload, config, cycles, gflops, efficiency) -> dict:
@@ -333,86 +333,69 @@ def _provenance_metrics(workload, config, cycles, gflops, efficiency) -> dict:
     return metrics
 
 
-def _build_direct(publish, key, workload, name, config, spec, gpu_key):
-    """Cold-miss path without tuning: build the requested point and publish."""
-    from repro.opt.autotune import simulate_one_block
+def _build(store, key, workload, config, spec, gpu_key, *, tune, workers, warm_start, space):
+    """Build ``key``'s entry; returns its composed (meta, payload, artifacts).
 
-    artifacts, hashes = _entry_payload(workload, config, spec)
-    result = simulate_one_block(spec, artifacts["kernel_opt"])
-    return publish(
-        key,
-        kind="tuned",
-        artifacts=artifacts,
-        workload=name,
-        gpu=gpu_key,
-        config=config,
-        kernel_hashes=hashes,
-        metrics=_provenance_metrics(
-            workload, config, result.cycles, result.gflops(spec), result.efficiency(spec)
-        ),
-        extra={
-            "tune_mode": "direct",
-            "winner_schedule": _schedule_dict(config),
-            "shape": [list(pair) for pair in shape_of(config)],
-        },
-    )
+    With ``tune`` and a workload in
+    :data:`repro.tile.autotune.SWEPT_WORKLOADS`, a generative sweep over the
+    requested problem size picks the schedule point.  With ``warm_start``,
+    the winners of the store's nearest tuned shapes seed the sweep
+    (:func:`repro.kcache.warmstart.warm_seed_candidates`).  The winner is not
+    simulated again: its entry publishes the sweep's own measurement once
+    the rebuilt kernel's content hash matches the one the sweep simulated.
+    A mismatch fails the build: the key is poisoned and nothing is
+    published.
 
-
-def _build_tuned(
-    publish, store, key, workload, name, config, spec, gpu_key,
-    *, workers, warm_start, space,
-):
-    """Cold-miss path with tuning: a sweep over the requested problem size.
-
-    Workloads outside :data:`repro.tile.autotune.SWEPT_WORKLOADS` have no
-    schedule space to sweep and fall back to a direct build at the
-    requested configuration.  With ``warm_start``, the winners of the
-    store's nearest tuned shapes seed the sweep
-    (:func:`repro.kcache.warmstart.warm_seed_candidates`).
-
-    The winner is not simulated again: its entry publishes the sweep's own
-    measurement once the rebuilt kernel's content hash matches the one the
-    sweep simulated.  A mismatch fails the build: the key is poisoned and
-    nothing is published.
+    Otherwise, or when nothing in the swept space is viable for the shape
+    (e.g. every generative tile is structurally invalid), the requested
+    point itself is built and simulated once.
     """
+    from repro.opt.autotune import simulate_one_block
     from repro.tile.autotune import SWEPT_WORKLOADS, run_generative_sweep
 
-    if name not in SWEPT_WORKLOADS:
-        return _build_direct(publish, key, workload, name, config, spec, gpu_key)
-    seeds = warm_seed_candidates(store, name, gpu_key, config) if warm_start else ()
-    sweep = run_generative_sweep(
-        spec, name, config, seeds=seeds, workers=workers, **(space or {})
-    )
-    winner = next((o for o in sweep.outcomes if o.ok), None)
-    if winner is None:
-        # Nothing in the swept space was viable for this shape (e.g. every
-        # generative tile is structurally invalid): the requested point
-        # itself is still buildable.
-        return _build_direct(publish, key, workload, name, config, spec, gpu_key)
-    candidate = winner.candidate
-    artifacts, hashes = _entry_payload(
-        workload, candidate.config, spec, optimize=candidate.optimize
-    )
-    rebuilt = hashes.get("kernel_opt", hashes["kernel"])
-    if rebuilt != winner.kernel_hash:
-        # A ReproError, not a KernelCacheError: _checked_build passes the
-        # latter through unpoisoned.
-        raise ReproError(
-            f"sweep winner {winner.label!r} rebuilt to kernel {rebuilt[:12]}, "
-            f"not the measured {winner.kernel_hash[:12]}"
+    name = workload.name
+    winner = None
+    if tune and name in SWEPT_WORKLOADS:
+        seeds = warm_seed_candidates(store, name, gpu_key, config) if warm_start else ()
+        sweep = run_generative_sweep(
+            spec, name, config, seeds=seeds, workers=workers, **(space or {})
         )
-    metrics = _provenance_metrics(
-        workload, candidate.config, winner.cycles, winner.gflops, winner.efficiency
-    )
-    metrics.update(
-        sweep_candidates=float(sweep.prune.total),
-        sweep_pruned=float(len(sweep.prune.pruned)),
-        sweep_simulated=float(len(sweep.outcomes)),
-        sweep_warm_seeds=float(len(sweep.seed_candidates)),
-        sweep_warm_pruned=float(sweep.warm_pruned),
-        sweep_seconds=float(sweep.total_elapsed_s),
-    )
-    return publish(
+        winner = next((o for o in sweep.outcomes if o.ok), None)
+    point = config if winner is None else winner.candidate.config
+    artifacts, hashes = _entry_payload(workload, point, spec)
+    if winner is None:
+        result = simulate_one_block(spec, artifacts["kernel_opt"])
+        metrics = _provenance_metrics(
+            workload, point, result.cycles, result.gflops(spec), result.efficiency(spec)
+        )
+        extra = {"tune_mode": "direct"}
+    else:
+        if hashes["kernel_opt"] != winner.kernel_hash:
+            # A ReproError, not a KernelCacheError: _checked_build passes the
+            # latter through unpoisoned.
+            raise ReproError(
+                f"sweep winner {winner.label!r} rebuilt to kernel "
+                f"{hashes['kernel_opt'][:12]}, not the measured {winner.kernel_hash[:12]}"
+            )
+        metrics = _provenance_metrics(
+            workload, point, winner.cycles, winner.gflops, winner.efficiency
+        )
+        metrics.update(
+            sweep_candidates=float(sweep.prune.total),
+            sweep_pruned=float(len(sweep.prune.pruned)),
+            sweep_simulated=float(len(sweep.outcomes)),
+            sweep_warm_seeds=float(len(sweep.seed_candidates)),
+            sweep_warm_pruned=float(sweep.warm_pruned),
+            sweep_seconds=float(sweep.total_elapsed_s),
+        )
+        extra = {
+            "tune_mode": "sweep",
+            "winner_label": winner.label,
+            "winner_config": repr(point),
+        }
+    extra["winner_schedule"] = _schedule_dict(point)
+    extra["shape"] = [list(pair) for pair in shape_of(config)]
+    meta, payload = store.compose(
         key,
         kind="tuned",
         artifacts=artifacts,
@@ -421,73 +404,9 @@ def _build_tuned(
         config=config,
         kernel_hashes=hashes,
         metrics=metrics,
-        extra={
-            "tune_mode": "sweep",
-            "winner_label": winner.label,
-            "winner_config": repr(candidate.config),
-            "winner_schedule": _schedule_dict(candidate.config),
-            "shape": [list(pair) for pair in shape_of(config)],
-        },
+        extra=extra,
     )
-
-
-# --------------------------------------------------------------------------- #
-# Hardened plumbing: retrying claim/publish, checked builds.                   #
-# --------------------------------------------------------------------------- #
-
-
-def _claim_with_retry(store, key, retry, rng, deadline, stale_after):
-    """claim_build with transient-error retries; degrades on hard failure."""
-    attempt = 0
-    while True:
-        try:
-            return claim_build(store.lock_path(key), stale_after=stale_after)
-        except OSError as exc:
-            if _transient(exc) and attempt < retry.attempts and not deadline.expired:
-                counter_inc("kcache.retries", 1, _RETRY_CLAIM)
-                _sleep_backoff(retry, attempt, rng, deadline)
-                attempt += 1
-                continue
-            raise _StoreUnusable(_DEGRADED_CLAIM, exc) from exc
-
-
-def _durable_publish(store, retry, rng, deadline, key, **kwargs):
-    """store.put with transient-error retries; degrades to the session store.
-
-    When the durable store rejects the publish outright (read-only, full,
-    or retries exhausted), the freshly built artifacts are *not* discarded:
-    the composed entry is stamped non-durable, parked in the session store
-    and served — build-and-serve without durable publish.
-    """
-    artifacts = kwargs["artifacts"]
-    meta, payload = store.compose(key, **kwargs)
-    attempt = 0
-    while True:
-        try:
-            return store.publish(key, meta, payload, artifacts)
-        except OSError as exc:
-            if _transient(exc) and attempt < retry.attempts and not deadline.expired:
-                counter_inc("kcache.retries", 1, _RETRY_PUT)
-                _sleep_backoff(retry, attempt, rng, deadline)
-                attempt += 1
-                continue
-            counter_inc("kcache.degraded", 1, _DEGRADED_PUBLISH)
-            meta = dict(meta)
-            meta["durable"] = False
-            entry = StoreEntry(key=key, meta=meta, artifacts=dict(artifacts))
-            with _SESSION_LOCK:
-                _SESSION_ENTRIES[_session_key(store, key)] = entry
-            return entry
-
-
-def _session_publish(store, key, **kwargs):
-    """Compose an entry in memory only (the degraded build's publish)."""
-    meta, _payload = store.compose(key, **kwargs)
-    meta["durable"] = False
-    entry = StoreEntry(key=key, meta=meta, artifacts=dict(kwargs["artifacts"]))
-    with _SESSION_LOCK:
-        _SESSION_ENTRIES[_session_key(store, key)] = entry
-    return entry
+    return meta, payload, artifacts
 
 
 def _checked_build(
@@ -499,59 +418,24 @@ def _checked_build(
     raise :class:`StoreUnavailableError`.  Any deterministic failure
     poisons the key (TTL'd) and raises :class:`BuildFailedError`, so
     deduped followers fail fast instead of re-running the doomed build.
-    :class:`InjectedCrash` (simulated death) passes through untouched.
+    :class:`KernelCacheError` and :class:`InjectedCrash` (simulated death)
+    pass through untouched.
     """
-    attempt = 0
-    while True:
-        try:
-            return builder()
-        except KernelCacheError:
-            raise
-        except OSError as exc:
-            if _transient(exc) and attempt < retry.attempts and not deadline.expired:
-                counter_inc("kcache.retries", 1, _RETRY_BUILD)
-                _sleep_backoff(retry, attempt, rng, deadline)
-                attempt += 1
-                continue
-            raise StoreUnavailableError(
-                f"store failed while building {key!r}: {exc}", key=key, cause=exc
-            ) from exc
-        except Exception as exc:
-            _mark_poisoned(store, key, f"{type(exc).__name__}: {exc}", poison_ttl)
-            raise BuildFailedError(
-                f"build of {key!r} failed deterministically: {exc}",
-                key=key,
-                cause=exc,
-            ) from exc
-
-
-def _degraded_request(
-    store, key, builder_factory, labels, reason_labels, deadline, retry, rng,
-    poison_ttl, lookup_s,
-) -> KernelReply:
-    """Serve ``key`` from the in-memory session store, building if needed."""
-    counter_inc("kcache.degraded", 1, reason_labels)
-    skey = _session_key(store, key)
-    entry = _session_get(skey)
-    if entry is not None:
-        return KernelReply(key=key, source="degraded", entry=entry, lookup_s=lookup_s)
-    with _session_build_lock(skey):
-        entry = _session_get(skey)
-        if entry is not None:
-            return KernelReply(key=key, source="degraded", entry=entry, lookup_s=lookup_s)
-        _check_poison(store, key, labels)
-        session_publish = functools.partial(_session_publish, store)
-        built_at = time.perf_counter()
-        entry = _checked_build(
-            builder_factory(session_publish), store, key, retry, rng, deadline,
-            poison_ttl,
-        )
-        build_s = time.perf_counter() - built_at
-    counter_inc("kcache.builds", 1, labels)
-    observe("kcache.build_seconds", build_s)
-    return KernelReply(
-        key=key, source="degraded", entry=entry, build_s=build_s, lookup_s=lookup_s
-    )
+    try:
+        return _retrying(builder, _RETRY_BUILD, retry, rng, deadline)
+    except KernelCacheError:
+        raise
+    except OSError as exc:
+        raise StoreUnavailableError(
+            f"store failed while building {key!r}: {exc}", key=key, cause=exc
+        ) from exc
+    except Exception as exc:
+        _mark_poisoned(store, key, f"{type(exc).__name__}: {exc}", poison_ttl)
+        raise BuildFailedError(
+            f"build of {key!r} failed deterministically: {exc}",
+            key=key,
+            cause=exc,
+        ) from exc
 
 
 def get_kernel(
@@ -621,17 +505,7 @@ def get_kernel(
         store = current().store or KernelStore()
     key = routine_key(name, config, gpu_key)
     labels = _TUNED_LABELS if tune else _DIRECT_LABELS
-    retry = DEFAULT_RETRY if retry is None else retry
-    rng = random.Random(key)  # deterministic jitter: replayed schedules replay
     deadline = Deadline(timeout)
-
-    def builder_factory(publish):
-        if tune:
-            return lambda: _build_tuned(
-                publish, store, key, obj, name, config, spec, gpu_key,
-                workers=workers, warm_start=warm_start, space=space,
-            )
-        return lambda: _build_direct(publish, key, obj, name, config, spec, gpu_key)
 
     started = time.perf_counter()
     entry = store.load(key)
@@ -641,17 +515,59 @@ def get_kernel(
         observe("kcache.lookup_seconds", lookup_s)
         return KernelReply(key=key, source="hit", entry=entry, lookup_s=lookup_s)
     counter_inc("kcache.misses", 1, labels)
+    retry = DEFAULT_RETRY if retry is None else retry
+    rng = random.Random(key)  # deterministic jitter: replayed schedules replay
+
+    def build_reply(durable: bool) -> KernelReply:
+        """Build the entry, publish it (``durable``) or park it, and reply."""
+
+        def build() -> StoreEntry:
+            meta, payload, artifacts = _build(
+                store, key, obj, config, spec, gpu_key,
+                tune=tune, workers=workers, warm_start=warm_start, space=space,
+            )
+            if durable:
+                try:
+                    return _retrying(
+                        lambda: store.publish(key, meta, payload, artifacts),
+                        _RETRY_PUT, retry, rng, deadline,
+                    )
+                except OSError:
+                    # Read-only, full, or failing past the retries: the
+                    # build is served from memory, not thrown away.
+                    counter_inc("kcache.degraded", 1, _DEGRADED_PUBLISH)
+            return _park(store, key, meta, artifacts)
+
+        built_at = time.perf_counter()
+        entry = _checked_build(build, store, key, retry, rng, deadline, poison_ttl)
+        build_s = time.perf_counter() - built_at
+        counter_inc("kcache.builds", 1, labels)
+        observe("kcache.build_seconds", build_s)
+        source = "built" if entry.durable else "degraded"
+        return KernelReply(key=key, source=source, entry=entry, build_s=build_s,
+                           lookup_s=lookup_s)
 
     while True:
         deadline.check(f"contending for the build claim of {key!r}")
         _check_poison(store, key, labels)
         try:
-            claim = _claim_with_retry(store, key, retry, rng, deadline, stale_after)
-        except _StoreUnusable as unusable:
-            return _degraded_request(
-                store, key, builder_factory, labels, unusable.reason_labels,
-                deadline, retry, rng, poison_ttl, lookup_s,
+            claim = _retrying(
+                lambda: claim_build(store.lock_path(key), stale_after=stale_after),
+                _RETRY_CLAIM, retry, rng, deadline,
             )
+        except OSError:
+            # Claims fail (read-only, full, or failing past the retries):
+            # build anyway and serve from the in-memory session store.
+            counter_inc("kcache.degraded", 1, _DEGRADED_CLAIM)
+            skey = _session_key(store, key)
+            entry = _session_get(skey)
+            if entry is None:
+                with _session_build_lock(skey):
+                    entry = _session_get(skey)
+                    if entry is None:
+                        _check_poison(store, key, labels)
+                        return build_reply(durable=False)
+            return KernelReply(key=key, source="degraded", entry=entry, lookup_s=lookup_s)
         if claim is not None:
             with claim:
                 # A racer may have published between our miss and our claim.
@@ -659,20 +575,7 @@ def get_kernel(
                 if entry is not None:
                     counter_inc("kcache.hits", 1, labels)
                     return KernelReply(key=key, source="hit", entry=entry, lookup_s=lookup_s)
-                durable_publish = functools.partial(
-                    _durable_publish, store, retry, rng, deadline
-                )
-                built_at = time.perf_counter()
-                entry = _checked_build(
-                    builder_factory(durable_publish), store, key, retry, rng,
-                    deadline, poison_ttl,
-                )
-                build_s = time.perf_counter() - built_at
-            counter_inc("kcache.builds", 1, labels)
-            observe("kcache.build_seconds", build_s)
-            source = "built" if entry.durable else "degraded"
-            return KernelReply(key=key, source=source, entry=entry, build_s=build_s,
-                               lookup_s=lookup_s)
+                return build_reply(durable=True)
         waited_at = time.perf_counter()
         entry = wait_for(
             lambda: store.load(key),

@@ -3,7 +3,7 @@
 One entry per routine key (:mod:`repro.kcache.keys`), laid out as::
 
     .repro/kcache/<shard>/<key>.json   # meta: the commit marker
-    .repro/kcache/<shard>/<key>.pkl    # pickled artifacts (proc, served kernel)
+    .repro/kcache/<shard>/<key>.pkl    # pickled artifacts (the served kernel)
 
 Write discipline (the segment-file lesson of :mod:`repro.telemetry.ledger`,
 applied to two-file entries):
@@ -23,7 +23,7 @@ kernel must hash (:func:`repro.opt.rewrite.kernel_hash`) identically to a
 fresh schedule→lower→optimize run, including the provenance tags and control
 notations a text round-trip would drop.  Integrity is checked against the
 pickle bytes' SHA-256 (cheap), not by re-hashing the kernel on every read.
-A kernel entry holds the scheduled proc and the one kernel it serves.  A
+A kernel entry holds the one kernel it serves and nothing else.  A
 kernel pickles its declared fields only, and each instruction and each
 encoding pickles as one call of a module-level reconstructor
 (``repro.isa.instructions._rebuild_instruction``,
@@ -88,15 +88,16 @@ __all__ = [
     "StoreStats",
 ]
 
-#: Entry format version, stamped into every meta.  Schema 2: a kernel entry
-#: holds only the kernel it serves, and kernels pickle their declared fields
-#: only.  Schema 3: instructions and encodings pickle through their
-#: reconstructors.  No reader checks the number.  Schema-1 and schema-2
-#: payloads load and serve (a schema-1 payload's extra naive kernel and
-#: cached values are simply ignored).  Code older than schema 3 cannot find
-#: the reconstructors a schema-3 payload names, so it finds the payload
-#: unpicklable, discards it and rebuilds: it never serves a wrong kernel.
-KCACHE_SCHEMA = 3
+#: Entry format version, stamped into every meta; no reader checks it.
+#: Schema 2: kernels pickle their declared fields only, and an entry holds
+#: one kernel beside the scheduled proc.  Schema 3: instructions and
+#: encodings pickle through their reconstructors.  Schema 4: an entry holds
+#: ``kernel_opt`` alone.  Schema-1 to schema-3 entries still serve their
+#: ``kernel_opt`` (their other artifacts are ignored), and schema-3 code
+#: serves a schema-4 entry as a hit.  Code older than schema 3 cannot find
+#: the reconstructors a payload names, so it finds the payload unpicklable,
+#: discards it and rebuilds: it never serves a wrong kernel.
+KCACHE_SCHEMA = 4
 
 #: Where the store lives unless told otherwise (relative to the CWD).
 DEFAULT_KCACHE_ROOT = ".repro/kcache"
@@ -129,6 +130,30 @@ _POISON_SITES = (
 )
 
 
+def _checked_artifacts(meta: dict, payload: bytes) -> tuple[dict | None, str]:
+    """``payload``'s artifacts, or why the commit marker ``meta`` disowns it.
+
+    Byte count and SHA-256 are checked before anything is unpickled, and the
+    cyclic collector is paused around ``pickle.loads`` only (its state is
+    restored whatever happens): the thousands of objects a kernel unpickles
+    to would set off collections that find nothing to free.  Returns
+    ``(artifacts, "")`` or ``(None, reason)``.
+    """
+    if len(payload) != meta.get("payload_bytes"):
+        return None, f"payload is {len(payload)} bytes, meta committed {meta.get('payload_bytes')}"
+    if sha256(payload).hexdigest() != meta.get("payload_sha256"):
+        return None, "payload SHA-256 disagrees with the commit marker"
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(payload), ""
+    except Exception:  # pickle raises broadly on hostile/torn bytes
+        return None, "payload does not unpickle"
+    finally:
+        if collecting:
+            gc.enable()
+
+
 @dataclass(frozen=True)
 class StoreEntry:
     """One loaded store entry: the meta document plus the artifact dict.
@@ -136,9 +161,9 @@ class StoreEntry:
     ``meta`` is the committed JSON object (key, kind, workload, gpu, config
     repr, kernel hashes, metrics, provenance, payload checksum).
     ``artifacts`` maps artifact names to the unpickled objects.  An entry of
-    :func:`repro.kcache.get_kernel` holds ``"proc"`` and the kernel it
-    serves: ``"kernel_opt"``, or ``"kernel"`` for an unoptimized point.  Its
-    ``meta["kernel_hashes"]`` names both the naive and the optimized kernel.
+    :func:`repro.kcache.get_kernel` holds exactly the kernel it serves,
+    ``"kernel_opt"``; its ``meta["kernel_hashes"]`` names both the naive and
+    the optimized kernel.
     """
 
     key: str
@@ -396,26 +421,14 @@ class KernelStore:
             payload = self.payload_path(key).read_bytes()
         except OSError:
             return "payload missing or unreadable"
-        if len(payload) != meta.get("payload_bytes"):
-            return (
-                f"payload is {len(payload)} bytes, meta committed "
-                f"{meta.get('payload_bytes')}"
-            )
-        if sha256(payload).hexdigest() != meta.get("payload_sha256"):
-            return "payload SHA-256 disagrees with the commit marker"
-        try:
-            pickle.loads(payload)
-        except Exception:  # pickle raises broadly on hostile/torn bytes
-            return "payload does not unpickle"
-        return None
+        return _checked_artifacts(meta, payload)[1] or None
 
     def load(self, key: str, *, on_corrupt: str = "discard") -> StoreEntry | None:
         """The full entry of ``key``, integrity-checked; None on miss.
 
-        The payload's byte count and SHA-256 are checked against the
-        committed meta before anything is unpickled, and the cyclic
-        collector is paused only around that ``pickle.loads`` (its previous
-        state is restored whatever happens).  A torn, truncated or otherwise
+        The payload passes the same check as :meth:`verify`'s: byte count
+        and SHA-256 against the committed meta, then the unpickle, with the
+        cyclic collector paused.  A torn, truncated or otherwise
         corrupt entry (payload checksum or byte count disagreeing with the
         committed meta, or an unpicklable payload, such as one naming a
         reconstructor this code lacks) is *discarded* — both files removed —
@@ -435,26 +448,7 @@ class KernelStore:
             payload = fault_mutate("kcache.store.read.payload", payload)
         except OSError:
             payload = b""
-        reason = ""
-        artifacts = None
-        if (
-            len(payload) != meta.get("payload_bytes")
-            or sha256(payload).hexdigest() != meta.get("payload_sha256")
-        ):
-            reason = "payload bytes disagree with the commit marker"
-        else:
-            # Unpickling a kernel makes thousands of objects the cyclic
-            # collector tracks; the passes they would set off find nothing
-            # to free, so the collector waits until the payload is built.
-            collecting = gc.isenabled()
-            gc.disable()
-            try:
-                artifacts = pickle.loads(payload)
-            except Exception:  # pickle raises broadly on hostile/torn bytes
-                reason = "payload does not unpickle"
-            finally:
-                if collecting:
-                    gc.enable()
+        artifacts, reason = _checked_artifacts(meta, payload)
         if reason:
             if on_corrupt == "raise":
                 raise StoreCorruptionError(

@@ -23,7 +23,7 @@ would have won.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.kcache.keys import shape_of
@@ -35,7 +35,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SCHEDULE_FIELDS",
     "WARM_SEEDS",
-    "WarmSeed",
     "nearest_tuned",
     "shape_distance",
     "warm_seed_candidates",
@@ -60,15 +59,6 @@ SCHEDULE_FIELDS = (
     "threads",
     "k_window",
 )
-
-
-@dataclass(frozen=True)
-class WarmSeed:
-    """One neighbour-derived seed: the config plus where it came from."""
-
-    config: object
-    source_key: str
-    distance: float
 
 
 def shape_distance(a: tuple[tuple[str, int], ...], b: tuple[tuple[str, int], ...]) -> float:
@@ -123,16 +113,15 @@ def warm_seed_configs(
     neighbours: list[dict],
     *,
     valid=None,
-) -> list[WarmSeed]:
-    """Neighbour winners re-instantiated at ``base_config``'s shape.
+) -> list[object]:
+    """Neighbour winners re-instantiated at ``base_config``'s shape, as configs.
 
     Copies the :data:`SCHEDULE_FIELDS` present on both the neighbour's
     recorded winner and the config; ``valid`` (when given) filters seeds the
     target's structural rules reject — a 96-wide tile seed makes no sense on
     a 24-wide problem class, say.  Duplicate seeds collapse to the closest.
     """
-    seeds: list[WarmSeed] = []
-    seen: set[object] = set()
+    seeds: list[object] = []
     for meta in neighbours:
         winner = meta.get("winner_schedule", {})
         fields = {
@@ -146,21 +135,11 @@ def warm_seed_configs(
             config = replace(base_config, **fields)
         except (TypeError, ValueError):
             continue
-        if config in seen:
+        if config in seeds:
             continue
         if valid is not None and not valid(config):
             continue
-        seen.add(config)
-        seeds.append(
-            WarmSeed(
-                config=config,
-                source_key=str(meta.get("key", "")),
-                distance=shape_distance(
-                    shape_of(base_config),
-                    tuple((d, int(s)) for d, s in meta.get("shape", [])),
-                ),
-            )
-        )
+        seeds.append(config)
     return seeds
 
 
@@ -185,7 +164,7 @@ def warm_seed_candidates(
     return [
         WorkloadCandidate(
             workload=workload,
-            config=seed.config,
+            config=seed,
             optimize=True,
             label=f"{workload}:warm{index}",
         )

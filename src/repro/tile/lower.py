@@ -63,8 +63,9 @@ from repro.tile.ir import (
 #: Constant-bank offset of the first kernel parameter (CUDA-ABI-like).
 PARAM_BASE_OFFSET = 0x20
 
-#: Default size of the reusable operand-register pool for batched loads.
-DEFAULT_POOL_SIZE = 8
+#: Smallest operand-register pool for batched loads (the pool grows to the
+#: largest eager staging run).
+MIN_POOL_SIZE = 8
 
 #: Guard predicates alternate between these two indices (P0 is the loop
 #: branch, P1 the prefetch guard).
@@ -139,9 +140,15 @@ def launch_geometry(proc: Proc) -> LaunchGeometry:
     )
 
 
-def lower(proc: Proc, *, lds_width_bits: int = 64, ld_width_bits: int = 64,
-          pool_size: int | None = None) -> Kernel:
+def lower(proc: Proc, *, lds_width_bits: int = 64) -> Kernel:
     """Lower a scheduled proc to an assembled (unoptimized) kernel.
+
+    Adjacent *global* loads into consecutive registers always pair into
+    LD.64 (the hand SGEMV's ``wide_loads``).  The reusable operand pool for
+    batched loads is sized from a liveness estimate: whatever the
+    63-register file has left after the fixed allocations (accumulators,
+    pointers, counters, prefetch registers), grown to cover the largest
+    eager staging run so wide tiles do not fall back to chunked copies.
 
     Parameters
     ----------
@@ -150,25 +157,12 @@ def lower(proc: Proc, *, lds_width_bits: int = 64, ld_width_bits: int = 64,
     lds_width_bits:
         64 fuses adjacent *shared-memory* operand loads into register-pair
         LDS.64 (the paper's wide operand fetch); 32 keeps them narrow.
-    ld_width_bits:
-        The same choice for *global* loads (LD.64, the hand SGEMV's
-        ``wide_loads``).  The knobs are separate because pairing constrains
-        the register recoloring: the hand kernels pair exactly the streams
-        whose pairs the bank-conflict-free allocation can still color.
-    pool_size:
-        Registers in the reusable operand pool for batched loads.  ``None``
-        (the default) sizes the pool from a liveness estimate: whatever the
-        63-register file has left after the fixed allocations (accumulators,
-        pointers, counters, prefetch registers), grown to cover the largest
-        eager staging run so wide tiles stop falling back to chunked copies.
     """
-    for name, width in (("lds_width_bits", lds_width_bits), ("ld_width_bits", ld_width_bits)):
-        if width not in (32, 64):
-            raise LoweringError(f"{name} must be 32 or 64, got {width}")
+    if lds_width_bits not in (32, 64):
+        raise LoweringError(f"lds_width_bits must be 32 or 64, got {lds_width_bits}")
     check_proc(proc)
     with trace_span(f"lower.{proc.name}", category="tile") as span:
-        kernel = _Lowering(proc, lds_width_bits=lds_width_bits,
-                           ld_width_bits=ld_width_bits, pool_size=pool_size).lower()
+        kernel = _Lowering(proc, lds_width_bits=lds_width_bits).lower()
         span["instructions"] = kernel.instruction_count
         span["registers"] = kernel.register_count
     return kernel
@@ -223,7 +217,9 @@ class _Pool:
 
     def alloc(self) -> Register:
         if not self._free:
-            raise LoweringError("operand pool exhausted; raise pool_size")
+            raise LoweringError(
+                "operand pool exhausted; split the loop or shrink the register tile"
+            )
         return Register(self._free.pop(0))
 
     def alloc_pair(self) -> tuple[Register, Register] | None:
@@ -298,12 +294,9 @@ class _StagePlan:
 
 
 class _Lowering:
-    def __init__(self, proc: Proc, *, lds_width_bits: int, ld_width_bits: int,
-                 pool_size: int | None) -> None:
+    def __init__(self, proc: Proc, *, lds_width_bits: int) -> None:
         self._proc = proc
         self._wide_shared = lds_width_bits == 64
-        self._wide_global = ld_width_bits == 64
-        self._pool_size = pool_size
         # (tensor, index) -> _split_access result; accesses are resolved once
         # per unroll iteration but classify identically every time.
         self._split_cache: dict[tuple, tuple] = {}
@@ -364,11 +357,7 @@ class _Lowering:
             name=proc.name,
             shared_memory_bytes=self._shared_bytes,
             threads_per_block=self._geometry.threads_per_block,
-            metadata={
-                "tile_proc": proc.name,
-                "lds_width_bits": lds_width_bits,
-                "ld_width_bits": ld_width_bits,
-            },
+            metadata={"tile_proc": proc.name, "lds_width_bits": lds_width_bits},
         )
 
     # ------------------------------------------------------------------ #
@@ -826,22 +815,19 @@ class _Lowering:
                 plan.prefetch_regs = self._regs.take(
                     plan.per_thread, what=f"'{plan.stage.buffer}' prefetch"
                 )
-        if self._pool_size is None:
-            # Liveness-derived sizing: the fixed allocations above are live for
-            # the whole kernel, everything else is the pool's to batch with.
-            # Grow the default up to the largest eager (non-pipelined) staging
-            # run so wide tiles load in one sweep instead of chunking.
-            eager_need = max(
-                (
-                    plan.per_thread
-                    for plan in self._stage_plans.values()
-                    if not plan.pipelined
-                ),
-                default=0,
-            )
-            desired = max(DEFAULT_POOL_SIZE, eager_need)
-        else:
-            desired = self._pool_size
+        # Liveness-derived sizing: the fixed allocations above are live for
+        # the whole kernel, everything else is the pool's to batch with.
+        # Grow the minimum up to the largest eager (non-pipelined) staging
+        # run so wide tiles load in one sweep instead of chunking.
+        eager_need = max(
+            (
+                plan.per_thread
+                for plan in self._stage_plans.values()
+                if not plan.pipelined
+            ),
+            default=0,
+        )
+        desired = max(MIN_POOL_SIZE, eager_need)
         self._pool = _Pool(self._regs.take(
             min(desired, 63 - self._regs.used) if 63 - self._regs.used >= 2
             else desired,
@@ -1538,8 +1524,7 @@ class _Lowering:
                     offset = plan.src_const + q * plan.q_src_step
                     reg = plan.prefetch_regs[q]
                     if (
-                        self._wide_global
-                        and plan.q_src_step == 4
+                        plan.q_src_step == 4
                         and q + 1 < plan.per_thread
                         and plan.prefetch_regs[q + 1].index == reg.index + 1
                     ):
@@ -1843,7 +1828,7 @@ class _Lowering:
         if len(stmts) != 1 or not isinstance(stmts[0], Loop):
             raise LoweringError(
                 f"compute batch needs {len(uncached)} operand registers but the pool "
-                f"holds {self._pool.free_count}; raise pool_size or split the loop"
+                f"holds {self._pool.free_count}; split the loop or shrink the register tile"
             )
         loop = stmts[0]
         common = {
@@ -1852,7 +1837,7 @@ class _Lowering:
         if len(common) > self._pool.free_count:
             raise LoweringError(
                 f"{len(common)} loop-invariant operands exceed the {self._pool.free_count}"
-                f"-register pool; raise pool_size or split the loop further"
+                f"-register pool; split the loop further or shrink the register tile"
             )
         self._preload(common, pred, cache)
         # Every leaf sits under this loop: split them by its iteration.
@@ -1874,8 +1859,7 @@ class _Lowering:
         while position < len(ordered):
             key, (pointer, base, offset, shared, seq, _) = ordered[position]
             paired = None
-            wide = self._wide_shared if shared else self._wide_global
-            if wide and position + 1 < len(ordered):
+            if (self._wide_shared or not shared) and position + 1 < len(ordered):
                 next_key, (next_pointer, _, next_offset, _, _, _) = ordered[position + 1]
                 if next_pointer is pointer and next_offset == offset + 4 and not (
                     pointer.scratch_seq and seq

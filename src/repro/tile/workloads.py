@@ -107,14 +107,9 @@ class TileWorkload(Workload):
     def lds_width_bits(self, config) -> int:
         return 64
 
-    def ld_width_bits(self, config) -> int:
-        return 64
-
     def generate_naive(self, config) -> Kernel:
         return lower(
-            self.cached_scheduled_proc(config),
-            lds_width_bits=self.lds_width_bits(config),
-            ld_width_bits=self.ld_width_bits(config),
+            self.cached_scheduled_proc(config), lds_width_bits=self.lds_width_bits(config)
         )
 
     def oracle(self, config, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import AssemblyError
 from repro.isa import KernelBuilder
+from repro.isa.control_notation import notation_schedule_for
 from repro.isa.instructions import ConstRef, MemRef, Opcode
 from repro.isa.registers import SpecialRegister, predicate, reg
 
@@ -141,10 +144,15 @@ class TestBookkeeping:
         assert kernel.name == "demo"
         assert kernel.metadata["purpose"] == "test"
 
-    def test_control_notation_option(self):
-        builder = KernelBuilder(emit_control_notation=True, control_hint=0x25)
+    def test_control_notations_attach_to_a_built_kernel(self):
+        builder = KernelBuilder()
         for _ in range(10):
             builder.nop()
         builder.exit()
-        kernel = builder.build()
+        built = builder.build()
+        assert built.control_notations == ()
+        kernel = replace(
+            built,
+            control_notations=tuple(notation_schedule_for(built.instruction_count, hint=0x25)),
+        )
         assert len(kernel.control_notations) == 2

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import AssemblyError
 from repro.isa import assemble_text, disassemble, format_instruction, parse_program
+from repro.isa.control_notation import notation_schedule_for
 from repro.isa.instructions import ConstRef, Immediate, MemRef, Opcode
 from repro.isa.parser import parse_instruction_line
 from repro.isa.registers import predicate, reg
@@ -23,6 +26,13 @@ MAIN_LOOP:
     ST [R50+0x10], R26;
     EXIT;
 """
+
+
+def _with_notations(kernel):
+    """``kernel`` with the uniform default-hint control notations attached."""
+    return replace(
+        kernel, control_notations=tuple(notation_schedule_for(kernel.instruction_count))
+    )
 
 
 class TestParser:
@@ -111,14 +121,14 @@ class TestAssembler:
         assert kernel.ffma_fraction() == pytest.approx(2 / 9)
 
     def test_control_notation_emission(self):
-        kernel = assemble_text(SAMPLE_KERNEL, emit_control_notation=True)
+        kernel = _with_notations(assemble_text(SAMPLE_KERNEL))
         assert len(kernel.control_notations) == 2  # ceil(9 / 7)
         assert kernel.control_notation_for(0) is not None
         assert kernel.control_notation_for(8) is not None
 
     def test_binary_size_accounts_for_notations(self):
         plain = assemble_text(SAMPLE_KERNEL)
-        noted = assemble_text(SAMPLE_KERNEL, emit_control_notation=True)
+        noted = _with_notations(plain)
         assert noted.binary_size_bytes() == plain.binary_size_bytes() + 16
 
     def test_encoded_stream_length(self):

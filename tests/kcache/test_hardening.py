@@ -101,6 +101,37 @@ class TestRetries:
         assert reply.durable
         assert registry.snapshot().counter_total("kcache.retries") == 2
 
+    def test_each_transient_error_retries_under_its_op_label(self, tmp_path, monkeypatch):
+        """One transient EIO each at the claim, the build and the publish."""
+        import repro.opt.autotune as autotune
+
+        simulate = autotune.simulate_one_block
+        failed = []
+
+        def flaky_simulation(gpu, kernel, **kwargs):
+            if not failed:
+                failed.append(kernel)
+                raise OSError(errno.EIO, "injected", "build")
+            return simulate(gpu, kernel, **kwargs)
+
+        monkeypatch.setattr(autotune, "simulate_one_block", flaky_simulation)
+        store = KernelStore(tmp_path / "kcache")
+        registry = MetricsRegistry()
+        plan = FaultPlan([
+            FaultRule(sites="kcache.locks.claim", kind="eio", times=1),
+            FaultRule(sites="kcache.store.payload.write", kind="eio", times=1),
+        ])
+        with session(faults=plan, metrics=registry):
+            reply = get_kernel("tile_sgemm", TINY, store=store, timeout=30)
+        assert reply.source == "built" and reply.durable
+        assert failed and plan.fired_count() == 2
+        retries = {
+            op: registry.counter_value("kcache.retries", (("op", op),))
+            for op in ("claim", "build", "put")
+        }
+        assert retries == {"claim": 1, "build": 1, "put": 1}
+        assert registry.snapshot().counter_total("kcache.retries") == 3
+
     def test_checked_build_types_exhausted_transients(self, tmp_path):
         """Persistent transient errors surface as StoreUnavailableError."""
         import random

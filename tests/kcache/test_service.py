@@ -28,7 +28,6 @@ class TestColdMiss:
         reply = get_kernel("tile_sgemm", TINY, fermi, store=store)
         assert reply.source == "built"
         assert reply.key == routine_key("tile_sgemm", TINY, fermi.name)
-        assert reply.proc is not None
         assert reply.kernel is reply.entry.artifacts["kernel_opt"]
         assert reply.cycles is not None and reply.cycles > 0
         assert store.load(reply.key) is not None
@@ -180,6 +179,16 @@ class TestTunedBuildPublishesTheSweepMeasurement:
         assert store.keys() == []
 
 
+def _assert_holds_only_kernel_opt(entry):
+    """The entry holds the kernel it serves and nothing else, naming both hashes."""
+    assert entry.meta["artifacts"] == ["kernel_opt"]
+    assert list(entry.artifacts) == ["kernel_opt"]
+    hashes = entry.meta["kernel_hashes"]
+    assert set(hashes) == {"kernel", "kernel_opt"}
+    assert hashes["kernel"] != hashes["kernel_opt"]
+    assert kernel_hash(entry.artifacts["kernel_opt"]) == hashes["kernel_opt"]
+
+
 class TestEntryHoldsOnlyTheServedKernel:
     def test_tuned_entry_stores_kernel_opt_and_both_hashes(self, tmp_path, fermi):
         store = KernelStore(tmp_path / "kcache")
@@ -187,24 +196,36 @@ class TestEntryHoldsOnlyTheServedKernel:
             "tile_sgemm", TINY, fermi, store=store, tune=True, warm_start=False,
             space=SPACE,
         )
-        meta = built.entry.meta
-        assert meta["artifacts"] == ["kernel_opt", "proc"]
-        assert set(meta["kernel_hashes"]) == {"kernel", "kernel_opt"}
-        assert meta["kernel_hashes"]["kernel"] != meta["kernel_hashes"]["kernel_opt"]
+        assert built.entry.meta["tune_mode"] == "sweep"
+        _assert_holds_only_kernel_opt(built.entry)
         clear_schedule_caches()
         hit = get_kernel("tile_sgemm", TINY, fermi, store=store, tune=True)
         assert hit.source == "hit"
-        assert sorted(hit.entry.artifacts) == ["kernel_opt", "proc"]
-        assert kernel_hash(hit.kernel) == meta["kernel_hashes"]["kernel_opt"]
+        _assert_holds_only_kernel_opt(hit.entry)
 
-    def test_unoptimized_point_stores_the_naive_kernel(self, fermi):
-        from repro.kcache.service import _entry_payload
-        from repro.kernels.registry import get_workload
+    def test_direct_entry_stores_kernel_opt_and_both_hashes(self, tmp_path, fermi):
+        store = KernelStore(tmp_path / "kcache")
+        built = get_kernel("tile_sgemm", TINY, fermi, store=store)
+        assert built.entry.meta["tune_mode"] == "direct"
+        _assert_holds_only_kernel_opt(built.entry)
+        _assert_holds_only_kernel_opt(store.load(built.key))
 
-        workload = get_workload("tile_sgemm")
-        artifacts, hashes = _entry_payload(workload, TINY, fermi, optimize=False)
-        assert sorted(artifacts) == ["kernel", "proc"]
-        assert hashes == {"kernel": kernel_hash(artifacts["kernel"])}
+    def test_degraded_entry_stores_kernel_opt_and_both_hashes(self, tmp_path, fermi):
+        from repro.faults import FaultPlan, FaultRule
+        from repro.kcache import clear_session_store
+
+        clear_session_store()
+        plan = FaultPlan([FaultRule(sites="kcache.locks.claim", kind="erofs", times=None)])
+        try:
+            with session(faults=plan):
+                degraded = get_kernel(
+                    "tile_sgemm", TINY, fermi, store=KernelStore(tmp_path / "kcache"),
+                    timeout=30,
+                )
+        finally:
+            clear_session_store()
+        assert degraded.source == "degraded"
+        _assert_holds_only_kernel_opt(degraded.entry)
 
     def test_entry_holding_both_kernels_serves_the_optimized_one(self, tmp_path, fermi):
         """Entries written before the payload held one kernel still serve."""

@@ -70,9 +70,11 @@ class TestSeedConfigs:
             "shape": [["m", 193], ["n", 161], ["k", 97]],
         }
         (seed,) = warm_seed_configs(base, [neighbour])
-        assert (seed.config.m, seed.config.n, seed.config.k) == (192, 160, 96)
-        assert seed.config.tile == 48 and seed.config.double_buffer
-        assert seed.source_key == "n1" and seed.distance > 0
+        assert isinstance(seed, TileSgemmConfig)
+        assert seed == TileSgemmConfig(
+            m=192, n=160, k=96, tile=48, register_blocking=3, stride=16, b_window=1,
+            double_buffer=True,
+        )
 
     def test_invalid_seeds_are_filtered_and_duplicates_collapse(self):
         base = TileSgemmConfig(m=192, n=160, k=96)
