@@ -301,10 +301,11 @@ def _schedule_dict(config) -> dict:
 
 
 def _entry_payload(workload, config, spec):
-    """The artifacts and kernel hashes of one schedule point's entry.
+    """The artifacts and kernel hashes of a directly built point's entry.
 
     The entry holds only the kernel it serves, ``kernel_opt``: the pass
-    pipeline run over the naive kernel.  The hashes name both kernels.
+    pipeline run over the naive kernel.  The hashes name both kernels.  A
+    swept entry holds the same two, taken from the sweep's best outcome.
     """
     from repro.opt.pipeline import optimize_kernel
     from repro.opt.rewrite import kernel_hash
@@ -340,11 +341,10 @@ def _build(store, key, workload, config, spec, gpu_key, *, tune, workers, warm_s
     :data:`repro.tile.autotune.SWEPT_WORKLOADS`, a generative sweep over the
     requested problem size picks the schedule point.  With ``warm_start``,
     the winners of the store's nearest tuned shapes seed the sweep
-    (:func:`repro.kcache.warmstart.warm_seed_candidates`).  The winner is not
-    simulated again: its entry publishes the sweep's own measurement once
-    the rebuilt kernel's content hash matches the one the sweep simulated.
-    A mismatch fails the build: the key is poisoned and nothing is
-    published.
+    (:func:`repro.kcache.warmstart.warm_seed_candidates`).  The winner is
+    neither rebuilt nor simulated again: its entry publishes the optimized
+    kernel the sweep measured, with that kernel's hash, its naive kernel's
+    hash and the sweep's own measurement.
 
     Otherwise, or when nothing in the swept space is viable for the shape
     (e.g. every generative tile is structurally invalid), the requested
@@ -361,22 +361,18 @@ def _build(store, key, workload, config, spec, gpu_key, *, tune, workers, warm_s
             spec, name, config, seeds=seeds, workers=workers, **(space or {})
         )
         winner = next((o for o in sweep.outcomes if o.ok), None)
-    point = config if winner is None else winner.candidate.config
-    artifacts, hashes = _entry_payload(workload, point, spec)
     if winner is None:
+        point = config
+        artifacts, hashes = _entry_payload(workload, point, spec)
         result = simulate_one_block(spec, artifacts["kernel_opt"])
         metrics = _provenance_metrics(
             workload, point, result.cycles, result.gflops(spec), result.efficiency(spec)
         )
         extra = {"tune_mode": "direct"}
     else:
-        if hashes["kernel_opt"] != winner.kernel_hash:
-            # A ReproError, not a KernelCacheError: _checked_build passes the
-            # latter through unpoisoned.
-            raise ReproError(
-                f"sweep winner {winner.label!r} rebuilt to kernel "
-                f"{hashes['kernel_opt'][:12]}, not the measured {winner.kernel_hash[:12]}"
-            )
+        point = winner.candidate.config
+        artifacts = {"kernel_opt": winner.kernel}
+        hashes = {"kernel": winner.naive_kernel_hash, "kernel_opt": winner.kernel_hash}
         metrics = _provenance_metrics(
             workload, point, winner.cycles, winner.gflops, winner.efficiency
         )

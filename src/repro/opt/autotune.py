@@ -13,23 +13,26 @@ values like any other configuration.
 
 Evaluations are independent, so the sweep fans out over a
 ``multiprocessing`` pool (``workers=1`` runs serially in-process, which the
-tests use).  Each candidate is simulated exactly once per sweep, and its
-outcome carries the **kernel content hash** (see
-:func:`repro.opt.rewrite.kernel_hash`) of what was measured.  Nothing is
-memoized here: the only cache of tuning results is the kernel store
-(:mod:`repro.kcache`), which keeps tuned winners together with the sweep's
-own measurement of them.
+tests use).  Each candidate is built and simulated exactly once per sweep,
+and its outcome carries the **kernel content hash** (see
+:func:`repro.opt.rewrite.kernel_hash`) of what was measured; the best
+outcome also carries the measured kernel itself, which the kernel store
+(:mod:`repro.kcache`) publishes as the tuned winner with the sweep's own
+measurement of it.  Nothing is memoized here: the store is the only cache
+of tuning results.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 
 from repro.arch.specs import GpuSpec, get_gpu_spec, normalize_gpu
 from repro.context import current
 from repro.errors import ReproError
+from repro.isa.assembler import Kernel
+from repro.opt import pipeline
 from repro.opt.rewrite import kernel_hash
 from repro.prof.trace import trace_instant, trace_span
 from repro.sgemm.conflict_analysis import analyse_ffma_conflicts
@@ -43,7 +46,11 @@ class TuneOutcome:
     """Evaluation result of one candidate on one GPU.
 
     ``candidate`` is the sweep point that was measured, so a caller can
-    rebuild the winner from its outcome alone.
+    rebuild the winner from its outcome alone.  ``naive_kernel_hash`` names
+    the naive kernel it was built from (``kernel_hash`` itself for an
+    unoptimized candidate).  ``kernel`` is the measured kernel while a sweep
+    ranks it best (:func:`autotune_workloads` drops it from every other
+    outcome); it takes no part in equality or :meth:`as_dict`.
     """
 
     label: str
@@ -58,6 +65,8 @@ class TuneOutcome:
     bound_gflops: float | None
     candidate: WorkloadCandidate
     error: str | None = None
+    naive_kernel_hash: str = ""
+    kernel: Kernel | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -65,8 +74,35 @@ class TuneOutcome:
         return self.error is None
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-serialisable view."""
-        return asdict(self)
+        """JSON-serialisable view (without the kernel)."""
+        view = asdict(replace(self, kernel=None))
+        del view["kernel"]
+        return view
+
+
+def _rank(outcome: TuneOutcome) -> tuple:
+    """Leaderboard order: successes first, then fewest cycles, then label."""
+    return (not outcome.ok, outcome.cycles, outcome.label)
+
+
+def without_kernel(outcome: TuneOutcome) -> TuneOutcome:
+    """``outcome`` without its kernel (``outcome`` itself when it holds none)."""
+    return outcome if outcome.kernel is None else replace(outcome, kernel=None)
+
+
+def _keeping_best_kernel(arriving) -> list[TuneOutcome]:
+    """Collect outcomes as they arrive; only the best so far keeps its kernel."""
+    outcomes: list[TuneOutcome] = []
+    best = -1
+    for outcome in arriving:
+        if best < 0 or _rank(outcome) < _rank(outcomes[best]):
+            if best >= 0:
+                outcomes[best] = without_kernel(outcomes[best])
+            best = len(outcomes)
+        else:
+            outcome = without_kernel(outcome)
+        outcomes.append(outcome)
+    return outcomes
 
 
 def simulate_one_block(
@@ -168,10 +204,10 @@ def evaluate_workload_candidate(
 
         workload = get_workload(candidate.workload)
         config = candidate.config if candidate.config is not None else workload.default_config()
-        if candidate.optimize:
-            kernel, _ = workload.generate_optimized(config, spec)
-        else:
-            kernel = workload.generate_naive(config)
+        naive = workload.generate_naive(config)
+        # Looked up on the module at call time, so a wrapper installed there
+        # (the benchmark's per-layer recorder) sees every optimization.
+        kernel = pipeline.optimize_kernel(naive, spec).kernel if candidate.optimize else naive
         try:
             bound = workload.bound(config, spec).potential_gflops
         except ReproError:
@@ -191,6 +227,8 @@ def evaluate_workload_candidate(
             register_count=kernel.register_count,
             bound_gflops=bound,
             candidate=candidate,
+            naive_kernel_hash=kernel_hash(naive) if candidate.optimize else digest,
+            kernel=kernel,
         )
     except ReproError as exc:
         return _error_outcome(candidate, gpu_key, exc)
@@ -244,7 +282,8 @@ def autotune_workloads(
         in-process.
 
     Every candidate simulates under :func:`simulate_one_block`'s default
-    cycle cap.
+    cycle cap.  Only the best outcome keeps its measured kernel: the others
+    drop theirs as they arrive, so a sweep holds two kernels at most.
     """
     spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
     if candidates is None:
@@ -262,10 +301,10 @@ def autotune_workloads(
     ):
         jobs = [(spec, candidate) for candidate in candidates]
         if workers == 1:
-            outcomes = [_evaluate_star(job) for job in jobs]
+            outcomes = _keeping_best_kernel(map(_evaluate_star, jobs))
         else:
             with multiprocessing.Pool(processes=workers) as pool:
-                outcomes = pool.map(_evaluate_star, jobs)
+                outcomes = _keeping_best_kernel(pool.imap(_evaluate_star, jobs))
     if current().metrics is not None:
         counter_inc("autotune.candidates_evaluated", len(outcomes))
         counter_inc("autotune.candidate_errors", sum(1 for o in outcomes if not o.ok))
@@ -278,7 +317,7 @@ def autotune_workloads(
             cycles=outcome.cycles if outcome.ok else None,
             ok=outcome.ok,
         )
-    return sorted(outcomes, key=lambda o: (not o.ok, o.cycles, o.label))
+    return sorted(outcomes, key=_rank)
 
 
 def format_leaderboard(outcomes: list[TuneOutcome]) -> str:

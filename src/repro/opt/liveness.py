@@ -11,7 +11,8 @@ are live.  The analysis works on the resolved instruction stream of a
 * :func:`analyse_liveness` runs the classic backward dataflow over the
   control-flow graph implied by the branch-target map and returns per-index
   live-in/live-out sets plus derived statistics (register pressure, live
-  ranges) that the reallocation pass and the pipeline report consume.
+  ranges); :func:`pressure_and_registers` reads the optimizer report's two
+  figures off the same dataflow without building those sets.
 
 Predicated instructions deserve one note: a write under a guard predicate may
 not happen, so it does **not** kill the previous value — the analysis treats
@@ -52,6 +53,19 @@ class DefUse:
     pred_defs: tuple[int, ...]
     pred_uses: tuple[int, ...]
     killing: bool
+
+    def renamed(self, mapping: dict[int, int]) -> "DefUse":
+        """These defs and uses with register indices mapped through ``mapping``.
+
+        Indices ``mapping`` does not hold keep their value.
+        """
+        return DefUse(
+            reg_defs=tuple(map(mapping.get, self.reg_defs, self.reg_defs)),
+            reg_uses=tuple(map(mapping.get, self.reg_uses, self.reg_uses)),
+            pred_defs=self.pred_defs,
+            pred_uses=self.pred_uses,
+            killing=self.killing,
+        )
 
 
 def def_use(instruction: Instruction) -> DefUse:
@@ -143,19 +157,14 @@ class LivenessInfo:
         return tuple(sorted(set(self.def_points) | set(self.use_points)))
 
 
-def analyse_liveness(kernel: Kernel) -> LivenessInfo:
-    """Backward liveness dataflow over ``kernel``'s control-flow graph."""
+def _dataflow(kernel: Kernel) -> tuple[list[DefUse], list[int], list[int]]:
+    """Backward liveness dataflow: per-index def/use and live-in/out bitsets.
+
+    Bit ``r`` of a live set stands for register index ``r``.
+    """
     instructions = kernel.instructions
     count = len(instructions)
     info = [def_use(instruction) for instruction in instructions]
-
-    def_points: dict[int, list[int]] = {}
-    use_points: dict[int, list[int]] = {}
-    for index, du in enumerate(info):
-        for register in du.reg_defs:
-            def_points.setdefault(register, []).append(index)
-        for register in du.reg_uses:
-            use_points.setdefault(register, []).append(index)
 
     # Hoisted loop invariants: the CFG and per-instruction def/use sets do
     # not change across fixed-point passes.  For a predicated (non-killing)
@@ -195,6 +204,34 @@ def analyse_liveness(kernel: Kernel) -> LivenessInfo:
                 live_out[index] = out
                 live_in[index] = new_in
                 changed = True
+    return info, live_in, live_out
+
+
+def pressure_and_registers(kernel: Kernel) -> tuple[int, int]:
+    """``(max_pressure, len(registers_used()))`` of ``kernel``'s liveness.
+
+    The two figures the optimizer reports, read straight off the dataflow's
+    bitsets without building :class:`LivenessInfo`'s per-index sets.
+    """
+    info, live_in, _ = _dataflow(kernel)
+    used = 0
+    for du in info:
+        for register in du.reg_defs + du.reg_uses:
+            used |= 1 << register
+    return max((bits.bit_count() for bits in live_in), default=0), used.bit_count()
+
+
+def analyse_liveness(kernel: Kernel) -> LivenessInfo:
+    """Backward liveness dataflow over ``kernel``'s control-flow graph."""
+    info, live_in, live_out = _dataflow(kernel)
+
+    def_points: dict[int, list[int]] = {}
+    use_points: dict[int, list[int]] = {}
+    for index, du in enumerate(info):
+        for register in du.reg_defs:
+            def_points.setdefault(register, []).append(index)
+        for register in du.reg_uses:
+            use_points.setdefault(register, []).append(index)
 
     # Live sets change slowly along straight-line code, so the same bitset
     # value recurs at many indices — convert each distinct value only once.

@@ -13,21 +13,25 @@ The steps always run in this order:
 Every step must preserve the kernel's structure: after each one the
 optimizer verifies that the instruction-mnemonic histogram is unchanged, the
 register footprint still fits the 6-bit encoding, the branch-target map
-survived and the launch resources are the same.  A violation raises — a
-broken optimizer must never silently produce a broken kernel.
+survived and the launch resources are the same.  The scheduling and hint
+steps may only permute or annotate: their output must hold the very
+instruction objects of their input, each as often, so the input's
+instruction mix, register count and FFMA conflict report carry over
+instead of being counted again.  A violation raises — a broken optimizer
+must never silently produce a broken kernel.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.arch.specs import GpuSpec
 from repro.context import current as current_context
 from repro.errors import AssemblyError
 from repro.isa.assembler import Kernel
 from repro.opt.control_hints import assign_control_hints
-from repro.opt.liveness import analyse_liveness
+from repro.opt.liveness import pressure_and_registers
 from repro.opt.reallocation import reallocate_registers
 from repro.opt.scheduling import schedule_kernel
 from repro.prof.trace import trace_span
@@ -65,10 +69,10 @@ class PipelineResult:
 
 
 def _liveness(kernel: Kernel, gpu: GpuSpec) -> tuple[Kernel, dict[str, object]]:
-    info = analyse_liveness(kernel)
+    max_pressure, registers_used = pressure_and_registers(kernel)
     return kernel, {
-        "liveness.max_pressure": info.max_pressure,
-        "liveness.registers_used": len(info.registers_used()),
+        "liveness.max_pressure": max_pressure,
+        "liveness.registers_used": registers_used,
     }
 
 
@@ -96,12 +100,14 @@ def _control_hints(kernel: Kernel, gpu: GpuSpec) -> tuple[Kernel, dict[str, obje
     return assign_control_hints(kernel), {}
 
 
-#: The optimizer's steps in order; each name is also its ``opt.<name>`` span.
+#: The optimizer's steps in order, each with whether it may only permute
+#: or annotate its input's instructions; each name is also its
+#: ``opt.<name>`` span.
 _STEPS = (
-    ("liveness", _liveness),
-    ("reallocate", _reallocate),
-    ("schedule", _schedule),
-    ("control_hints", _control_hints),
+    ("liveness", _liveness, True),
+    ("reallocate", _reallocate, False),
+    ("schedule", _schedule, True),
+    ("control_hints", _control_hints, True),
 )
 
 
@@ -116,12 +122,12 @@ def optimize_kernel(kernel: Kernel, gpu: GpuSpec) -> PipelineResult:
     current = kernel
     conflicts = _conflict_count(kernel)
     mix = kernel.instruction_mix()
-    for name, step in _STEPS:
+    for name, step, permutes in _STEPS:
         with trace_span(f"opt.{name}", category="opt", kernel=kernel.name):
             started = time.perf_counter()
             transformed, notes = step(current, gpu)
             seconds = time.perf_counter() - started
-        mix = _verify_invariants(name, current, transformed, mix)
+        mix = _verify_invariants(name, current, transformed, mix, permutes)
         after = _conflict_count(transformed)
         if current_context().metrics is not None:
             labels = (("pass", name),)
@@ -148,14 +154,30 @@ def optimize_kernel(kernel: Kernel, gpu: GpuSpec) -> PipelineResult:
 
 
 def _verify_invariants(
-    step_name: str, before: Kernel, after: Kernel, before_mix: dict[str, int]
+    step_name: str,
+    before: Kernel,
+    after: Kernel,
+    before_mix: dict[str, int],
+    permutes: bool = False,
 ) -> dict[str, int]:
     """Structural invariants every step must preserve; returns ``after``'s mix.
 
     ``before_mix`` is ``before.instruction_mix()``, carried over from the
-    previous step's check so each kernel's mix is counted once.
+    previous step's check so each kernel's mix is counted once.  A step
+    that ``permutes`` must return ``before``'s instruction objects, each as
+    often, in any order; ``after`` then inherits ``before``'s mix, register
+    count and FFMA conflict report (functions of that multiset) instead of
+    counting them again.
     """
-    after_mix = before_mix if after is before else after.instruction_mix()
+    if permutes and after is not before:
+        if sorted(map(id, after.instructions)) != sorted(map(id, before.instructions)):
+            raise AssemblyError(
+                f"pass '{step_name}' did more than reorder or annotate the instructions"
+            )
+        report = analyse_ffma_conflicts(before)
+        after.__dict__["register_count"] = before.register_count
+        after.__dict__["_ffma_conflict_report"] = replace(report, kernel_name=after.name)
+    after_mix = before_mix if permutes or after is before else after.instruction_mix()
     if after_mix != before_mix:
         raise AssemblyError(f"pass '{step_name}' changed the instruction mix")
     if after.register_count > 63:

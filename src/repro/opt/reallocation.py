@@ -38,7 +38,8 @@ FFMA conflict count — the optimizer therefore never regresses a kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import itemgetter
 
 from repro.arch.register_file import (
     _BANK_CODE_BY_RESIDUE,
@@ -47,13 +48,20 @@ from repro.arch.register_file import (
 )
 from repro.errors import RegisterAllocationError
 from repro.isa.assembler import Kernel
+from repro.isa.encoding import encode_instruction, encode_renamed
 from repro.isa.instructions import Instruction, MemRef, Opcode, Register
 from repro.isa.registers import MAX_GPR_INDEX
+from repro.opt.liveness import def_use
 from repro.opt.rewrite import replace_instructions
 from repro.sgemm.conflict_analysis import ConflictReport, analyse_ffma_conflicts
 
 #: Opcodes whose source operands suffer register-bank conflicts on Kepler.
 BANK_SENSITIVE_OPCODES = (Opcode.FFMA, Opcode.FADD, Opcode.FMUL, Opcode.IMAD)
+
+#: The declared :class:`Instruction` fields, in declaration order, and a
+#: getter of their values from an instance's ``__dict__``.
+_INSTRUCTION_FIELDS = tuple(f.name for f in fields(Instruction))
+_field_values = itemgetter(*_INSTRUCTION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -587,50 +595,61 @@ def _assign_indices(units: list[_Unit]) -> dict[int, int]:
 # --------------------------------------------------------------------- #
 
 
-def rename_registers(instruction: Instruction, mapping: dict[int, int]) -> Instruction:
-    """``instruction`` with every register operand renamed through ``mapping``.
+def rename_registers(
+    instructions: tuple[Instruction, ...], mapping: dict[int, int]
+) -> tuple[Instruction, ...]:
+    """``instructions`` with every register operand renamed through ``mapping``.
 
     ``mapping`` holds general-purpose indices only, so RZ keeps its index.
-    Every renamed operand is a fresh :class:`Register`.  Returns
-    ``instruction`` itself when no operand actually changes — the identity
+    An instruction no renaming touches is kept as it is — the identity
     mapping is common and building an instruction is not free.
+
+    A renamed instruction is filled in field by field, like an unpickled one
+    (renaming cannot change what construction validates).  It carries its
+    :func:`~repro.opt.liveness.def_use` and register tuples mapped through
+    ``mapping`` — exact because the pass places every wide-access run
+    contiguously, so the pair or quad behind a wide operand renames to the
+    pair or quad behind the renamed operand — and its encoding with the
+    register fields re-filled (:func:`~repro.isa.encoding.encode_renamed`).
     """
-    changed = False
-    new_sources = []
-    for operand in instruction.sources:
-        if isinstance(operand, Register):
-            index = mapping.get(operand.index, operand.index)
-            if index != operand.index:
-                operand = Register(index)
-                changed = True
-        elif isinstance(operand, MemRef):
-            index = mapping.get(operand.base.index, operand.base.index)
-            if index != operand.base.index:
-                operand = MemRef(base=Register(index), offset=operand.offset)
-                changed = True
-        new_sources.append(operand)
-    dest = instruction.dest
-    if dest is not None:
-        index = mapping.get(dest.index, dest.index)
-        if index != dest.index:
-            dest = Register(index)
+    moved = {old: Register(new) for old, new in mapping.items() if new != old}
+    renamed: list[Instruction] = []
+    for instruction in instructions:
+        changed = False
+        sources = []
+        for operand in instruction.sources:
+            if isinstance(operand, Register):
+                target = moved.get(operand.index)
+                if target is not None:
+                    operand = target
+                    changed = True
+            elif isinstance(operand, MemRef):
+                target = moved.get(operand.base.index)
+                if target is not None:
+                    operand = MemRef(base=target, offset=operand.offset)
+                    changed = True
+            sources.append(operand)
+        dest = instruction.dest
+        if dest is not None and dest.index in moved:
+            dest = moved[dest.index]
             changed = True
-    if not changed:
-        return instruction
-    return Instruction(
-        opcode=instruction.opcode,
-        dest=dest,
-        sources=tuple(new_sources),
-        predicate=instruction.predicate,
-        predicate_negated=instruction.predicate_negated,
-        width=instruction.width,
-        dest_predicate=instruction.dest_predicate,
-        compare_op=instruction.compare_op,
-        special=instruction.special,
-        target=instruction.target,
-        comment=instruction.comment,
-        provenance=instruction.provenance,
-    )
+        if not changed:
+            renamed.append(instruction)
+            continue
+        original = instruction.__dict__
+        copy = object.__new__(Instruction)
+        state = copy.__dict__
+        state.update(zip(_INSTRUCTION_FIELDS, _field_values(original)))
+        state["dest"] = dest
+        state["sources"] = tuple(sources)
+        state["_def_use"] = def_use(instruction).renamed(mapping)
+        for name in ("registers_written", "registers_read"):
+            registers = original.get(name)
+            if registers is not None:
+                state[name] = tuple([moved.get(r.index, r) for r in registers])
+        encode_renamed(encode_instruction(instruction), copy)
+        renamed.append(copy)
+    return tuple(renamed)
 
 
 # --------------------------------------------------------------------- #
@@ -688,7 +707,7 @@ def reallocate_registers(kernel: Kernel) -> ReallocationResult:
         # windows): keep the original kernel rather than emit a worse one.
         return ReallocationResult(kernel=kernel, mapping={}, before=before, after=before, applied=False)
 
-    renamed = tuple(rename_registers(instruction, mapping) for instruction in kernel.instructions)
+    renamed = rename_registers(kernel.instructions, mapping)
     candidate = replace_instructions(
         kernel,
         renamed,

@@ -99,8 +99,11 @@ def _build_dag(
 
     for index, instruction in enumerate(instructions):
         du = def_use(instruction)
-        uses = du.reg_uses + tuple(_PREDICATE_NAME + p for p in du.pred_uses)
-        defs = du.reg_defs + tuple(_PREDICATE_NAME + p for p in du.pred_defs)
+        uses, defs = du.reg_uses, du.reg_defs
+        if du.pred_uses:
+            uses += tuple(_PREDICATE_NAME + p for p in du.pred_uses)
+        if du.pred_defs:
+            defs += tuple(_PREDICATE_NAME + p for p in du.pred_defs)
 
         for name in uses:
             if name in last_write:

@@ -51,6 +51,7 @@ import numpy as np
 from repro.arch.specs import GpuGeneration, GpuSpec
 from repro.errors import SimulationError
 from repro.isa.assembler import Kernel
+from repro.isa.control_notation import GROUP_SIZE
 from repro.isa.instructions import Instruction, Opcode
 from repro.sim.launch import BlockGrid, LaunchConfig
 from repro.sim.memory import GlobalMemory, KernelParams, SharedMemoryArray
@@ -112,68 +113,71 @@ class _PcFacts:
     )
 
     def __init__(self, kernel: Kernel, cost_model: CostModel) -> None:
-        self.instructions = list(kernel.instructions)
-        self.mnemonic: list[str] = []
-        self.is_ffma: list[bool] = []
-        self.flops32: list[int] = []
-        self.wait: list[tuple[int, ...]] = []
-        self.dests: list[tuple[int, ...]] = []
-        self.pipe: list[int] = []
-        self.pipe_cost: list[float] = []
-        self.is_shared: list[bool] = []
-        self.issue_cost: list[float] = []
-        self.latency: list[float] = []
-        self.dram_bytes: list[int] = []
-        self.width_bytes: list[int] = []
-        self.ready_delta: list[float] = []
-        self.control: list[int] = []
-        self.branch_target: list[int] = []
-        for pc, instruction in enumerate(self.instructions):
-            self.mnemonic.append(instruction.mnemonic)
-            self.is_ffma.append(instruction.is_ffma)
-            self.flops32.append(instruction.flop_count * 32)
-            # RZ (the last register index) is always ready and never tracked,
-            # so it is dropped here; duplicates wait identically.
-            dests = tuple(
-                r.index for r in instruction.registers_written if r.index < REGISTER_COUNT - 1
-            )
+        self.instructions = instructions = list(kernel.instructions)
+        # Everything but the register sets, the control-notation delay, the
+        # branch target and the Kepler operand-bank multiplier is a function
+        # of (opcode, width, compare_op) (the last only for the ISETP
+        # mnemonic), so each class is priced once per kernel.
+        classes: dict[tuple, tuple] = {}
+        rows = []
+        for instruction in instructions:
+            key = (instruction.opcode, instruction.width, instruction.compare_op)
+            facts = classes.get(key)
+            if facts is None:
+                facts = classes[key] = _class_facts(instruction, cost_model)
+            rows.append(facts)
+        (self.mnemonic, self.is_ffma, self.flops32, self.pipe, self.pipe_cost,
+         self.is_shared, self.latency, self.dram_bytes, self.width_bytes,
+         self.control) = (list(column) for column in list(zip(*rows)) or [()] * 10)
+        self.issue_cost = [cost_model.issue_cost_threads(i) for i in instructions]
+        # RZ (the last register index) is always ready and never tracked, so
+        # it is dropped here; duplicates wait identically.
+        self.dests = []
+        self.wait = []
+        for instruction in instructions:
+            written = instruction.registers_written
+            self.dests.append(tuple(r.index for r in written if r.index < REGISTER_COUNT - 1))
             wait: list[int] = []
-            for r in (*instruction.registers_read, *instruction.registers_written):
+            for r in (*instruction.registers_read, *written):
                 if r.index < REGISTER_COUNT - 1 and r.index not in wait:
                     wait.append(r.index)
-            self.dests.append(dests)
             self.wait.append(tuple(wait))
-            if instruction.is_math:
-                self.pipe.append(_SP_PIPE)
-                self.pipe_cost.append(cost_model.sp_cost_cycles(instruction))
-            elif instruction.is_memory:
-                self.pipe.append(_LDST_PIPE)
-                self.pipe_cost.append(cost_model.ldst_cost_cycles(instruction, 1))
-            else:
-                self.pipe.append(_NO_PIPE)
-                self.pipe_cost.append(0.0)
-            self.is_shared.append(instruction.is_shared_load or instruction.is_shared_store)
-            self.issue_cost.append(cost_model.issue_cost_threads(instruction))
-            self.latency.append(cost_model.result_latency(instruction))
-            self.dram_bytes.append(cost_model.global_memory_bytes(instruction))
-            self.width_bytes.append(instruction.width // 8)
-            notation = kernel.control_notation_for(pc)
-            if notation is not None:
-                # Hints are charged at half weight, rounded up to keep wake
-                # cycles integral — a fractional ready cycle used to leak into
-                # the scheduler's cycle arithmetic.
-                self.ready_delta.append(float(1 + (notation.stall_cycles(pc % 7) + 1) // 2))
-            else:
-                self.ready_delta.append(1.0)
-            opcode = instruction.opcode
-            self.control.append(
-                _EXIT if opcode is Opcode.EXIT
-                else _BAR if opcode is Opcode.BAR
-                else _BRA if opcode is Opcode.BRA
-                else _NEXT
-            )
-            self.branch_target.append(kernel.branch_targets.get(pc, pc + 1))
         self.wait.append(())
+        # Hints are charged at half weight, rounded up to keep wake cycles
+        # integral — a fractional ready cycle used to leak into the
+        # scheduler's cycle arithmetic.
+        self.ready_delta = [1.0] * len(instructions)
+        for pc in range(min(len(instructions), GROUP_SIZE * len(kernel.control_notations))):
+            notation = kernel.control_notations[pc // GROUP_SIZE]
+            self.ready_delta[pc] = float(1 + (notation.stall_cycles(pc % GROUP_SIZE) + 1) // 2)
+        targets = kernel.branch_targets
+        self.branch_target = [targets.get(pc, pc + 1) for pc in range(len(instructions))]
+
+
+def _class_facts(instruction: Instruction, cost_model: CostModel) -> tuple:
+    """The per-class timing facts of ``instruction``, in :class:`_PcFacts` order."""
+    if instruction.is_math:
+        pipe, pipe_cost = _SP_PIPE, cost_model.sp_cost_cycles(instruction)
+    elif instruction.is_memory:
+        pipe, pipe_cost = _LDST_PIPE, cost_model.ldst_cost_cycles(instruction, 1)
+    else:
+        pipe, pipe_cost = _NO_PIPE, 0.0
+    opcode = instruction.opcode
+    return (
+        instruction.mnemonic,
+        instruction.is_ffma,
+        instruction.flop_count * 32,
+        pipe,
+        pipe_cost,
+        instruction.is_shared_load or instruction.is_shared_store,
+        cost_model.result_latency(instruction),
+        cost_model.global_memory_bytes(instruction),
+        instruction.width // 8,
+        _EXIT if opcode is Opcode.EXIT
+        else _BAR if opcode is Opcode.BAR
+        else _BRA if opcode is Opcode.BRA
+        else _NEXT,
+    )
 
 
 @dataclass

@@ -27,6 +27,7 @@ process context: ``repro.context.session(ledger=RunLedger(root))`` makes
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -78,13 +79,24 @@ def config_digest(config: object) -> str:
     return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()[:16]
 
 
+@functools.cache
+def _git_revision() -> str:
+    """``git rev-parse HEAD``, kept once read: the code a process runs does
+    not change while it runs.  Raises when git names no revision, so a
+    failed read is not kept and the next caller tries again."""
+    rev = subprocess.run(
+        ["git", "rev-parse", "HEAD"],
+        capture_output=True, text=True, timeout=5.0, check=False,
+    ).stdout.strip()
+    if not rev:
+        raise OSError("git rev-parse HEAD named no revision")
+    return rev
+
+
 def environment_provenance() -> dict[str, object]:
     """Where a record came from: git revision, interpreter, numpy, time."""
     try:
-        rev = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=5.0, check=False,
-        ).stdout.strip() or "unknown"
+        rev = _git_revision()
     except (OSError, subprocess.SubprocessError):
         rev = "unknown"
     try:

@@ -36,7 +36,12 @@ from repro.arch.specs import GpuGeneration, GpuSpec, get_gpu_spec, normalize_gpu
 from repro.context import current
 from repro.errors import ReproError, ResourceLimitError
 from repro.kernels.registry import get_workload
-from repro.opt.autotune import TuneOutcome, WorkloadCandidate, autotune_workloads
+from repro.opt.autotune import (
+    TuneOutcome,
+    WorkloadCandidate,
+    autotune_workloads,
+    without_kernel,
+)
 from repro.prof.trace import trace_span
 from repro.telemetry.ledger import config_digest, record_run
 from repro.telemetry.metrics import counter_inc, observe
@@ -379,7 +384,8 @@ class SweepReport:
         The bound-pruning pass, including its wall time
         (:attr:`PruneReport.elapsed_s`).
     outcomes:
-        Simulation outcomes (warm seeds included), best first.
+        Simulation outcomes (warm seeds included), best first; only the
+        first carries its measured kernel.
     sim_elapsed_s:
         Host wall time of the simulation phase (warm seeds included).
     seed_candidates:
@@ -545,7 +551,8 @@ def run_generative_sweep(
     )
     sweep = SweepReport(
         prune=report,
-        outcomes=tuple(combined),
+        # Only the winner keeps its measured kernel.
+        outcomes=tuple(combined[:1]) + tuple(map(without_kernel, combined[1:])),
         sim_elapsed_s=seed_sim_s + (time.perf_counter() - started),
         seed_candidates=tuple(seeds),
         warm_pruned=warm_pruned,

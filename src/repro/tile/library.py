@@ -6,7 +6,8 @@ point of the tile IR.  The schedules below reproduce, step by step, the
 hand-written structure of the paper's kernels:
 
 * :func:`schedule_sgemm` rebuilds Section 5's SGEMM: block/thread/register
-  blocking by two levels of ``split``, the accumulator tile via
+  blocking by two levels of ``split`` (:func:`decompose_sgemm`, shared by
+  every point at one tile and register blocking), the accumulator tile via
   ``stage_registers``, the software-pipelined shared-memory staging of the A
   and B tiles via ``stage_shared`` (A transposed so its column is read with
   unit stride, enabling LDS.64 pairing), and the unrolled
@@ -43,6 +44,7 @@ __all__ = [
     "matmul_proc",
     "transpose_proc",
     "sgemv_proc",
+    "decompose_sgemm",
     "schedule_sgemm",
     "schedule_transpose",
     "schedule_sgemv",
@@ -193,37 +195,24 @@ def sgemv_proc(m: int, k: int) -> Proc:
 # --------------------------------------------------------------------------- #
 
 
-def schedule_sgemm(
-    proc: Proc,
-    *,
-    tile: int = 96,
-    register_blocking: int = 6,
-    stride: int = 16,
-    b_window: int = 2,
-    stage: bool = True,
-    prefetch: bool = True,
-    unroll_inner: bool = True,
-    double_buffer: bool = False,
-) -> Proc:
-    """The paper's SGEMM structure, derived from the naive triple loop.
+#: Loop variables of :func:`decompose_sgemm`'s result.
+_DECOMPOSED_LOOPS = frozenset(("by", "bx", "ty", "tx", "iq0", "jq0", "k", "iq1", "jq1"))
 
-    Parameters mirror :class:`repro.sgemm.config.SgemmKernelConfig`:
-    ``tile`` is the block tile (B_Sh), ``register_blocking`` the per-thread
-    tile edge (B_R), ``stride`` the K-extent staged per iteration (L), and
-    ``b_window`` the B-register group width (2 ⇒ the LDS.64 pairs of the
-    hand kernel; 1 ⇒ 32-bit B loads).  ``stage``/``prefetch``/``unroll_inner``
-    exist so the autotuner can sweep the staging and pipelining decisions;
-    ``double_buffer`` alternates both shared tiles by k-iteration parity, so
-    the lowered main loop pays one ``BAR.SYNC`` instead of two (at twice the
-    shared-memory footprint).
+
+def decompose_sgemm(proc: Proc, *, tile: int = 96, register_blocking: int = 6) -> Proc:
+    """The block/thread decomposition every SGEMM schedule starts with.
+
+    The first steps of :func:`schedule_sgemm`, which depend on the problem
+    shape, the block tile and the register blocking only: the ``i``/``j``
+    block and thread splits, their binding, the register-resident
+    accumulator tile, and the zero-initialisation split off so the k-loop
+    sits above the register-tile loops.  :func:`schedule_sgemm` extends the
+    result at the same ``tile`` and ``register_blocking``, so schedule
+    points that share those reuse one decomposition.
     """
     br = register_blocking
     if tile % br:
         raise ScheduleError(f"register blocking {br} must divide the tile {tile}")
-    if br % b_window:
-        raise ScheduleError(f"b_window {b_window} must divide register blocking {br}")
-    if double_buffer and not stage:
-        raise ScheduleError("double_buffer requires staged shared tiles")
 
     # Block and thread decomposition: i = by·tile + ty·br + iq, same for j.
     # predicate_tail is split when the tile divides and the guarded tail
@@ -249,7 +238,62 @@ def schedule_sgemm(
     p = S.fission(p, "jq")
     p = S.fission(p, "iq")
     p = S.reorder(p, "jq1", "k")
-    p = S.reorder(p, "iq1", "k")
+    return S.reorder(p, "iq1", "k")
+
+
+def _decomposed(proc: Proc, tile: int, br: int) -> Proc:
+    """``proc``'s decomposition at (``tile``, ``br``); ``proc`` if it is one."""
+    loops = proc.loops()
+    if "by" not in loops:
+        return decompose_sgemm(proc, tile=tile, register_blocking=br)
+    extents = {"ty": tile // br, "tx": tile // br, "iq0": br, "jq0": br, "iq1": br, "jq1": br}
+    if loops.keys() != _DECOMPOSED_LOOPS or any(
+        loops[var].extent != extent for var, extent in extents.items()
+    ):
+        raise ScheduleError(
+            f"schedule_sgemm: proc '{proc.name}' is neither a naive matmul nor its "
+            f"decomposition at tile {tile}, register blocking {br}"
+        )
+    return proc
+
+
+def schedule_sgemm(
+    proc: Proc,
+    *,
+    tile: int = 96,
+    register_blocking: int = 6,
+    stride: int = 16,
+    b_window: int = 2,
+    stage: bool = True,
+    prefetch: bool = True,
+    unroll_inner: bool = True,
+    double_buffer: bool = False,
+) -> Proc:
+    """The paper's SGEMM structure, derived from the naive triple loop.
+
+    Parameters mirror :class:`repro.sgemm.config.SgemmKernelConfig`:
+    ``tile`` is the block tile (B_Sh), ``register_blocking`` the per-thread
+    tile edge (B_R), ``stride`` the K-extent staged per iteration (L), and
+    ``b_window`` the B-register group width (2 ⇒ the LDS.64 pairs of the
+    hand kernel; 1 ⇒ 32-bit B loads).  ``stage``/``prefetch``/``unroll_inner``
+    exist so the autotuner can sweep the staging and pipelining decisions;
+    ``double_buffer`` alternates both shared tiles by k-iteration parity, so
+    the lowered main loop pays one ``BAR.SYNC`` instead of two (at twice the
+    shared-memory footprint).
+
+    ``proc`` is the naive triple loop or its :func:`decompose_sgemm` result
+    at the same ``tile`` and ``register_blocking``, which the schedule then
+    extends; a decomposition made at another tile or blocking raises
+    :class:`ScheduleError`.
+    """
+    br = register_blocking
+    if tile % br:
+        raise ScheduleError(f"register blocking {br} must divide the tile {tile}")
+    if br % b_window:
+        raise ScheduleError(f"b_window {b_window} must divide register blocking {br}")
+    if double_buffer and not stage:
+        raise ScheduleError("double_buffer requires staged shared tiles")
+    p = _decomposed(proc, tile, br)
 
     # Software-pipelined staging loop over K in steps of the stride.
     p = S.predicate_tail(p, "k", stride, "ko", "ki")

@@ -53,9 +53,15 @@ class _Scheduled:
 #: pruning, resource counting, lowering, launch plumbing) can re-request the
 #: same point without re-running ~30 primitive applications each time, and
 #: the bound prune and the sweep price each point's resources once.
-#: Capped FIFO so a long sweep cannot grow memory without bound.
+#: SGEMM decompositions (:func:`repro.tile.library.decompose_sgemm`) share
+#: the memo under ``(_DECOMPOSITION, (m, n, k, tile, register_blocking))``
+#: keys, so the points of one tile and blocking extend one decomposition.
+#: Capped FIFO so a long sweep cannot grow memory without bound: the cap
+#: counts schedule points, and the hit/miss/eviction counters count only
+#: them.
 _SCHEDULE_CACHE_LIMIT = 256
 _SCHEDULED_PROCS: dict[tuple[str, object], _Scheduled] = {}
+_DECOMPOSITION = "decompose_sgemm"
 
 #: Metrics-facade label set of the memo (a constant tuple, so the uninstalled
 #: facade path allocates nothing at these call sites).
@@ -65,6 +71,23 @@ _SCHEDULED_LABELS = (("cache", "scheduled_procs"),)
 def clear_schedule_caches() -> None:
     """Drop the scheduled-proc memo (tests isolating cache-economics measurements)."""
     _SCHEDULED_PROCS.clear()
+
+
+def _memoize(key: tuple[str, object], entry: _Scheduled) -> None:
+    """Add ``entry``; a schedule point past the cap evicts the oldest points.
+
+    Decompositions leave in the same FIFO order, uncounted, when they come
+    before an evicted point; adding a decomposition never evicts.
+    """
+    if key[0] != _DECOMPOSITION and len(_SCHEDULED_PROCS) >= _SCHEDULE_CACHE_LIMIT:
+        points = sum(1 for cached in _SCHEDULED_PROCS if cached[0] != _DECOMPOSITION)
+        while points >= _SCHEDULE_CACHE_LIMIT:
+            oldest = next(iter(_SCHEDULED_PROCS))
+            del _SCHEDULED_PROCS[oldest]
+            if oldest[0] != _DECOMPOSITION:
+                points -= 1
+                counter_inc("tile.schedule_cache.evictions", 1, _SCHEDULED_LABELS)
+    _SCHEDULED_PROCS[key] = entry
 
 
 class TileWorkload(Workload):
@@ -94,10 +117,7 @@ class TileWorkload(Workload):
             return entry
         counter_inc("tile.schedule_cache.misses", 1, _SCHEDULED_LABELS)
         entry = _Scheduled(self.scheduled_proc(config))
-        if len(_SCHEDULED_PROCS) >= _SCHEDULE_CACHE_LIMIT:
-            _SCHEDULED_PROCS.pop(next(iter(_SCHEDULED_PROCS)))
-            counter_inc("tile.schedule_cache.evictions", 1, _SCHEDULED_LABELS)
-        _SCHEDULED_PROCS[key] = entry
+        _memoize(key, entry)
         return entry
 
     def cached_scheduled_proc(self, config) -> Proc:
@@ -217,9 +237,23 @@ class TileSgemmWorkload(TileWorkload):
     def naive_proc(self, config: TileSgemmConfig) -> Proc:
         return library.matmul_proc(config.m, config.n, config.k)
 
+    def decomposition(self, config: TileSgemmConfig) -> Proc:
+        """``config``'s block/thread decomposition, memoized per (shape, tile, B_R)."""
+        key = (_DECOMPOSITION, (config.m, config.n, config.k, config.tile,
+                                config.register_blocking))
+        entry = _SCHEDULED_PROCS.get(key)
+        if entry is None:
+            entry = _Scheduled(library.decompose_sgemm(
+                self.naive_proc(config),
+                tile=config.tile,
+                register_blocking=config.register_blocking,
+            ))
+            _memoize(key, entry)
+        return entry.proc
+
     def scheduled_proc(self, config: TileSgemmConfig) -> Proc:
         proc = library.schedule_sgemm(
-            self.naive_proc(config),
+            self.decomposition(config),
             tile=config.tile,
             register_blocking=config.register_blocking,
             stride=config.stride,

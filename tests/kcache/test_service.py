@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.context import current, session
-from repro.errors import BuildFailedError
 from repro.kcache import KernelStore, get_kernel, routine_key
 from repro.opt.rewrite import kernel_hash
 from repro.telemetry.metrics import MetricsRegistry
@@ -150,33 +151,54 @@ class TestTunedBuildPublishesTheSweepMeasurement:
         assert metrics["gflops"] == result.gflops(fermi)
         assert metrics["efficiency"] == result.efficiency(fermi)
 
-    def test_rebuild_differing_from_the_measured_kernel_poisons(
-        self, tmp_path, fermi, monkeypatch
-    ):
-        """A winner that rebuilds to another kernel is never published."""
+    def test_each_simulated_candidate_is_built_once(self, tmp_path, fermi, monkeypatch):
+        """The winner is published as measured: no candidate, the winner
+        included, is lowered or optimized a second time."""
+        import repro.opt.pipeline as pipeline
         import repro.tile.autotune as tile_autotune
-        from repro.tile.workloads import TileSgemmWorkload
+        import repro.tile.workloads as tile_workloads
 
+        calls = {"lower": 0, "optimize": 0}
+        lower, optimize = tile_workloads.lower, pipeline.optimize_kernel
+
+        def counting_lower(*args, **kwargs):
+            calls["lower"] += 1
+            return lower(*args, **kwargs)
+
+        def counting_optimize(*args, **kwargs):
+            calls["optimize"] += 1
+            return optimize(*args, **kwargs)
+
+        sweeps = []
         sweep = tile_autotune.run_generative_sweep
 
-        def sweep_then_drift(*args, **kwargs):
-            report = sweep(*args, **kwargs)
-            # From here on shared loads lower 32 bits wide, so the winner's
-            # rebuild is not the kernel the sweep measured.
-            monkeypatch.setattr(TileSgemmWorkload, "lds_width_bits", lambda self, config: 32)
-            return report
+        def recording_sweep(*args, **kwargs):
+            sweeps.append(sweep(*args, **kwargs))
+            return sweeps[-1]
 
-        monkeypatch.setattr(tile_autotune, "run_generative_sweep", sweep_then_drift)
-        store = KernelStore(tmp_path / "kcache")
-        key = routine_key("tile_sgemm", TINY, fermi.name)
-        with pytest.raises(BuildFailedError, match="not the measured"):
-            get_kernel(
-                "tile_sgemm", TINY, fermi, store=store, tune=True, warm_start=False,
-                space=SPACE,
-            )
-        assert store.load_poison(key) is not None
-        assert store.load(key) is None
-        assert store.keys() == []
+        monkeypatch.setattr(tile_workloads, "lower", counting_lower)
+        monkeypatch.setattr(pipeline, "optimize_kernel", counting_optimize)
+        monkeypatch.setattr(tile_autotune, "run_generative_sweep", recording_sweep)
+        reply = get_kernel(
+            "tile_sgemm", TINY, fermi, store=KernelStore(tmp_path / "kcache"),
+            tune=True, warm_start=False, space=SPACE,
+        )
+        (report,) = sweeps
+        simulated = reply.entry.meta["metrics"]["sweep_simulated"]
+        assert calls == {"lower": simulated, "optimize": simulated}
+
+        winner = report.outcomes[0]
+        hashes = reply.entry.meta["kernel_hashes"]
+        assert kernel_hash(reply.kernel) == hashes["kernel_opt"] == winner.kernel_hash
+        assert hashes["kernel"] == winner.naive_kernel_hash
+        naive = tile_workloads.TILE_SGEMM.generate_naive(winner.candidate.config)
+        assert hashes["kernel"] == kernel_hash(naive)
+        # Only the winner keeps its kernel, and no view of an outcome shows one.
+        assert [o.kernel is not None for o in report.outcomes] == [True] + [False] * (
+            len(report.outcomes) - 1
+        )
+        assert "kernel" not in winner.as_dict()
+        assert dataclasses.replace(winner, kernel=None) == winner
 
 
 def _assert_holds_only_kernel_opt(entry):

@@ -216,6 +216,51 @@ class TestEnumeration:
         assert "python" in json.dumps(meta["provenance"]).lower() or meta["provenance"]
 
 
+class TestProvenance:
+    @pytest.fixture
+    def git_runs(self, monkeypatch):
+        """The commands provenance runs, and the output git answers with
+        (``answers[0]``, changeable by the test)."""
+        import subprocess
+
+        from repro.telemetry import ledger
+
+        runs: list[list[str]] = []
+        answers = ["0123abcd\n"]
+
+        def fake_run(command, **kwargs):
+            runs.append(command)
+            return subprocess.CompletedProcess(command, 0, stdout=answers[0], stderr="")
+
+        monkeypatch.setattr(ledger.subprocess, "run", fake_run)
+        ledger._git_revision.cache_clear()
+        yield runs, answers
+        ledger._git_revision.cache_clear()
+
+    def test_two_composes_read_the_git_revision_once(self, tmp_path, git_runs):
+        runs, _ = git_runs
+        store = KernelStore(tmp_path / "kcache")
+        metas = [
+            store.compose(f"key_{index}", kind="build", artifacts={"index": index})[0]
+            for index in range(2)
+        ]
+        assert runs == [["git", "rev-parse", "HEAD"]]
+        for meta in metas:
+            assert meta["provenance"]["git_rev"] == "0123abcd"
+            assert set(meta["provenance"]) == {"git_rev", "python", "numpy", "hostname"}
+
+    def test_a_failed_read_is_not_kept(self, git_runs):
+        from repro.telemetry.ledger import environment_provenance
+
+        runs, answers = git_runs
+        answers[0] = ""
+        assert environment_provenance()["git_rev"] == "unknown"
+        answers[0] = "0123abcd\n"
+        assert environment_provenance()["git_rev"] == "0123abcd"
+        assert environment_provenance()["git_rev"] == "0123abcd"
+        assert len(runs) == 2
+
+
 class TestGc:
     def test_gc_evicts_oldest_until_under_budget(self, tmp_path):
         store = KernelStore(tmp_path / "kcache")

@@ -71,6 +71,16 @@ class TestEvaluation:
             (o.label, o.cycles) for o in parallel
         ]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_the_best_outcome_keeps_its_kernel(self, nn_candidates, workers):
+        best, naive = autotune_workloads("gtx680", nn_candidates, workers=workers)
+        assert best.label == "nn:pipeline"
+        assert kernel_hash(best.kernel) == best.kernel_hash
+        assert naive.kernel is None
+        # The pipeline candidate was built from the naive candidate's kernel.
+        assert best.naive_kernel_hash == naive.naive_kernel_hash == naive.kernel_hash
+        assert "kernel" not in best.as_dict()
+
 
 class TestReporting:
     def test_leaderboard_renders_every_candidate(self, nn_candidates):

@@ -95,6 +95,35 @@ class TestPipelineMechanics:
             _verify_invariants("broken", naive_kernel, broken, mix)
         assert _verify_invariants("identity", naive_kernel, naive_kernel, mix) == mix
 
+    @pytest.mark.parametrize("tamper", ["drop", "duplicate", "replace"])
+    def test_a_scheduler_that_changes_the_instructions_is_refused(
+        self, naive_kernel, fermi, monkeypatch, tamper
+    ):
+        """The scheduling step must return its input's instruction objects,
+        each as often: a same-mnemonic swap passes a mix comparison, not this."""
+        import dataclasses
+
+        from repro.opt import pipeline
+
+        schedule = pipeline.schedule_kernel
+
+        def tampering(kernel, *, gpu):
+            scheduled, stats = schedule(kernel, gpu=gpu)
+            instructions = list(scheduled.instructions)
+            first, second = [i for i, ins in enumerate(instructions) if ins.is_ffma][:2]
+            if tamper == "drop":
+                del instructions[second]
+            elif tamper == "duplicate":
+                instructions[second] = instructions[first]
+            else:
+                ffma = instructions[second]
+                instructions[second] = dataclasses.replace(ffma, sources=ffma.sources[::-1])
+            return dataclasses.replace(scheduled, instructions=tuple(instructions)), stats
+
+        monkeypatch.setattr(pipeline, "schedule_kernel", tampering)
+        with pytest.raises(AssemblyError, match="pass 'schedule'"):
+            optimize_kernel(naive_kernel, fermi)
+
     def test_generator_entry_point(self, kepler):
         from repro.kernels.registry import get_workload
 

@@ -178,3 +178,45 @@ class TestIncrementalSolverState:
                     checked += 1
         # A kernel with conflict tuples ends on a search pass that priced them.
         assert checked > 0 or not solver._tuples
+
+
+class TestRenamedFacts:
+    """Renaming carries each instruction's def-use, register tuples and
+    encoding instead of re-deriving them; each equals a fresh derivation."""
+
+    @staticmethod
+    def _assert_carried_facts_are_fresh(naive) -> int:
+        import dataclasses
+
+        from repro.isa.encoding import encode_instruction
+        from repro.opt.liveness import def_use
+
+        def_use_of_naive = [def_use(instruction) for instruction in naive.instructions]
+        assert def_use_of_naive
+        originals = {id(instruction) for instruction in naive.instructions}
+        result = reallocate_registers(naive)
+        renamed = [i for i in result.kernel.instructions if id(i) not in originals]
+        for instruction in renamed:
+            carried = vars(instruction)
+            fresh = dataclasses.replace(instruction)
+            assert carried["_def_use"] == def_use(fresh)
+            assert carried["registers_written"] == fresh.registers_written
+            assert carried["registers_read"] == fresh.registers_read
+            assert carried["_encoded"] == encode_instruction(fresh)
+        return len(renamed)
+
+    def test_registry_configs(self):
+        renamed = 0
+        for name in workload_names():
+            workload = get_workload(name)
+            for config in workload.config_space():
+                renamed += self._assert_carried_facts_are_fresh(workload.generate_naive(config))
+        assert renamed > 0
+
+    def test_sweep_candidates(self):
+        workload = get_workload("tile_sgemm")
+        space = schedule_space("tile_sgemm", TileSgemmConfig(m=193, n=161, k=97))
+        assert len(space) == 32
+        for candidate in space:
+            naive = workload.generate_naive(candidate.config)
+            assert self._assert_carried_facts_are_fresh(naive) > 0, candidate.label

@@ -1,13 +1,24 @@
 """Tile workloads through the registry and the schedule-space autotuner."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.errors import ReproError
+from repro.context import session
+from repro.errors import ReproError, ScheduleError
 from repro.kernels import get_workload, run_workload, workload_cycles
 from repro.opt import autotune_workloads
+from repro.telemetry.metrics import MetricsRegistry
+from repro.tile import library
 from repro.tile.autotune import prune_by_bound, schedule_space
-from repro.tile.workloads import TileSgemmConfig, TileSgemvConfig, TileTransposeConfig
+from repro.tile.resources import proc_resources
+from repro.tile.workloads import (
+    TileSgemmConfig,
+    TileSgemvConfig,
+    TileTransposeConfig,
+    clear_schedule_caches,
+)
 
 TILE_WORKLOADS = ("tile_sgemm", "tile_transpose", "tile_sgemv")
 
@@ -172,3 +183,67 @@ class TestGenerativeSweep:
         full = schedule_space("tile_sgemm")
         pruned = prune_by_bound(fermi, full).kept
         assert len(pruned) < len(full)
+
+
+#: The schedule knobs of a TileSgemmConfig, as ``schedule_sgemm`` takes them.
+SGEMM_KNOBS = ("tile", "register_blocking", "stride", "b_window", "stage", "prefetch",
+               "unroll_inner", "double_buffer")
+
+
+class TestDecomposition:
+    """Schedule points extend one memoized decomposition per (shape, tile, B_R)."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        clear_schedule_caches()
+        yield
+        clear_schedule_caches()
+
+    @pytest.mark.parametrize("shape", [(193, 161, 97), (67, 189, 26)])
+    def test_memo_path_equals_the_schedule_from_the_naive_nest(self, shape):
+        workload = get_workload("tile_sgemm")
+        m, n, k = shape
+        for candidate in schedule_space("tile_sgemm", TileSgemmConfig(m=m, n=n, k=k)):
+            config = candidate.config
+            direct = library.schedule_sgemm(
+                library.matmul_proc(m, n, k),
+                **{knob: getattr(config, knob) for knob in SGEMM_KNOBS},
+            )
+            assert workload.cached_scheduled_proc(config) == replace(
+                direct, name=config.kernel_name
+            ), candidate.label
+            assert workload.resources(config) == proc_resources(direct), candidate.label
+
+    def test_a_decomposition_at_another_tile_or_blocking_is_refused(self):
+        naive = library.matmul_proc(96, 96, 16)
+        for tile, blocking in ((48, 6), (96, 3)):
+            decomposed = library.decompose_sgemm(naive, tile=tile, register_blocking=blocking)
+            with pytest.raises(ScheduleError, match="decomposition at tile 96"):
+                library.schedule_sgemm(decomposed, tile=96, register_blocking=6)
+        decomposed = library.decompose_sgemm(naive, tile=96, register_blocking=6)
+        assert library.schedule_sgemm(decomposed) == library.schedule_sgemm(naive)
+
+    def test_points_share_one_decomposition(self):
+        workload = get_workload("tile_sgemm")
+        base = TileSgemmConfig(m=96, n=96, k=16)
+        decomposition = workload.decomposition(base)
+        assert workload.decomposition(replace(base, stride=8, b_window=1)) is decomposition
+        assert workload.decomposition(replace(base, register_blocking=3)) is not decomposition
+
+    def test_memo_counters_count_schedule_points_only(self, monkeypatch):
+        """Hits, misses and evictions read as if only points were memoized."""
+        import repro.tile.workloads as tile_workloads
+
+        monkeypatch.setattr(tile_workloads, "_SCHEDULE_CACHE_LIMIT", 2)
+        workload = get_workload("tile_sgemm")
+        base = TileSgemmConfig(m=96, n=96, k=16)
+        points = [base, replace(base, stride=8), replace(base, b_window=1)]
+        registry = MetricsRegistry()
+        with session(metrics=registry):
+            for config in points + points[-1:]:
+                workload.cached_scheduled_proc(config)
+        snapshot = registry.snapshot()
+        assert [
+            snapshot.counter_total(f"tile.schedule_cache.{name}")
+            for name in ("hits", "misses", "evictions")
+        ] == [1, 3, 1]
