@@ -86,6 +86,12 @@ class Kernel:
                     highest = register.index
         return highest + 1
 
+    def inherit_register_count(self, source: "Kernel") -> None:
+        """Take ``source``'s :attr:`register_count` instead of walking the
+        operands again: this kernel holds ``source``'s instructions, in
+        another order."""
+        self.__dict__["register_count"] = source.register_count
+
     def instruction_mix(self) -> dict[str, int]:
         """Histogram of instruction mnemonics (with memory width suffixes)."""
         mix: dict[str, int] = {}

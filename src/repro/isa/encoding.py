@@ -209,31 +209,6 @@ def encode_instruction(instruction: Instruction) -> EncodedInstruction:
     return encoded
 
 
-#: Bits of the primary word holding register indices: the destination field
-#: (12..17) and the register field of each source slot (30..47).
-_REGISTER_FIELDS = (0x3F << 12) | (((1 << 18) - 1) << 30)
-
-
-def encode_renamed(encoded: EncodedInstruction, renamed: Instruction) -> EncodedInstruction:
-    """The encoding of ``renamed``, which differs from the instruction
-    ``encoded`` encodes in register indices only.
-
-    Only the register fields are filled in anew; every other bit and the
-    extension word, which holds no register, are ``encoded``'s.  The result
-    is memoized on ``renamed`` as :func:`encode_instruction` would.
-    """
-    word = encoded.primary & ~_REGISTER_FIELDS
-    word |= _encode_register_field(renamed.dest) << 12
-    for slot, operand in enumerate(renamed.sources):
-        if isinstance(operand, MemRef):
-            operand = operand.base
-        if isinstance(operand, Register):
-            word |= _encode_register_field(operand) << (30 + slot * 6)
-    result = EncodedInstruction(primary=word, extension=encoded.extension)
-    renamed.__dict__["_encoded"] = result
-    return result
-
-
 def decode_instruction(encoded: EncodedInstruction) -> Instruction:
     """Decode binary words produced by :func:`encode_instruction`.
 

@@ -479,6 +479,20 @@ class Instruction:
             provenance=provenance,
         )
 
+    def with_operands(self, dest: Register | None, sources: tuple[Operand, ...]) -> "Instruction":
+        """A copy of this instruction with ``dest`` and ``sources`` in its operands' place.
+
+        For renaming registers, which cannot change what construction
+        validates: the copy is filled in like an unpickled instruction
+        (:func:`_rebuild_instruction`), and nothing cached on this one
+        carries over.
+        """
+        state = self.__dict__
+        return _rebuild_instruction(
+            self.opcode, dest, sources, self.provenance,
+            {name: state[name] for name in _INSTRUCTION_DEFAULTS},
+        )
+
     @cached_property
     def mnemonic(self) -> str:
         """Opcode text including the width suffix for memory instructions."""

@@ -80,7 +80,7 @@ class TuneOutcome:
         return view
 
 
-def _rank(outcome: TuneOutcome) -> tuple:
+def rank(outcome: TuneOutcome) -> tuple:
     """Leaderboard order: successes first, then fewest cycles, then label."""
     return (not outcome.ok, outcome.cycles, outcome.label)
 
@@ -95,7 +95,7 @@ def _keeping_best_kernel(arriving) -> list[TuneOutcome]:
     outcomes: list[TuneOutcome] = []
     best = -1
     for outcome in arriving:
-        if best < 0 or _rank(outcome) < _rank(outcomes[best]):
+        if best < 0 or rank(outcome) < rank(outcomes[best]):
             if best >= 0:
                 outcomes[best] = without_kernel(outcomes[best])
             best = len(outcomes)
@@ -317,7 +317,7 @@ def autotune_workloads(
             cycles=outcome.cycles if outcome.ok else None,
             ok=outcome.ok,
         )
-    return sorted(outcomes, key=_rank)
+    return sorted(outcomes, key=rank)
 
 
 def format_leaderboard(outcomes: list[TuneOutcome]) -> str:

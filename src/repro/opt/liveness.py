@@ -54,19 +54,6 @@ class DefUse:
     pred_uses: tuple[int, ...]
     killing: bool
 
-    def renamed(self, mapping: dict[int, int]) -> "DefUse":
-        """These defs and uses with register indices mapped through ``mapping``.
-
-        Indices ``mapping`` does not hold keep their value.
-        """
-        return DefUse(
-            reg_defs=tuple(map(mapping.get, self.reg_defs, self.reg_defs)),
-            reg_uses=tuple(map(mapping.get, self.reg_uses, self.reg_uses)),
-            pred_defs=self.pred_defs,
-            pred_uses=self.pred_uses,
-            killing=self.killing,
-        )
-
 
 def def_use(instruction: Instruction) -> DefUse:
     """Classify the register/predicate defs and uses of ``instruction``.
@@ -95,6 +82,25 @@ def def_use(instruction: Instruction) -> DefUse:
     )
     instruction.__dict__["_def_use"] = result
     return result
+
+
+def inherit_def_use(renamed: Instruction, original: Instruction, mapping: dict[int, int]) -> None:
+    """Memoize on ``renamed`` — ``original`` with its register indices mapped
+    through ``mapping`` — ``original``'s def-use mapped the same way, instead
+    of classifying it again.
+
+    Exact when every pair or quad behind a wide operand maps onto the pair
+    or quad behind the renamed operand, as register reallocation places
+    them.  Indices ``mapping`` does not hold keep their value.
+    """
+    du = def_use(original)
+    renamed.__dict__["_def_use"] = DefUse(
+        reg_defs=tuple(map(mapping.get, du.reg_defs, du.reg_defs)),
+        reg_uses=tuple(map(mapping.get, du.reg_uses, du.reg_uses)),
+        pred_defs=du.pred_defs,
+        pred_uses=du.pred_uses,
+        killing=du.killing,
+    )
 
 
 def successors(kernel: Kernel, index: int) -> tuple[int, ...]:

@@ -24,7 +24,7 @@ must never silently produce a broken kernel.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.arch.specs import GpuSpec
 from repro.context import current as current_context
@@ -35,7 +35,7 @@ from repro.opt.liveness import pressure_and_registers
 from repro.opt.reallocation import reallocate_registers
 from repro.opt.scheduling import schedule_kernel
 from repro.prof.trace import trace_span
-from repro.sgemm.conflict_analysis import analyse_ffma_conflicts
+from repro.sgemm.conflict_analysis import analyse_ffma_conflicts, inherit_ffma_conflicts
 from repro.telemetry.metrics import counter_inc, observe
 
 
@@ -174,9 +174,8 @@ def _verify_invariants(
             raise AssemblyError(
                 f"pass '{step_name}' did more than reorder or annotate the instructions"
             )
-        report = analyse_ffma_conflicts(before)
-        after.__dict__["register_count"] = before.register_count
-        after.__dict__["_ffma_conflict_report"] = replace(report, kernel_name=after.name)
+        after.inherit_register_count(before)
+        inherit_ffma_conflicts(after, before)
     after_mix = before_mix if permutes or after is before else after.instruction_mix()
     if after_mix != before_mix:
         raise AssemblyError(f"pass '{step_name}' changed the instruction mix")

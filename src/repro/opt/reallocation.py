@@ -38,8 +38,7 @@ FFMA conflict count — the optimizer therefore never regresses a kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from operator import itemgetter
+from dataclasses import dataclass
 
 from repro.arch.register_file import (
     _BANK_CODE_BY_RESIDUE,
@@ -48,20 +47,14 @@ from repro.arch.register_file import (
 )
 from repro.errors import RegisterAllocationError
 from repro.isa.assembler import Kernel
-from repro.isa.encoding import encode_instruction, encode_renamed
 from repro.isa.instructions import Instruction, MemRef, Opcode, Register
 from repro.isa.registers import MAX_GPR_INDEX
-from repro.opt.liveness import def_use
+from repro.opt.liveness import inherit_def_use
 from repro.opt.rewrite import replace_instructions
 from repro.sgemm.conflict_analysis import ConflictReport, analyse_ffma_conflicts
 
 #: Opcodes whose source operands suffer register-bank conflicts on Kepler.
 BANK_SENSITIVE_OPCODES = (Opcode.FFMA, Opcode.FADD, Opcode.FMUL, Opcode.IMAD)
-
-#: The declared :class:`Instruction` fields, in declaration order, and a
-#: getter of their values from an instance's ``__dict__``.
-_INSTRUCTION_FIELDS = tuple(f.name for f in fields(Instruction))
-_field_values = itemgetter(*_INSTRUCTION_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -604,13 +597,11 @@ def rename_registers(
     An instruction no renaming touches is kept as it is — the identity
     mapping is common and building an instruction is not free.
 
-    A renamed instruction is filled in field by field, like an unpickled one
-    (renaming cannot change what construction validates).  It carries its
-    :func:`~repro.opt.liveness.def_use` and register tuples mapped through
-    ``mapping`` — exact because the pass places every wide-access run
-    contiguously, so the pair or quad behind a wide operand renames to the
-    pair or quad behind the renamed operand — and its encoding with the
-    register fields re-filled (:func:`~repro.isa.encoding.encode_renamed`).
+    A renamed instruction is copied without the constructor
+    (:meth:`~repro.isa.instructions.Instruction.with_operands`) and inherits
+    its original's def-use mapped through ``mapping``
+    (:func:`~repro.opt.liveness.inherit_def_use`) — exact because the pass
+    places every wide-access run contiguously.
     """
     moved = {old: Register(new) for old, new in mapping.items() if new != old}
     renamed: list[Instruction] = []
@@ -636,18 +627,8 @@ def rename_registers(
         if not changed:
             renamed.append(instruction)
             continue
-        original = instruction.__dict__
-        copy = object.__new__(Instruction)
-        state = copy.__dict__
-        state.update(zip(_INSTRUCTION_FIELDS, _field_values(original)))
-        state["dest"] = dest
-        state["sources"] = tuple(sources)
-        state["_def_use"] = def_use(instruction).renamed(mapping)
-        for name in ("registers_written", "registers_read"):
-            registers = original.get(name)
-            if registers is not None:
-                state[name] = tuple([moved.get(r.index, r) for r in registers])
-        encode_renamed(encode_instruction(instruction), copy)
+        copy = instruction.with_operands(dest, tuple(sources))
+        inherit_def_use(copy, instruction, mapping)
         renamed.append(copy)
     return tuple(renamed)
 

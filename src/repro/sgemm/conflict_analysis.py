@@ -8,7 +8,7 @@ every FFMA, and produces the same three-way breakdown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.arch.register_file import _BANK_CODE_BY_RESIDUE
 from repro.isa.assembler import Kernel
@@ -102,6 +102,15 @@ def analyse_ffma_conflicts(kernel: Kernel) -> ConflictReport:
     )
     kernel.__dict__["_ffma_conflict_report"] = report
     return report
+
+
+def inherit_ffma_conflicts(kernel: Kernel, source: Kernel) -> None:
+    """Memoize on ``kernel``, which holds ``source``'s instructions in another
+    order, ``source``'s report under ``kernel``'s name instead of classifying
+    every FFMA again."""
+    kernel.__dict__["_ffma_conflict_report"] = replace(
+        analyse_ffma_conflicts(source), kernel_name=kernel.name
+    )
 
 
 def format_conflict_table(reports: list[ConflictReport]) -> str:

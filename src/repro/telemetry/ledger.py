@@ -81,24 +81,24 @@ def config_digest(config: object) -> str:
 
 @functools.cache
 def _git_revision() -> str:
-    """``git rev-parse HEAD``, kept once read: the code a process runs does
-    not change while it runs.  Raises when git names no revision, so a
-    failed read is not kept and the next caller tries again."""
-    rev = subprocess.run(
-        ["git", "rev-parse", "HEAD"],
-        capture_output=True, text=True, timeout=5.0, check=False,
-    ).stdout.strip()
-    if not rev:
-        raise OSError("git rev-parse HEAD named no revision")
-    return rev
+    """``git rev-parse HEAD``, or ``"unknown"`` when git names no revision.
+
+    Read once per process, whatever the answer: the code a process runs
+    does not change while it runs, and neither does whether it runs from a
+    git checkout.
+    """
+    try:
+        rev = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=5.0, check=False,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return rev or "unknown"
 
 
 def environment_provenance() -> dict[str, object]:
     """Where a record came from: git revision, interpreter, numpy, time."""
-    try:
-        rev = _git_revision()
-    except (OSError, subprocess.SubprocessError):
-        rev = "unknown"
     try:
         import numpy
 
@@ -106,7 +106,7 @@ def environment_provenance() -> dict[str, object]:
     except ImportError:  # pragma: no cover - numpy is a hard dependency
         numpy_version = "unknown"
     return {
-        "git_rev": rev,
+        "git_rev": _git_revision(),
         "python": sys.version.split()[0],
         "numpy": numpy_version,
         "hostname": os.uname().nodename if hasattr(os, "uname") else "unknown",

@@ -40,6 +40,7 @@ from repro.opt.autotune import (
     TuneOutcome,
     WorkloadCandidate,
     autotune_workloads,
+    rank,
     without_kernel,
 )
 from repro.prof.trace import trace_span
@@ -546,9 +547,7 @@ def run_generative_sweep(
     if seeds:
         counter_inc("kcache.warm.seeds", len(seeds), _WARM_LABELS)
         counter_inc("kcache.warm.pruned", warm_pruned, _WARM_LABELS)
-    combined = sorted(
-        (*seed_outcomes, *outcomes), key=lambda o: (not o.ok, o.cycles, o.label)
-    )
+    combined = sorted((*seed_outcomes, *outcomes), key=rank)
     sweep = SweepReport(
         prune=report,
         # Only the winner keeps its measured kernel.

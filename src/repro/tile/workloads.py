@@ -237,23 +237,17 @@ class TileSgemmWorkload(TileWorkload):
     def naive_proc(self, config: TileSgemmConfig) -> Proc:
         return library.matmul_proc(config.m, config.n, config.k)
 
-    def decomposition(self, config: TileSgemmConfig) -> Proc:
-        """``config``'s block/thread decomposition, memoized per (shape, tile, B_R)."""
+    def scheduled_proc(self, config: TileSgemmConfig) -> Proc:
         key = (_DECOMPOSITION, (config.m, config.n, config.k, config.tile,
                                 config.register_blocking))
         entry = _SCHEDULED_PROCS.get(key)
-        if entry is None:
-            entry = _Scheduled(library.decompose_sgemm(
-                self.naive_proc(config),
-                tile=config.tile,
-                register_blocking=config.register_blocking,
-            ))
-            _memoize(key, entry)
-        return entry.proc
-
-    def scheduled_proc(self, config: TileSgemmConfig) -> Proc:
+        decomposition = entry.proc if entry is not None else library.decompose_sgemm(
+            self.naive_proc(config),
+            tile=config.tile,
+            register_blocking=config.register_blocking,
+        )
         proc = library.schedule_sgemm(
-            self.decomposition(config),
+            decomposition,
             tile=config.tile,
             register_blocking=config.register_blocking,
             stride=config.stride,
@@ -263,6 +257,10 @@ class TileSgemmWorkload(TileWorkload):
             unroll_inner=config.unroll_inner,
             double_buffer=config.double_buffer,
         )
+        if entry is None:
+            # Kept once a point has scheduled from it, so a point that fails
+            # to schedule leaves nothing in the memo.
+            _memoize(key, _Scheduled(decomposition))
         return replace(proc, name=config.kernel_name)
 
     def prepare_inputs(self, config: TileSgemmConfig, seed: int = 0) -> dict[str, np.ndarray]:

@@ -219,17 +219,19 @@ class TestEnumeration:
 class TestProvenance:
     @pytest.fixture
     def git_runs(self, monkeypatch):
-        """The commands provenance runs, and the output git answers with
-        (``answers[0]``, changeable by the test)."""
+        """The commands provenance runs, and what git answers with
+        (``answers[0]``, changeable by the test; an exception is raised)."""
         import subprocess
 
         from repro.telemetry import ledger
 
         runs: list[list[str]] = []
-        answers = ["0123abcd\n"]
+        answers: list[object] = ["0123abcd\n"]
 
         def fake_run(command, **kwargs):
             runs.append(command)
+            if isinstance(answers[0], Exception):
+                raise answers[0]
             return subprocess.CompletedProcess(command, 0, stdout=answers[0], stderr="")
 
         monkeypatch.setattr(ledger.subprocess, "run", fake_run)
@@ -249,16 +251,17 @@ class TestProvenance:
             assert meta["provenance"]["git_rev"] == "0123abcd"
             assert set(meta["provenance"]) == {"git_rev", "python", "numpy", "hostname"}
 
-    def test_a_failed_read_is_not_kept(self, git_runs):
+    @pytest.mark.parametrize(
+        "answer", ["", FileNotFoundError("git")], ids=["no-revision", "no-git"]
+    )
+    def test_a_failed_read_runs_git_once(self, git_runs, answer):
         from repro.telemetry.ledger import environment_provenance
 
         runs, answers = git_runs
-        answers[0] = ""
+        answers[0] = answer
         assert environment_provenance()["git_rev"] == "unknown"
-        answers[0] = "0123abcd\n"
-        assert environment_provenance()["git_rev"] == "0123abcd"
-        assert environment_provenance()["git_rev"] == "0123abcd"
-        assert len(runs) == 2
+        assert environment_provenance()["git_rev"] == "unknown"
+        assert len(runs) == 1
 
 
 class TestGc:

@@ -223,12 +223,35 @@ class TestDecomposition:
         decomposed = library.decompose_sgemm(naive, tile=96, register_blocking=6)
         assert library.schedule_sgemm(decomposed) == library.schedule_sgemm(naive)
 
-    def test_points_share_one_decomposition(self):
+    def test_points_share_one_decomposition(self, monkeypatch):
         workload = get_workload("tile_sgemm")
+        schedule = library.schedule_sgemm
+        extended = []
+
+        def recording(proc, **knobs):
+            extended.append(proc)
+            return schedule(proc, **knobs)
+
+        monkeypatch.setattr(library, "schedule_sgemm", recording)
         base = TileSgemmConfig(m=96, n=96, k=16)
-        decomposition = workload.decomposition(base)
-        assert workload.decomposition(replace(base, stride=8, b_window=1)) is decomposition
-        assert workload.decomposition(replace(base, register_blocking=3)) is not decomposition
+        for config in (base, replace(base, stride=8, b_window=1),
+                       replace(base, register_blocking=3, b_window=1)):
+            workload.cached_scheduled_proc(config)
+        assert extended[1] is extended[0]
+        assert extended[2] is not extended[0]
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"b_window": 4}, {"stage": False, "double_buffer": True}],
+        ids=["window", "double-buffer"],
+    )
+    def test_a_point_that_fails_to_schedule_leaves_the_memo_empty(self, knobs):
+        import repro.tile.workloads as tile_workloads
+
+        workload = get_workload("tile_sgemm")
+        with pytest.raises(ScheduleError):
+            workload.cached_scheduled_proc(TileSgemmConfig(m=96, n=96, k=16, **knobs))
+        assert tile_workloads._SCHEDULED_PROCS == {}
 
     def test_memo_counters_count_schedule_points_only(self, monkeypatch):
         """Hits, misses and evictions read as if only points were memoized."""
