@@ -50,6 +50,8 @@ class SharedMemorySpec:
             raise ArchitectureError("shared memory size must be positive")
         if self.bank_count <= 0:
             raise ArchitectureError("bank count must be positive")
+        if self.bank_count & (self.bank_count - 1):
+            raise ArchitectureError("bank count must be a power of two")
         if self.bank_width_bytes not in (4, 8):
             raise ArchitectureError("bank width must be 4 or 8 bytes")
 

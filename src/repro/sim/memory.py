@@ -13,8 +13,9 @@ Both memories expose two word-level access paths with identical semantics:
 * ``load_words`` / ``store_words`` — vectorised masked gather/scatter over
   NumPy index arrays (any shape: one warp's 32 lanes, or the resident warps'
   ``(warps, 32)`` lane matrix).  This is the fast path used by
-  :mod:`repro.sim.vectorized`, which reaches shared memory through the same
-  methods of :class:`PackedSharedMemory`.
+  :mod:`repro.sim.vectorized`, which reaches shared memory through the
+  same-named methods of :class:`PackedSharedMemory` (there a mask may also
+  be ``True``, every lane).
 * ``load_words_reference`` / ``store_words_reference`` — the original
   per-lane Python loops, kept verbatim as the oracle for the differential
   test harness (:mod:`repro.sim.reference`).
@@ -153,44 +154,69 @@ class PackedSharedMemory:
     """Several blocks' shared memories packed into one buffer for lock-step access.
 
     Row ``r`` of an access matrix belongs to block ``blocks[r]``, an index into
-    ``memories``.  Its addresses are bounds-checked against that block's own
-    size *before* the block's offset into the packed buffer is added, so no
-    block can reach another block's words.  :meth:`writeback` copies the
+    ``memories``; each row's block offset and bound are looked up once, here.
+    A row's addresses are bounds-checked against its block's own size
+    *before* the block's offset into the packed buffer is added, so no block
+    can reach another block's words.  A ``mask`` is a ``(rows, lanes)`` lane
+    mask or ``True`` for every lane; lanes outside it are neither checked nor
+    written, and a load returns unspecified values there (the caller writes
+    its destination under the same mask).  :meth:`writeback` copies the
     packed contents back into the ``memories`` it was built from.
     """
 
-    def __init__(self, memories: list[SharedMemoryArray]) -> None:
+    def __init__(self, memories: list[SharedMemoryArray], blocks: np.ndarray) -> None:
         self._memories = memories
         # Each block's segment is its padded backing store, so every base is
-        # word aligned and the uint32 fast path of the gather/scatter applies.
+        # word aligned and an aligned access is one uint32 gather/scatter.
         sizes = [memory._data.size for memory in memories]
         self._base = np.cumsum([0] + sizes[:-1]).astype(np.int64)
-        self._limit = np.array([memory._limit for memory in memories], dtype=np.int64)
+        last = np.array([memory._limit for memory in memories], dtype=np.int64)[blocks] - 4
+        self._row_base = self._base[blocks][:, None]
+        # Highest in-bounds word address of each row's block, and of the
+        # smallest block: an access whose every lane is at or below the
+        # latter needs no per-row check.  Negative addresses compare above
+        # both as uint64.
+        self._row_last = last.astype(np.uint64)[:, None]
+        self._last = int(last.min())
         self._data = np.concatenate([memory._data for memory in memories])
+        self._words = self._data.view(np.uint32)
 
-    def _packed(
-        self, addresses: np.ndarray, mask: np.ndarray, blocks: np.ndarray, what: str
-    ) -> np.ndarray:
-        """Block-local ``(rows, lanes)`` addresses -> packed-buffer addresses."""
-        bad = mask & ((addresses < 0) | (addresses + 4 > self._limit[blocks][:, None]))
+    def _checked(self, addresses: np.ndarray, mask, what: str) -> np.ndarray:
+        """Block-local ``addresses`` with every lane in bounds.
+
+        They come back as given when every lane already is; otherwise lanes
+        outside ``mask`` move to address 0 and a lane inside it that is out
+        of its block's bounds raises.
+        """
+        if addresses.view(np.uint64).max() <= self._last:
+            return addresses
+        if mask is not True:
+            addresses = np.where(mask, addresses, 0)
+        bad = addresses.view(np.uint64) > self._row_last
         if bad.any():
             address = int(addresses.reshape(-1)[int(np.argmax(bad))])
             raise SimulationError(f"{what} out of bounds at {address:#x}")
-        return addresses + self._base[blocks][:, None]
+        return addresses
 
-    def load_words(self, addresses: np.ndarray, mask: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """Gather one 32-bit word per lane from each row's block (masked lanes read 0)."""
-        what = "shared-memory load"
-        packed = self._packed(addresses, mask, blocks, what)
-        return _gather_words(self._data, self._data.size, packed, mask, what)
+    def load_words(self, addresses: np.ndarray, mask) -> np.ndarray:
+        """Gather one 32-bit word per lane from each row's block."""
+        packed = self._checked(addresses, mask, "shared-memory load") + self._row_base
+        if np.bitwise_or.reduce(packed, axis=None) & 3:  # some lane is unaligned
+            return self._data[packed[..., None] + _WORD_BYTES].view(np.uint32)[..., 0]
+        return self._words[packed >> 2]
 
-    def store_words(
-        self, addresses: np.ndarray, values: np.ndarray, mask: np.ndarray, blocks: np.ndarray
-    ) -> None:
-        """Scatter one 32-bit word per lane into each row's block (masked lanes skipped)."""
-        what = "shared-memory store"
-        packed = self._packed(addresses, mask, blocks, what)
-        _scatter_words(self._data, self._data.size, packed, values, mask, what)
+    def store_words(self, addresses: np.ndarray, values: np.ndarray, mask) -> None:
+        """Scatter one 32-bit word per lane into each row's block (last lane wins)."""
+        packed = self._checked(addresses, mask, "shared-memory store") + self._row_base
+        if mask is not True:
+            packed = packed[mask]
+            values = values[mask]
+        if np.bitwise_or.reduce(packed, axis=None) & 3:
+            self._data[packed[..., None] + _WORD_BYTES] = (
+                np.ascontiguousarray(values).view(np.uint8).reshape(*packed.shape, 4)
+            )
+        else:
+            self._words[packed >> 2] = values
 
     def writeback(self) -> None:
         """Copy every block's packed segment back into its ``SharedMemoryArray``."""

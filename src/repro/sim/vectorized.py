@@ -3,17 +3,22 @@
 The reference executor (:mod:`repro.sim.reference`) steps one warp, one
 instruction, one lane at a time.  This engine executes *every resident block*
 ahead of the timing loop in one pass: warps at the same pc, whichever block
-they belong to, are grouped and advanced lock-step through straight-line
-regions (everything up to the next BRA/BAR/EXIT), so each instruction becomes
-one NumPy operation over a ``(warps, 32)`` lane matrix.  Guard predicates and
-active masks are 2-D lane masks; memory accesses become the masked
-gather/scatters of :mod:`repro.sim.memory`.  CTAID is read per row, and each
-block keeps its own shared memory (a :class:`~repro.sim.memory.PackedSharedMemory`
-segment chosen by ``WarpState.block_id`` and bounds-checked against that
-block's size).  Per-instruction operand decoding (`isinstance` dispatch on
-every step in the reference executor) happens once: each pc is compiled to a
-closure over pre-resolved register indices, immediates and constant-bank
-values, cached per engine.
+they belong to, form a group that advances lock-step through a straight-line
+region (everything up to the next BRA/BAR/EXIT), so each instruction becomes
+one NumPy operation over the ``(warps, 32)`` lane matrix of every resident
+warp.  The state is register-major: ``regs[r]`` and ``preds[p]`` are each one
+contiguous ``(warps, 32)`` block, so an operand is a view and a write lands in
+place through ``where=`` a lane mask.  A region runs over all resident rows;
+rows outside its group are masked exactly like inactive lanes (the
+*masked-row rule*), and an unguarded instruction over fully active warps
+writes with no mask at all.  Memory accesses become the masked gather/scatters
+of :mod:`repro.sim.memory`.  CTAID is read per row, and each block keeps its
+own shared memory (a :class:`~repro.sim.memory.PackedSharedMemory` segment
+chosen by ``WarpState.block_id`` and bounds-checked against that block's
+size).  Per-instruction operand decoding (`isinstance` dispatch on every step
+in the reference executor) happens once per run: each pc is compiled, at its
+first execution, to a closure over the register views, immediates and
+constant-bank values it reads.
 
 Lock-step batching is only defined for race-free programs.  Within a block,
 different warps may not write the same shared/global location between two
@@ -38,6 +43,8 @@ exactly that).
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from repro.arch.shared_memory import SharedMemorySpec
@@ -51,7 +58,14 @@ from repro.sim.warp import PREDICATE_COUNT, REGISTER_COUNT, WARP_SIZE, WarpState
 #: Opcodes that terminate a straight-line region.
 _REGION_ENDERS = frozenset({Opcode.BRA, Opcode.BAR, Opcode.EXIT})
 
-_LANES = np.arange(WARP_SIZE, dtype=np.int64)
+_RZ = REGISTER_COUNT - 1
+_PT = PREDICATE_COUNT - 1
+
+#: Placeholder of a pc whose plan has not been compiled yet.
+_UNCOMPILED = object()
+
+#: An address above every real one: a row without active lanes reads it.
+_FAR = 1 << 62
 
 _ISETP_OPS = {
     "LT": np.less,
@@ -60,6 +74,14 @@ _ISETP_OPS = {
     "NE": np.not_equal,
     "GE": np.greater_equal,
     "GT": np.greater,
+}
+
+_INTEGER_OPS = {
+    Opcode.IADD: np.add,
+    Opcode.IMUL: np.multiply,
+    Opcode.LOP_AND: np.bitwise_and,
+    Opcode.LOP_OR: np.bitwise_or,
+    Opcode.LOP_XOR: np.bitwise_xor,
 }
 
 
@@ -86,20 +108,41 @@ class WarpTrace:
 
 
 class _ResidentState:
-    """Stacked architectural state of the resident warps: ``(warps, ...)`` arrays.
+    """Register-major architectural state of the resident warps.
 
-    Rows may come from different blocks: ``ctaid_x``/``ctaid_y`` hold each
-    row's block coordinates and ``block_ids`` its index into the packed
-    shared memory.
+    ``regs`` is ``(64, warps, 32)`` uint32 and ``preds`` ``(8, warps, 32)``
+    bool, so ``regs[r]`` and ``preds[p]`` are each one contiguous
+    ``(warps, 32)`` block.  Plans bind the per-index views below once:
+    ``reads[r]`` is what register ``r`` reads (RZ reads ``zeros``),
+    ``floats[r]`` its float32 view, and ``writes[r]``/``pred_writes[p]``
+    where writes land (RZ's and PT's in sinks nothing reads).
+    ``guards[negated][p]`` is ``fn(lanes)``, the lanes of ``lanes`` that a
+    ``@P``/``@!P`` guard passes.  PT reads what it holds, so a PT guard is
+    ``lanes`` itself only when PT holds True everywhere.  Rows may come from
+    different blocks: ``ctaid_x``/``ctaid_y`` hold each row's block
+    coordinates and ``block_ids`` its index into the packed shared memory.
     """
 
-    __slots__ = ("regs", "preds", "active", "tid_x", "tid_y", "ctaid_x", "ctaid_y",
+    __slots__ = ("regs", "preds", "active", "zeros", "reads", "floats", "writes",
+                 "pred_writes", "guards", "tid_x", "tid_y", "ctaid_x", "ctaid_y",
                  "block_ids", "warp_ids")
 
     def __init__(self, warps: list[WarpState]) -> None:
-        self.regs = np.stack([w.registers for w in warps])  # (W, 64, 32) uint32
-        self.preds = np.stack([w.predicates for w in warps])  # (W, 8, 32) bool
+        self.regs = np.stack([w.registers for w in warps], axis=1)
+        self.preds = np.stack([w.predicates for w in warps], axis=1)
         self.active = np.stack([w.active_mask for w in warps])  # (W, 32) bool
+        self.zeros = np.zeros(self.active.shape, dtype=np.uint32)
+        self.zeros.flags.writeable = False
+        self.reads = [*self.regs[:_RZ], self.zeros]
+        self.floats = [view.view(np.float32) for view in self.reads]
+        self.writes = [*self.regs[:_RZ], np.empty_like(self.zeros)]
+        self.pred_writes = [*self.preds[:_PT], np.empty_like(self.active)]
+        self.guards = (
+            [_lane_guard(values, False) for values in self.preds],
+            [_lane_guard(values, True) for values in self.preds],
+        )
+        if self.preds[_PT].all():
+            self.guards[False][_PT] = lambda lanes: lanes
         self.tid_x = np.stack([w.lane_tid_x for w in warps])  # (W, 32) int64
         self.tid_y = np.stack([w.lane_tid_y for w in warps])
         ctaid = np.array([w.block_idx for w in warps], dtype=np.int64).astype(np.uint32)
@@ -108,41 +151,53 @@ class _ResidentState:
         self.block_ids = np.array([w.block_id for w in warps], dtype=np.intp)
         self.warp_ids = np.array([w.warp_id for w in warps], dtype=np.int64)
 
-    def read_u32(self, g: np.ndarray, index: int) -> np.ndarray:
-        if index == REGISTER_COUNT - 1:
-            return np.zeros((g.size, WARP_SIZE), dtype=np.uint32)
-        return self.regs[g, index]
-
-    def read_s32(self, g: np.ndarray, index: int) -> np.ndarray:
-        # Same cast chain as WarpState.read_s32 (wrap to int32, sign-extend).
-        return self.read_u32(g, index).astype(np.int64).astype(np.int32).astype(np.int64)
-
-    def read_f32(self, g: np.ndarray, index: int) -> np.ndarray:
-        return self.read_u32(g, index).view(np.float32)
-
-    def write_u32(self, g: np.ndarray, index: int, values: np.ndarray, mask: np.ndarray) -> None:
-        if index == REGISTER_COUNT - 1:
-            return
-        values = np.asarray(values, dtype=np.uint32)
-        self.regs[g, index] = np.where(mask, values, self.regs[g, index])
-
-    def write_f32(self, g: np.ndarray, index: int, values: np.ndarray, mask: np.ndarray) -> None:
-        self.write_u32(g, index, np.ascontiguousarray(values, dtype=np.float32).view(np.uint32), mask)
-
-    def read_pred(self, g: np.ndarray, index: int, negated: bool) -> np.ndarray:
-        values = self.preds[g, index]
-        return ~values if negated else values
-
-    def write_pred(self, g: np.ndarray, index: int, values: np.ndarray, mask: np.ndarray) -> None:
-        if index == PREDICATE_COUNT - 1:
-            return
-        self.preds[g, index] = np.where(mask, values, self.preds[g, index])
-
     def writeback(self, warps: list[WarpState]) -> None:
         """Copy final registers/predicates back into the warp objects."""
         for row, warp in enumerate(warps):
-            warp.registers[:] = self.regs[row]
-            warp.predicates[:] = self.preds[row]
+            warp.registers[:] = self.regs[:, row]
+            warp.predicates[:] = self.preds[:, row]
+
+
+def _lane_guard(values: np.ndarray, negated: bool):
+    """``fn(lanes)``: the lanes of ``lanes`` (``True`` for all) where ``values`` (negated) holds."""
+    if negated:
+        # For bools, ``lanes > values`` is ``lanes & ~values``.
+        return lambda lanes: ~values if lanes is True else lanes > values
+    return lambda lanes: values if lanes is True else lanes & values
+
+
+class _Region:
+    """The group one straight-line region runs, as masks over every resident row.
+
+    ``active`` is the resident active mask with the rows outside the group
+    cleared; ``lanes`` is what an unguarded instruction writes under:
+    ``True`` when the group is every row and every lane is active, else
+    ``active``.  ``rows`` lists the group's rows (``None`` when it is every
+    row) and ``queues`` maps each :class:`WarpTrace` queue name to the
+    group's queues, in row order.
+    """
+
+    __slots__ = ("lanes", "active", "rows", "queues")
+
+    def __init__(self, state: _ResidentState, group: np.ndarray,
+                 queues: dict[str, list[list]], full_lanes) -> None:
+        if group.all():
+            self.lanes = full_lanes
+            self.active = state.active
+            self.rows = None
+            self.queues = queues
+        else:
+            self.active = self.lanes = state.active & group[:, None]
+            self.rows = np.flatnonzero(group).tolist()
+            self.queues = {name: [lists[row] for row in self.rows]
+                           for name, lists in queues.items()}
+
+    def record(self, queue: str, values: list) -> None:
+        """Append each group row's entry of ``values`` (one per resident row) to ``queue``."""
+        if self.rows is not None:
+            values = [values[row] for row in self.rows]
+        # Consume the appends at C speed, one per row.
+        deque(map(list.append, self.queues[queue], values), maxlen=0)
 
 
 def _conflict_degrees(
@@ -156,19 +211,33 @@ def _conflict_degrees(
     ``conflict_degree``'s phase ``p`` of a wide access touches the words
     ``w + p``, the phase-0 distinct words shifted by ``p``, which only
     rotates the per-bank counts, so every phase has the phase-0 maximum.
+
+    Bank width and count are powers of two, so a word is a shift and its
+    bank a mask.  An inactive lane repeats its row's lowest active address
+    (a repeated word adds no distinct word), so every row sorts whole.  A
+    row whose words span fewer than ``bank_count`` words has them all in
+    distinct banks; when every row does, every degree is 1.  Otherwise a
+    row's degree is its largest count of distinct words sharing a bank.
     """
-    if (active & (addresses < 0)).any():
-        raise ArchitectureError("shared memory address must be non-negative")
-    bank_count = spec.bank_count
-    words = np.where(active, addresses // spec.bank_width_bytes, -1)
+    if not active.all():
+        lowest = np.where(active, addresses, _FAR).min(axis=1, keepdims=True)
+        addresses = np.where(active, addresses, lowest)
+    words = addresses >> (spec.bank_width_bytes.bit_length() - 1)
     words.sort(axis=1)
-    # Each distinct active word of a row counts once, in its bank.
-    distinct = words >= 0
-    distinct[:, 1:] &= words[:, 1:] != words[:, :-1]
-    rows = words.shape[0]
-    keys = (np.arange(rows)[:, None] * bank_count + words % bank_count)[distinct]
-    per_bank = np.bincount(keys, minlength=rows * bank_count).reshape(rows, bank_count)
-    return np.maximum(per_bank.max(axis=1), 1).tolist()
+    rows = len(words)
+    low = words[:, 0]
+    if low.min() < 0:
+        raise ArchitectureError("shared memory address must be non-negative")
+    if (words[:, -1] - low).max() < spec.bank_count:
+        return [1] * rows
+    distinct = np.empty(words.shape, dtype=bool)
+    distinct[:, 0] = True
+    np.not_equal(words[:, 1:], words[:, :-1], out=distinct[:, 1:])
+    bank_bits = spec.bank_count.bit_length() - 1
+    words &= spec.bank_count - 1
+    words |= np.arange(rows)[:, None] << bank_bits
+    per_bank = np.bincount(words[distinct], minlength=rows << bank_bits)
+    return per_bank.reshape(rows, -1).max(axis=1).tolist()
 
 
 class VectorizedEngine:
@@ -188,9 +257,6 @@ class VectorizedEngine:
         self._global_memory = global_memory
         self._params = params
         self._grid_dim = grid_dim
-        count = kernel.instruction_count
-        self._plans: list = [None] * count  # lazily compiled executors per pc
-        self._compiled = [False] * count
         self._region_end: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -222,53 +288,61 @@ class VectorizedEngine:
         instructions = self._kernel.instructions
         count = len(instructions)
         state = _ResidentState(warps)
-        shared_memory = PackedSharedMemory(shared_memories)
+        shared_memory = PackedSharedMemory(shared_memories, state.block_ids)
+        full_lanes = True if state.active.all() else state.active
+        plans = [_UNCOMPILED] * count
         traces = [WarpTrace() for _ in warps]
-        pc = [w.pc for w in warps]
-        finished = [w.finished for w in warps]
-        at_barrier = [False] * len(warps)
-        executed = [0] * len(warps)
+        queues = {name: [getattr(trace, name) for trace in traces]
+                  for name in WarpTrace.__slots__}
+        pc = np.array([w.pc for w in warps], dtype=np.int64)
+        finished = np.array([w.finished for w in warps], dtype=bool)
+        at_barrier = np.zeros(len(warps), dtype=bool)
+        executed = np.zeros(len(warps), dtype=np.int64)
 
         while True:
-            runnable = [i for i in range(len(warps)) if not finished[i] and not at_barrier[i]]
-            if not runnable:
-                if all(finished):
+            runnable = ~(finished | at_barrier)
+            if not runnable.any():
+                if finished.all():
                     break
-                for i in range(len(warps)):
-                    at_barrier[i] = False
+                at_barrier[:] = False
                 continue
-            for start in sorted({pc[i] for i in runnable}):
-                group = [i for i in runnable if pc[i] == start]
+            # ``runnable`` is fixed for the sweep, while pcs move: a group
+            # that branches or parks onto a later start joins that start's
+            # group in this same sweep.
+            for start in sorted(set(pc[runnable].tolist())):
+                group = runnable & (pc == start)
                 if start >= count:
-                    for i in group:
-                        finished[i] = True
+                    finished |= group
                     continue
                 end = self._region_span(start)
-                g = np.array(group, dtype=np.intp)
+                region = _Region(state, group, queues, full_lanes)
                 for index in range(start, end):
-                    plan = self._plan(index)
-                    if plan is not None:
-                        plan(state, g, shared_memory, traces)
-                for i in group:
-                    executed[i] += end - start + 1
-                    if executed[i] > max_instructions:
-                        raise SimulationError(
-                            f"functional execution exceeded {max_instructions} "
-                            f"instructions for warp {warps[i].warp_id}; the kernel "
-                            f"may not terminate"
+                    plan = plans[index]
+                    if plan is _UNCOMPILED:
+                        plan = plans[index] = self._compile(
+                            instructions[index], state, shared_memory
                         )
+                    if plan is not None:
+                        plan(region)
+                executed[group] += end - start + 1
+                runaway = group & (executed > max_instructions)
+                if runaway.any():
+                    raise SimulationError(
+                        f"functional execution exceeded {max_instructions} "
+                        f"instructions for warp {warps[int(runaway.argmax())].warp_id}; "
+                        f"the kernel may not terminate"
+                    )
                 if end >= count:
-                    for i in group:
-                        pc[i] = end
-                        finished[i] = True
+                    pc[group] = end
+                    finished |= group
                     continue
                 self._handle_control(
-                    instructions[end], end, state, group, g, pc, finished, at_barrier, traces
+                    instructions[end], end, state, region, group, pc, finished, at_barrier
                 )
 
         state.writeback(warps)
         shared_memory.writeback()
-        return {warps[i].warp_id: traces[i] for i in range(len(warps))}
+        return {warp.warp_id: trace for warp, trace in zip(warps, traces)}
 
     def _region_span(self, start: int) -> int:
         """First control-instruction index at or after ``start`` (cached)."""
@@ -286,68 +360,50 @@ class VectorizedEngine:
         instruction: Instruction,
         index: int,
         state: _ResidentState,
-        group: list[int],
-        g: np.ndarray,
-        pc: list[int],
-        finished: list[bool],
-        at_barrier: list[bool],
-        traces: list[WarpTrace],
+        region: _Region,
+        group: np.ndarray,
+        pc: np.ndarray,
+        finished: np.ndarray,
+        at_barrier: np.ndarray,
     ) -> None:
         opcode = instruction.opcode
         if opcode is Opcode.BAR:
             # BAR parks the warp regardless of its guard (matching the timing
             # loop, which never evaluates BAR predicates).
-            for i in group:
-                at_barrier[i] = True
-                pc[i] = index + 1
+            at_barrier |= group
+            pc[group] = index + 1
             return
         if opcode is Opcode.EXIT:
-            mask = state.active[g] & state.read_pred(
-                g, instruction.predicate.index, instruction.predicate_negated
-            )
-            any_exit = mask.any(axis=1)
-            for row, i in enumerate(group):
-                taken = bool(any_exit[row])
-                traces[i].exits.append(taken)
-                if taken:
-                    finished[i] = True
-                else:
-                    pc[i] = index + 1
+            guard = state.guards[instruction.predicate_negated][instruction.predicate.index]
+            any_exit = guard(region.active).any(axis=1)
+            region.record("exits", any_exit.tolist())
+            finished |= any_exit
+            pc[group & ~any_exit] = index + 1
             return
         # BRA: warp-uniform (possibly guarded) branch; divergence raises.
+        target = self._kernel.branch_targets[index]
         if instruction.predicate.is_true and not instruction.predicate_negated:
-            target = self._kernel.branch_targets[index]
-            for i in group:
-                traces[i].branches.append(True)
-                pc[i] = target
+            region.record("branches", [True] * len(group))
+            pc[group] = target
             return
-        values = state.read_pred(g, instruction.predicate.index, instruction.predicate_negated)
-        active = state.active[g]
-        for row, i in enumerate(group):
-            active_values = values[row][active[row]]
-            if active_values.size == 0:
-                taken = False
-            elif active_values.all():
-                taken = True
-            elif not active_values.any():
-                taken = False
-            else:
-                raise SimulationError(
-                    "divergent branch encountered; the simulator only supports "
-                    "warp-uniform branches"
-                )
-            traces[i].branches.append(taken)
-            pc[i] = self._kernel.branch_targets[index] if taken else index + 1
+        values = state.preds[instruction.predicate.index]
+        if instruction.predicate_negated:
+            values = ~values
+        active = region.active
+        # A row without active lanes does not branch.
+        taken = (active & values).any(axis=1)
+        if (taken & (active > values).any(axis=1)).any():
+            raise SimulationError(
+                "divergent branch encountered; the simulator only supports "
+                "warp-uniform branches"
+            )
+        region.record("branches", taken.tolist())
+        pc[group & taken] = target
+        pc[group & ~taken] = index + 1
 
     # ------------------------------------------------------------------ #
     # Instruction compilation (operand plans).                            #
     # ------------------------------------------------------------------ #
-
-    def _plan(self, index: int):
-        if not self._compiled[index]:
-            self._plans[index] = self._compile(self._kernel.instructions[index])
-            self._compiled[index] = True
-        return self._plans[index]
 
     def _read_constant(self, ref: ConstRef) -> int:
         if self._params is None:
@@ -356,211 +412,170 @@ class VectorizedEngine:
             raise SimulationError(f"only constant bank 0 is modelled, got bank {ref.bank}")
         return self._params.read_word(ref.offset)
 
-    def _f32_reader(self, operand):
+    def _f32(self, operand, state: _ResidentState) -> np.ndarray:
+        """A float32 view of a register, or a 0-d float32 constant."""
         if isinstance(operand, Register):
-            index = operand.index
-            return lambda st, g: st.read_f32(g, index)
+            return state.floats[operand.index]
         if isinstance(operand, Immediate):
-            value = np.float32(operand.as_float())
-            return lambda st, g: np.full((g.size, WARP_SIZE), value, dtype=np.float32)
+            return np.array(operand.as_float(), dtype=np.float32)
         if isinstance(operand, ConstRef):
-            value = np.array([self._read_constant(operand)], dtype=np.uint32).view(np.float32)[0]
-            return lambda st, g: np.full((g.size, WARP_SIZE), value, dtype=np.float32)
+            return np.array(self._read_constant(operand), dtype=np.uint32).view(np.float32)
         raise SimulationError(f"operand {operand!r} cannot be read as float")
 
-    def _s32_reader(self, operand):
+    def _u32(self, operand, state: _ResidentState, kind: str) -> np.ndarray:
+        """A uint32 view of a register, or a 0-d uint32 constant."""
         if isinstance(operand, Register):
-            index = operand.index
-            return lambda st, g: st.read_s32(g, index)
+            return state.reads[operand.index]
         if isinstance(operand, Immediate):
-            value = int(operand.as_int())
-            return lambda st, g: np.full((g.size, WARP_SIZE), value, dtype=np.int64)
+            return np.array(operand.as_int() & 0xFFFFFFFF, dtype=np.uint32)
+        if isinstance(operand, ConstRef):
+            return np.array(self._read_constant(operand), dtype=np.uint32)
+        raise SimulationError(f"operand {operand!r} cannot be read as {kind}")
+
+    def _s32(self, operand, state: _ResidentState) -> np.ndarray:
+        """An int32 view of a register, or a 0-d int64 constant (sign-extended)."""
+        if isinstance(operand, Register):
+            return state.reads[operand.index].view(np.int32)
+        if isinstance(operand, Immediate):
+            return np.array(int(operand.as_int()), dtype=np.int64)
         if isinstance(operand, ConstRef):
             raw = self._read_constant(operand)
-            signed = raw - 2**32 if raw >= 2**31 else raw
-            return lambda st, g: np.full((g.size, WARP_SIZE), signed, dtype=np.int64)
+            return np.array(raw - 2**32 if raw >= 2**31 else raw, dtype=np.int64)
         raise SimulationError(f"operand {operand!r} cannot be read as integer")
 
-    def _u32_reader(self, operand):
-        if isinstance(operand, Register):
-            index = operand.index
-            return lambda st, g: st.read_u32(g, index)
-        if isinstance(operand, Immediate):
-            value = operand.as_int() & 0xFFFFFFFF
-            return lambda st, g: np.full((g.size, WARP_SIZE), value, dtype=np.uint32)
-        if isinstance(operand, ConstRef):
-            value = self._read_constant(operand)
-            return lambda st, g: np.full((g.size, WARP_SIZE), value, dtype=np.uint32)
-        raise SimulationError(f"operand {operand!r} cannot be read as unsigned integer")
-
-    def _guard(self, instruction: Instruction):
-        predicate_index = instruction.predicate.index
-        negated = instruction.predicate_negated
-        return lambda st, g: st.active[g] & st.read_pred(g, predicate_index, negated)
-
-    def _compile(self, instruction: Instruction):
-        """Compile one instruction to ``fn(state, g, shared_memory, traces)``."""
+    def _compile(self, instruction: Instruction, state: _ResidentState,
+                 shared_memory: PackedSharedMemory):
+        """Compile one instruction to ``fn(region)`` over ``state``."""
         opcode = instruction.opcode
-        guard = self._guard(instruction)
-
         if opcode in (Opcode.BRA, Opcode.BAR, Opcode.EXIT, Opcode.NOP):
             return None
+        guard = state.guards[instruction.predicate_negated][instruction.predicate.index]
 
         if opcode in (Opcode.FFMA, Opcode.FADD, Opcode.FMUL):
-            readers = [self._f32_reader(op) for op in instruction.sources]
-            dest = instruction.dest.index
+            sources = [self._f32(op, state) for op in instruction.sources]
+            out = state.writes[instruction.dest.index].view(np.float32)
             if opcode is Opcode.FFMA:
-                a, b, c = readers
+                a, b, c = sources
 
-                def fn(st, g, shared, traces):
-                    st.write_f32(g, dest, a(st, g) * b(st, g) + c(st, g), guard(st, g))
-            elif opcode is Opcode.FADD:
-                a, b = readers
+                def fn(region):
+                    np.add(a * b, c, out=out, where=guard(region.lanes))
+                return fn
+            a, b = sources
+            operation = np.add if opcode is Opcode.FADD else np.multiply
 
-                def fn(st, g, shared, traces):
-                    st.write_f32(g, dest, a(st, g) + b(st, g), guard(st, g))
-            else:
-                a, b = readers
-
-                def fn(st, g, shared, traces):
-                    st.write_f32(g, dest, a(st, g) * b(st, g), guard(st, g))
+            def fn(region):
+                operation(a, b, out=out, where=guard(region.lanes))
             return fn
 
-        if opcode in (Opcode.IADD, Opcode.IMUL, Opcode.IMAD,
-                      Opcode.LOP_AND, Opcode.LOP_OR, Opcode.LOP_XOR):
-            readers = [self._s32_reader(op) for op in instruction.sources]
-            dest = instruction.dest.index
+        if opcode in (Opcode.IMAD, *_INTEGER_OPS):
+            # Two's-complement add, multiply and bitwise ops agree with the
+            # reference's sign-extended int64 arithmetic modulo 2**32, so
+            # they run on the uint32 registers directly.
+            sources = [self._u32(op, state, "integer") for op in instruction.sources]
+            out = state.writes[instruction.dest.index]
             if opcode is Opcode.IMAD:
-                a, b, c = readers
+                a, b, c = sources
 
-                def fn(st, g, shared, traces):
-                    st.write_u32(
-                        g, dest, (a(st, g) * b(st, g) + c(st, g)).astype(np.uint32), guard(st, g)
-                    )
+                def fn(region):
+                    np.add(a * b, c, out=out, where=guard(region.lanes))
                 return fn
-            a, b = readers
-            operation = {
-                Opcode.IADD: np.add,
-                Opcode.IMUL: np.multiply,
-                Opcode.LOP_AND: np.bitwise_and,
-                Opcode.LOP_OR: np.bitwise_or,
-                Opcode.LOP_XOR: np.bitwise_xor,
-            }[opcode]
+            a, b = sources
+            operation = _INTEGER_OPS[opcode]
 
-            def fn(st, g, shared, traces):
-                st.write_u32(
-                    g, dest, operation(a(st, g), b(st, g)).astype(np.uint32), guard(st, g)
-                )
+            def fn(region):
+                operation(a, b, out=out, where=guard(region.lanes))
             return fn
 
         if opcode is Opcode.ISCADD:
             a_op, b_op, shift = instruction.sources
-            a = self._s32_reader(a_op)
-            b = self._s32_reader(b_op)
+            a = self._s32(a_op, state)
+            b = self._s32(b_op, state)
             amount = int(shift.as_int()) if isinstance(shift, Immediate) else 0
-            dest = instruction.dest.index
+            out = state.writes[instruction.dest.index]
 
-            def fn(st, g, shared, traces):
-                st.write_u32(
-                    g, dest,
-                    ((a(st, g) << amount) + b(st, g)).astype(np.uint32), guard(st, g),
-                )
+            def fn(region):
+                value = (a.astype(np.int64) << amount) + b
+                np.copyto(out, value.astype(np.uint32), where=guard(region.lanes))
             return fn
 
         if opcode in (Opcode.SHL, Opcode.SHR):
-            a = self._u32_reader(instruction.sources[0])
-            amount = self._u32_reader(instruction.sources[1])
-            dest = instruction.dest.index
+            a = self._u32(instruction.sources[0], state, "unsigned integer")
+            amount = self._u32(instruction.sources[1], state, "unsigned integer")
+            out = state.writes[instruction.dest.index]
             left = opcode is Opcode.SHL
 
-            def fn(st, g, shared, traces):
-                value = a(st, g).astype(np.uint64)
+            def fn(region):
+                value = a.astype(np.uint64)
                 # Shift amounts are unsigned and clamp at 32 (=> result 0),
                 # identically for register / immediate / constant sources.
-                count = np.minimum(amount(st, g).astype(np.uint64), 32)
+                count = np.minimum(amount.astype(np.uint64), 32)
                 result = (value << count) if left else (value >> count)
-                st.write_u32(g, dest, result.astype(np.uint32), guard(st, g))
+                np.copyto(out, result.astype(np.uint32), where=guard(region.lanes))
             return fn
 
         if opcode in (Opcode.MOV, Opcode.MOV32I):
             source = instruction.sources[0]
-            dest = instruction.dest.index
             if isinstance(source, Register):
-                index = source.index
-
-                def fn(st, g, shared, traces):
-                    st.write_u32(g, dest, st.read_u32(g, index), guard(st, g))
-                return fn
-            if isinstance(source, Immediate) and isinstance(source.value, float):
-                value = np.float32(source.value)
-
-                def fn(st, g, shared, traces):
-                    st.write_f32(
-                        g, dest,
-                        np.full((g.size, WARP_SIZE), value, dtype=np.float32), guard(st, g),
-                    )
-                return fn
-            if isinstance(source, Immediate):
-                value = source.as_int() & 0xFFFFFFFF
+                value = state.reads[source.index]
+            elif isinstance(source, Immediate) and isinstance(source.value, float):
+                value = np.array(source.value, dtype=np.float32).view(np.uint32)
+            elif isinstance(source, Immediate):
+                value = np.array(source.as_int() & 0xFFFFFFFF, dtype=np.uint32)
             elif isinstance(source, ConstRef):
-                value = self._read_constant(source)
+                value = np.array(self._read_constant(source), dtype=np.uint32)
             else:
                 raise SimulationError(f"MOV source {source!r} not supported")
-
-            def fn(st, g, shared, traces):
-                st.write_u32(
-                    g, dest, np.full((g.size, WARP_SIZE), value, dtype=np.uint32), guard(st, g)
-                )
-            return fn
+            return self._copy_plan(state.writes[instruction.dest.index], value, guard)
 
         if opcode is Opcode.S2R:
-            dest = instruction.dest.index
-            special = instruction.special
-            reader = self._special_reader(special)
-
-            def fn(st, g, shared, traces):
-                st.write_u32(g, dest, reader(st, g), guard(st, g))
-            return fn
+            value = self._special(instruction.special, state)
+            return self._copy_plan(state.writes[instruction.dest.index], value, guard)
 
         if opcode is Opcode.ISETP:
-            a = self._s32_reader(instruction.sources[0])
-            b = self._s32_reader(instruction.sources[1])
+            a = self._s32(instruction.sources[0], state)
+            b = self._s32(instruction.sources[1], state)
             compare = _ISETP_OPS[instruction.compare_op]
-            dest = instruction.dest_predicate.index
+            out = state.pred_writes[instruction.dest_predicate.index]
 
-            def fn(st, g, shared, traces):
-                st.write_pred(g, dest, compare(a(st, g), b(st, g)), guard(st, g))
+            def fn(region):
+                compare(a, b, out=out, where=guard(region.lanes))
             return fn
 
         if opcode in (Opcode.LDS, Opcode.LD, Opcode.STS, Opcode.ST):
-            return self._compile_memory(instruction, guard)
+            return self._compile_memory(instruction, guard, state, shared_memory)
 
         raise SimulationError(f"functional semantics for {opcode.value} are not implemented")
 
-    def _special_reader(self, special: SpecialRegister):
+    @staticmethod
+    def _copy_plan(out: np.ndarray, value: np.ndarray, guard):
+        def fn(region):
+            np.copyto(out, value, where=guard(region.lanes))
+        return fn
+
+    def _special(self, special: SpecialRegister, state: _ResidentState) -> np.ndarray:
+        """The ``(warps, 32)`` uint32 value of a special register."""
         if special is SpecialRegister.TID_X:
-            return lambda st, g: st.tid_x[g].astype(np.uint32)
+            return state.tid_x.astype(np.uint32)
         if special is SpecialRegister.TID_Y:
-            return lambda st, g: st.tid_y[g].astype(np.uint32)
+            return state.tid_y.astype(np.uint32)
         if special in (SpecialRegister.TID_Z, SpecialRegister.CTAID_Z):
-            return lambda st, g: np.zeros((g.size, WARP_SIZE), dtype=np.uint32)
+            return state.zeros
         if special is SpecialRegister.CTAID_X:
-            return lambda st, g: st.ctaid_x[g]
+            return state.ctaid_x
         if special is SpecialRegister.CTAID_Y:
-            return lambda st, g: st.ctaid_y[g]
+            return state.ctaid_y
         if special is SpecialRegister.LANEID:
-            return lambda st, g: np.tile(_LANES.astype(np.uint32), (g.size, 1))
+            return np.broadcast_to(np.arange(WARP_SIZE, dtype=np.uint32), state.zeros.shape)
         if special is SpecialRegister.WARPID:
-            return lambda st, g: np.broadcast_to(
-                st.warp_ids[g].astype(np.uint32)[:, None], (g.size, WARP_SIZE)
-            ).copy()
+            return np.broadcast_to(state.warp_ids.astype(np.uint32)[:, None], state.zeros.shape)
         raise SimulationError(f"special register {special!r} not modelled")
 
-    def _compile_memory(self, instruction: Instruction, guard):
+    def _compile_memory(self, instruction: Instruction, guard, state: _ResidentState,
+                        shared_memory: PackedSharedMemory):
         operand = instruction.memory_operand
         if operand is None:
             raise SimulationError(f"{instruction.mnemonic} has no memory operand")
-        base_index = operand.base.index
+        base = state.reads[operand.base.index]
         offset = operand.offset
         words = instruction.width // 32
         opcode = instruction.opcode
@@ -568,46 +583,38 @@ class VectorizedEngine:
         is_load = opcode in (Opcode.LDS, Opcode.LD)
         spec = self._shared_spec if is_shared else None
         global_memory = self._global_memory
-        mnemonic = instruction.mnemonic
+        target = shared_memory if is_shared else global_memory
 
         if is_load:
-            dest = instruction.dest.index
-            data_index = None
+            registers = [state.writes[instruction.dest.index + word] for word in range(words)]
         else:
             data_registers = [op for op in instruction.sources if isinstance(op, Register)]
             if not data_registers:
-                raise SimulationError(f"{mnemonic} has no data register")
-            dest = None
+                raise SimulationError(f"{instruction.mnemonic} has no data register")
             data_index = data_registers[-1].index
+            registers = [state.reads[data_index + word] for word in range(words)]
 
-        def fn(st, g, shared, traces):
-            addresses = st.read_u32(g, base_index).astype(np.int64) + offset
+        def fn(region):
+            addresses = np.add(base, offset, dtype=np.int64)
             if spec is not None:
                 # Replay degrees use the raw active mask (not the guard),
                 # exactly like SmSimulator._shared_memory_replays.
-                degrees = _conflict_degrees(spec, addresses, st.active[g])
-                for row, i in enumerate(g):
-                    traces[i].replays.append(degrees[row])
-            mask = guard(st, g)
+                region.record("replays", _conflict_degrees(spec, addresses, region.active))
+            mask = guard(region.lanes)
             if not is_shared:
                 if global_memory is None:
                     verb = "loads" if is_load else "stores"
                     raise SimulationError(
                         f"kernel {verb} global memory but none was provided"
                     )
-                lanes = mask.sum(axis=1)
-                for row, i in enumerate(g):
-                    traces[i].dram_lanes.append(int(lanes[row]))
-            target = shared if is_shared else global_memory
-            # A shared access also names each row's block.
-            rows = (st.block_ids[g],) if is_shared else ()
-            for word in range(words):
-                word_addresses = addresses + 4 * word
+                if mask is True:
+                    mask = region.active
+                region.record("dram_lanes", np.count_nonzero(mask, axis=1).tolist())
+            for word, register in enumerate(registers):
+                word_addresses = addresses + 4 * word if word else addresses
                 if is_load:
-                    values = target.load_words(word_addresses, mask, *rows)
-                    st.write_u32(g, dest + word, values, mask)
+                    np.copyto(register, target.load_words(word_addresses, mask), where=mask)
                 else:
-                    values = st.read_u32(g, data_index + word)
-                    target.store_words(word_addresses, values, mask, *rows)
+                    target.store_words(word_addresses, register, mask)
 
         return fn

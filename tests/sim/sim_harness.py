@@ -1,6 +1,8 @@
-"""Shared helpers for the simulator test suite.
+"""The simulator tests' **differential harness**.
 
-The centrepiece is the **differential harness**: :func:`decode_program` turns
+Test modules import it as ``sim_harness``: a plain module with a name of its
+own, not a ``conftest``, so collecting several test directories together
+cannot hand them another directory's helpers.  :func:`decode_program` turns
 a flat sequence of 32-bit words into a random-but-valid SASS kernel (every
 functional opcode, predication, RZ, wide memory ops, loops, barriers), and
 :func:`assert_state_differential` runs it through both functional engines —

@@ -5,7 +5,7 @@ this harness exists: every observable — registers, predicates, shared and
 global memory, DRAM byte counters, and the full timing story (cycles, stall
 breakdown, instruction histogram) — must be **bit-identical** to the scalar
 reference executor, over hundreds of seeded random programs and over every
-registry workload.  ``tests/sim/conftest.py`` holds the program decoder and
+registry workload.  ``tests/sim/sim_harness.py`` holds the program decoder and
 the comparison helpers.
 
 The heavyweight sweeps carry the ``slow`` marker; the fast lane
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import (
+from sim_harness import (
     assert_state_differential,
     assert_timing_differential,
     program_from_seed,

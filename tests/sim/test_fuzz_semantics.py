@@ -1,7 +1,7 @@
 """Property-based differential fuzzing of the two functional engines.
 
 Hypothesis drives the same word-stream decoder the seeded sweep uses
-(:func:`conftest.decode_program`), so a failing example **shrinks**: the
+(:func:`sim_harness.decode_program`), so a failing example **shrinks**: the
 word list minimises towards the shortest program that still diverges, and
 the assertion message prints that minimal program's disassembly.  Run with
 ``--hypothesis-seed=0`` (or any fixed seed) for reproducibility; the suite
@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import assert_state_differential, assert_timing_differential, decode_program
+from sim_harness import assert_state_differential, assert_timing_differential, decode_program
 
 from repro.arch import fermi_gtx580
 

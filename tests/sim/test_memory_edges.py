@@ -18,7 +18,11 @@ explicit, named coverage:
   lock-step pass over packed shared memories, yet an address past a block's
   own shared memory raises instead of reaching the next block's, a store to
   a block's last word leaves every other block's memory untouched, and each
-  block reads back its own writes;
+  block reads back its own writes; :class:`PackedSharedMemory` itself reads
+  and writes what each row's own :class:`SharedMemoryArray` would, aligned
+  or not, leaves lanes outside the mask unchecked (negative or wild
+  addresses included), and raises at the first offending lane in flat C
+  order;
 * **a store of its own address** — ``ST [R2], R2`` stores the address: the
   data operand is the very ``Register`` object of the base (there is one per
   index), and both executors still find it.
@@ -34,7 +38,7 @@ from repro.isa import KernelBuilder
 from repro.isa.instructions import ConstRef, MemRef
 from repro.isa.registers import SpecialRegister, predicate, reg
 from repro.sim import BlockGrid, GlobalMemory, KernelParams, simulate_kernel
-from repro.sim.memory import SharedMemoryArray
+from repro.sim.memory import PackedSharedMemory, SharedMemoryArray
 from repro.sim.reference import run_block_reference
 from repro.sim.vectorized import VectorizedEngine
 from repro.sim.warp import build_warps_for_block
@@ -363,6 +367,112 @@ class TestPerBlockSharedMemory:
                         global_memory=memory, executor=executor)
         words = memory.read_array("out", np.uint32, (3, 32))
         assert np.array_equal(words, np.repeat([[1], [2], [3]], 32, axis=1))
+
+
+class TestPackedSharedMemory:
+    """Rows of blocks of different sizes against each row's own array."""
+
+    SIZES = (256, 132, 64)
+    BLOCKS = np.array([0, 1, 2, 1, 0], dtype=np.intp)  # the block of each row
+
+    def _memories(self):
+        rng = np.random.default_rng(7)
+        memories = [SharedMemoryArray(size) for size in self.SIZES]
+        for memory in memories:
+            memory.data[:] = rng.integers(0, 256, memory.data.size)
+        return memories
+
+    def _accesses(self, seed, *, aligned):
+        """In-bounds addresses per row, a random mask, wild masked-off lanes."""
+        rng = np.random.default_rng(seed)
+        limits = np.array(self.SIZES)[self.BLOCKS][:, None] - 4
+        addresses = rng.integers(0, limits + 1, (len(self.BLOCKS), 32))
+        if aligned:
+            addresses &= ~3
+        mask = rng.random(addresses.shape) < 0.7
+        wild = rng.choice([-4, -1, 1 << 20, 4097], addresses.shape)
+        return np.where(mask, addresses, wild), mask
+
+    def _reference_load(self, memories, addresses, mask):
+        return np.stack([memories[block].load_words(row, row_mask)
+                         for block, row, row_mask in zip(self.BLOCKS, addresses, mask)])
+
+    @pytest.mark.parametrize("aligned", (True, False), ids=("aligned", "unaligned"))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loads_match_each_rows_array(self, aligned, seed):
+        memories = self._memories()
+        packed = PackedSharedMemory(memories, self.BLOCKS)
+        addresses, mask = self._accesses(seed, aligned=aligned)
+        expected = self._reference_load(memories, addresses, mask)
+        assert np.array_equal(packed.load_words(addresses, mask)[mask], expected[mask])
+        everywhere = np.where(mask, addresses, 0)
+        full = np.ones(mask.shape, dtype=bool)
+        assert np.array_equal(packed.load_words(everywhere, True),
+                              self._reference_load(memories, everywhere, full))
+
+    def _stored(self, addresses, values, mask):
+        """Each block's own array after the rows store one after another."""
+        memories = self._memories()
+        lanes = np.broadcast_to(mask, addresses.shape)
+        for block, row, row_values, row_lanes in zip(self.BLOCKS, addresses, values, lanes):
+            memories[block].store_words(row, row_values, row_lanes)
+        return memories
+
+    @pytest.mark.parametrize("aligned", (True, False), ids=("aligned", "unaligned"))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stores_match_each_rows_array(self, aligned, seed):
+        """Rows store in flat C order, so a later row's word wins."""
+        addresses, mask = self._accesses(seed, aligned=aligned)
+        # Two rows of block 1 store to the same four words.
+        addresses[1, :4] = addresses[3, :4] = np.arange(0, 16, 4) + (not aligned)
+        mask[1, :4] = mask[3, :4] = True
+        values = np.random.default_rng(seed).integers(0, 2**32, addresses.shape,
+                                                      dtype=np.uint32)
+        everywhere = np.where(mask, addresses, 0)
+        for access, lanes in ((addresses, mask), (everywhere, True)):
+            memories = self._memories()
+            packed = PackedSharedMemory(memories, self.BLOCKS)
+            packed.store_words(access, values, lanes)
+            packed.writeback()
+            for memory, reference in zip(memories, self._stored(access, values, lanes)):
+                assert np.array_equal(memory.data, reference.data)
+
+    @pytest.mark.parametrize("verb", ("load", "store"))
+    @pytest.mark.parametrize("as_mask", (False, True), ids=("mask", "all_lanes"))
+    def test_out_of_bounds_raises_at_first_lane_in_c_order(self, verb, as_mask):
+        """Row 1 (block 1, 132 bytes) at lane 9 comes before row 2's lane 3.
+
+        Address 128 is in bounds for block 0 but past block 1's last word,
+        and a wild address in a masked-off lane comes earlier still.
+        """
+        addresses = np.zeros((len(self.BLOCKS), 32), dtype=np.int64)
+        mask = np.ones(addresses.shape, dtype=bool)
+        addresses[0, 5] = -4
+        mask[0, 5] = False
+        addresses[1, 9] = 132 - 3
+        addresses[2, 3] = 64
+        addresses[4, 0] = 252  # block 0's last word: fine
+        packed = PackedSharedMemory(self._memories(), self.BLOCKS)
+        if as_mask:
+            addresses[0, 5] = 0
+            mask = True
+        access = (packed.load_words if verb == "load" else
+                  lambda a, m: packed.store_words(a, np.zeros(a.shape, np.uint32), m))
+        with pytest.raises(SimulationError,
+                           match=rf"^shared-memory {verb} out of bounds at 0x81$"):
+            access(addresses, mask)
+        addresses[1, 9] = 128
+        with pytest.raises(SimulationError,
+                           match=rf"^shared-memory {verb} out of bounds at 0x40$"):
+            access(addresses, mask)
+        addresses[2, 3] = 60
+        access(addresses, mask)
+        if not as_mask:
+            addresses[0, 5] = -4
+            mask[0, 5] = True
+            with pytest.raises(SimulationError,
+                               match=rf"^shared-memory {verb} out of bounds at -0x4$"):
+                access(addresses, mask)
 
 
 class TestConstantBankReads:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import barriers_per_main_loop
+from tile_inspect import barriers_per_main_loop
 from repro.isa.instructions import Opcode
 from repro.kernels.base import run_workload
 from repro.kernels.registry import get_workload
