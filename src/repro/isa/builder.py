@@ -4,10 +4,17 @@ The SGEMM generator and the micro-benchmark generators construct kernels
 instruction by instruction; :class:`KernelBuilder` offers a fluent interface
 for that (one method per opcode, plus labels, loops and assembly), so the
 generators read close to the hand-written SASS the paper describes.
+
+A builder emits each distinct instruction once: an unrolled SGEMM issues the
+same FFMA on the same registers once per k-step, and every repeat is the
+object the first emission built.  Kernels therefore hold one object per
+distinct instruction; what is cached on an instruction (its encoding, its
+def-use) is then worked out once, and a pickle of the kernel writes it once.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Union
@@ -49,6 +56,33 @@ def _as_operand(value: OperandLike) -> object:
     raise AssemblyError(f"cannot convert {value!r} into an operand")
 
 
+def _exact(operand: object) -> object:
+    """``operand`` as part of an emission key: equal only to the key of an
+    operand that builds the same instruction bytes and pickle.
+
+    Registers are interned, one class and one index each, so they key as
+    themselves.  Other operands key by their class and by each field's class
+    and value, and a float by its sign too: ``Immediate(1) == Immediate(1.0)``
+    and ``0.0 == -0.0``, though each pair encodes differently.  Anything
+    else keys by identity and so is never shared.
+    """
+    cls = operand.__class__
+    if cls is Register:
+        return operand
+    if cls is Immediate:
+        value = operand.value
+        if value.__class__ is int:
+            return (cls, int, value)
+        if value.__class__ is float:
+            return (cls, float, value, math.copysign(1.0, value))
+    elif cls is MemRef:
+        return (cls, operand.base, operand.offset.__class__, operand.offset)
+    elif cls is ConstRef:
+        return (cls, operand.bank.__class__, operand.bank,
+                operand.offset.__class__, operand.offset)
+    return (cls, id(operand))
+
+
 @dataclass
 class KernelBuilder:
     """Accumulates instructions and assembles them into a :class:`Kernel`.
@@ -74,6 +108,7 @@ class KernelBuilder:
     _guard_negated: bool = field(default=False, repr=False)
     _label_counter: int = field(default=0, repr=False)
     _provenance: tuple[str, ...] = field(default=(), repr=False)
+    _emitted: dict[tuple, Instruction] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------ #
     # Structural helpers.                                                 #
@@ -147,13 +182,34 @@ class KernelBuilder:
     # Instruction emitters.                                               #
     # ------------------------------------------------------------------ #
 
-    def _emit(self, **kwargs) -> Instruction:
-        instruction = Instruction(
-            predicate=self._guard,
-            predicate_negated=self._guard_negated,
-            provenance=self.current_provenance,
-            **kwargs,
-        )
+    def _emit(self, opcode: Opcode, dest: Register | None = None,
+              sources: tuple = (), **fields) -> Instruction:
+        """Append the instruction, the one this builder already emitted if equal.
+
+        Equal means the same opcode, destination, operands (see
+        :func:`_exact`), guard, negation, provenance scopes and keyword
+        fields, each value of the same class: never ``Instruction.__eq__``,
+        which calls ``Immediate(1)`` and ``Immediate(1.0)`` equal.  The key
+        holds the scope tags, so the path is joined only for a new
+        instruction.
+        """
+        guard, negated = self._guard, self._guard_negated
+        key = (opcode, dest, tuple(map(_exact, sources)),
+               guard.__class__, guard.index.__class__, guard.index,
+               negated.__class__, negated, self._provenance)
+        if fields:
+            key += tuple([(name, value.__class__, value) for name, value in fields.items()])
+        instruction = self._emitted.get(key)
+        if instruction is None:
+            instruction = self._emitted[key] = Instruction(
+                opcode=opcode,
+                dest=dest,
+                sources=sources,
+                predicate=guard,
+                predicate_negated=negated,
+                provenance=self.current_provenance,
+                **fields,
+            )
         self._items.append(instruction)
         return instruction
 

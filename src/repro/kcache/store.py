@@ -32,9 +32,12 @@ instance sets by position and only the non-default rest by name.  What an
 analysis cached on them is recomputed on use, and each register is a
 reference to the one :class:`repro.isa.registers.Register` of its index, so
 the bytes a hit reads and unpickles are the kernel's content and nothing
-else.  A hit checks the payload's SHA-256 first and then unpickles it with
-the cyclic collector paused: the thousands of objects a kernel unpickles to
-would otherwise set off collections that find nothing to free.
+else.  A kernel holds one object per distinct instruction (and encoding),
+so the pickle memo writes each once and every repeat as a reference, and
+a hit unpickles each once.  A hit checks the payload's SHA-256 first and
+then unpickles it with the cyclic collector paused: the thousands of
+objects a kernel unpickles to would otherwise set off collections that
+find nothing to free.
 
 Every filesystem operation passes through a named :mod:`repro.faults` fault
 point (``kcache.store.payload.write`` … ``kcache.store.read.payload``), so
@@ -96,7 +99,11 @@ __all__ = [
 #: ``kernel_opt`` (their other artifacts are ignored), and schema-3 code
 #: serves a schema-4 entry as a hit.  Code older than schema 3 cannot find
 #: the reconstructors a payload names, so it finds the payload unpicklable,
-#: discards it and rebuilds: it never serves a wrong kernel.
+#: discards it and rebuilds: it never serves a wrong kernel.  A schema-4
+#: payload written since kernels hold one object per distinct instruction
+#: writes each shared instruction and encoding once through the pickle
+#: memo; it names the same reconstructors, so it keeps schema 4, and any
+#: schema-3 or schema-4 reader loads it to an equal kernel.
 KCACHE_SCHEMA = 4
 
 #: Where the store lives unless told otherwise (relative to the CWD).

@@ -595,7 +595,10 @@ def rename_registers(
 
     ``mapping`` holds general-purpose indices only, so RZ keeps its index.
     An instruction no renaming touches is kept as it is — the identity
-    mapping is common and building an instruction is not free.
+    mapping is common and building an instruction is not free.  Each
+    distinct instruction object is renamed once, and every position that
+    holds it gets the one copy, so the result shares objects exactly where
+    ``instructions`` does.
 
     A renamed instruction is copied without the constructor
     (:meth:`~repro.isa.instructions.Instruction.with_operands`) and inherits
@@ -605,7 +608,13 @@ def rename_registers(
     """
     moved = {old: Register(new) for old, new in mapping.items() if new != old}
     renamed: list[Instruction] = []
+    # id() -> renamed object; ``instructions`` keeps every key's object alive.
+    renamed_of: dict[int, Instruction] = {}
     for instruction in instructions:
+        copy = renamed_of.get(id(instruction))
+        if copy is not None:
+            renamed.append(copy)
+            continue
         changed = False
         sources = []
         for operand in instruction.sources:
@@ -624,11 +633,12 @@ def rename_registers(
         if dest is not None and dest.index in moved:
             dest = moved[dest.index]
             changed = True
-        if not changed:
-            renamed.append(instruction)
-            continue
-        copy = instruction.with_operands(dest, tuple(sources))
-        inherit_def_use(copy, instruction, mapping)
+        if changed:
+            copy = instruction.with_operands(dest, tuple(sources))
+            inherit_def_use(copy, instruction, mapping)
+        else:
+            copy = instruction
+        renamed_of[id(instruction)] = copy
         renamed.append(copy)
     return tuple(renamed)
 

@@ -8,9 +8,11 @@ limit stays enforced, carrying the branch-target map over, and recording the
 pass in the kernel metadata.
 
 :func:`kernel_hash` gives kernels a stable content hash (encoded instruction
-bytes, control words and launch resources), which the autotuner uses as a
-cache key: two configurations that generate byte-identical kernels share one
-simulation.
+bytes, control words and launch resources).  It names kernels: the autotuner
+reports each measured kernel's hash and its naive kernel's, the kernel store
+records and checks the hashes of the kernels it serves, and run-ledger
+records carry it.  Nothing keys a cache on it, so two configurations that
+generate byte-identical kernels are each optimized and simulated.
 """
 
 from __future__ import annotations

@@ -50,13 +50,9 @@ class ReferenceExecutor:
         self,
         global_memory: GlobalMemory | None,
         params: KernelParams | None,
-        block_dim: tuple[int, int],
-        grid_dim: tuple[int, int] = (1, 1),
     ) -> None:
         self._global_memory = global_memory
         self._params = params
-        self._block_dim = block_dim
-        self._grid_dim = grid_dim
 
     # ------------------------------------------------------------------ #
     # Operand evaluation.                                                 #
@@ -307,7 +303,6 @@ def run_block_reference(
     *,
     global_memory: GlobalMemory | None = None,
     params: KernelParams | None = None,
-    grid_dim: tuple[int, int] = (1, 1),
     max_instructions: int = 1_000_000,
 ) -> None:
     """Functionally execute one block to completion with the scalar oracle.
@@ -325,11 +320,7 @@ def run_block_reference(
     """
     if kernel.instruction_count == 0:
         raise SimulationError("cannot execute an empty kernel")
-    block_dim = (
-        max(int(w.lane_tid_x.max()) for w in warps) + 1,
-        max(int(w.lane_tid_y.max()) for w in warps) + 1,
-    )
-    executor = ReferenceExecutor(global_memory, params, block_dim, grid_dim)
+    executor = ReferenceExecutor(global_memory, params)
     instructions = kernel.instructions
     executed = {w.warp_id: 0 for w in warps}
     while True:

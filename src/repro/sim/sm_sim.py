@@ -340,7 +340,6 @@ class SmSimulator:
                 shared_spec=self._gpu.shared_memory,
                 global_memory=self._global_memory,
                 params=self._params,
-                grid_dim=(config.grid.grid_x, config.grid.grid_y),
             )
             traces = engine.run_block(
                 all_warps,
@@ -354,12 +353,7 @@ class SmSimulator:
             replay_cursor = [iter(t.replays) for t in row_traces]
             dram_cursor = [iter(t.dram_lanes) for t in row_traces]
         elif functional:
-            executor = ReferenceExecutor(
-                self._global_memory,
-                self._params,
-                block_dim=(config.grid.block_x, config.grid.block_y),
-                grid_dim=(config.grid.grid_x, config.grid.grid_y),
-            )
+            executor = ReferenceExecutor(self._global_memory, self._params)
 
         # Static per-pc facts, bound to locals for the issue loop.
         wait_of = facts.wait

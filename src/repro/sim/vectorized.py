@@ -16,9 +16,10 @@ of :mod:`repro.sim.memory`.  CTAID is read per row, and each block keeps its
 own shared memory (a :class:`~repro.sim.memory.PackedSharedMemory` segment
 chosen by ``WarpState.block_id`` and bounds-checked against that block's
 size).  Per-instruction operand decoding (`isinstance` dispatch on every step
-in the reference executor) happens once per run: each pc is compiled, at its
-first execution, to a closure over the register views, immediates and
-constant-bank values it reads.
+in the reference executor) happens once per run: each distinct instruction is
+compiled, at its first execution, to a closure over the register views,
+immediates and constant-bank values it reads, and every pc holding that
+instruction object runs the one closure (a plan does not depend on its pc).
 
 Lock-step batching is only defined for race-free programs.  Within a block,
 different warps may not write the same shared/global location between two
@@ -61,7 +62,7 @@ _REGION_ENDERS = frozenset({Opcode.BRA, Opcode.BAR, Opcode.EXIT})
 _RZ = REGISTER_COUNT - 1
 _PT = PREDICATE_COUNT - 1
 
-#: Placeholder of a pc whose plan has not been compiled yet.
+#: Placeholder of an instruction whose plan has not been compiled yet.
 _UNCOMPILED = object()
 
 #: An address above every real one: a row without active lanes reads it.
@@ -250,13 +251,11 @@ class VectorizedEngine:
         shared_spec: SharedMemorySpec | None = None,
         global_memory: GlobalMemory | None = None,
         params: KernelParams | None = None,
-        grid_dim: tuple[int, int] = (1, 1),
     ) -> None:
         self._kernel = kernel
         self._shared_spec = shared_spec
         self._global_memory = global_memory
         self._params = params
-        self._grid_dim = grid_dim
         self._region_end: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -290,7 +289,9 @@ class VectorizedEngine:
         state = _ResidentState(warps)
         shared_memory = PackedSharedMemory(shared_memories, state.block_ids)
         full_lanes = True if state.active.all() else state.active
-        plans = [_UNCOMPILED] * count
+        # id() -> plan of that instruction object, shared by every pc holding
+        # it; the kernel keeps every key's object alive.
+        plans: dict[int, object] = {}
         traces = [WarpTrace() for _ in warps]
         queues = {name: [getattr(trace, name) for trace in traces]
                   for name in WarpTrace.__slots__}
@@ -316,11 +317,11 @@ class VectorizedEngine:
                     continue
                 end = self._region_span(start)
                 region = _Region(state, group, queues, full_lanes)
-                for index in range(start, end):
-                    plan = plans[index]
+                for instruction in instructions[start:end]:
+                    plan = plans.get(id(instruction), _UNCOMPILED)
                     if plan is _UNCOMPILED:
-                        plan = plans[index] = self._compile(
-                            instructions[index], state, shared_memory
+                        plan = plans[id(instruction)] = self._compile(
+                            instruction, state, shared_memory
                         )
                     if plan is not None:
                         plan(region)

@@ -3,7 +3,8 @@
 The kernel store (:mod:`repro.kcache`) pickles the kernels it serves, so a
 pickle must carry what the kernel *is* and nothing an analysis cached on it:
 the same kernel pickles to the same bytes whichever analyses have run, and
-an unpickled kernel shares one :class:`Register` object per index.
+an unpickled kernel shares one :class:`Register` object per index and one
+instruction object per distinct instruction, as the built kernel does.
 Instructions and their encodings pickle through one reconstructor each,
 which takes the common fields by position and only the non-default rest by
 name; pickles written before that format must still load.
@@ -193,6 +194,20 @@ def test_reconstructor_arguments_skip_defaults_and_cached_values(tile_kernel):
         else:
             assert args == (encoded.primary,)
     assert 0 < extended < len(tile_kernel.encoded)
+
+
+def test_shared_instructions_round_trip_shared(tile_kernel):
+    """A served kernel holds one object per distinct instruction (two
+    instructions being the same when they pickle the same), and so does the
+    kernel a payload loads to; a pickle writes each shared object once."""
+    distinct = {_dumps(instruction) for instruction in tile_kernel.instructions}
+    loaded = pickle.loads(_dumps(tile_kernel))
+    for kernel in (tile_kernel, loaded):
+        assert len({id(i) for i in kernel.instructions}) == len(distinct)
+        assert len({id(e) for e in kernel.encoded}) == len(distinct)
+    assert len(distinct) < len(tile_kernel.instructions) / 2
+    assert loaded == tile_kernel
+    assert kernel_hash(loaded) == kernel_hash(tile_kernel)
 
 
 def test_equal_provenance_shares_one_string(fermi):

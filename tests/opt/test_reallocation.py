@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.isa.builder import KernelBuilder
-from repro.isa.instructions import MemRef, Opcode
+from repro.isa.instructions import Instruction, MemRef, Opcode
 from repro.isa.registers import Register
 from repro.kernels import get_workload, workload_names
 from repro.opt.reallocation import (
@@ -13,6 +13,7 @@ from repro.opt.reallocation import (
     _used_registers,
     _wide_runs,
     reallocate_registers,
+    rename_registers,
 )
 from repro.sgemm.config import SgemmKernelConfig, SgemmVariant
 from repro.sgemm.conflict_analysis import analyse_ffma_conflicts
@@ -214,3 +215,35 @@ class TestRenamedFacts:
         for candidate in space:
             naive = workload.generate_naive(candidate.config)
             assert self._assert_carried_facts_are_fresh(naive) > 0, candidate.label
+
+
+def test_a_shared_instruction_is_renamed_once(monkeypatch):
+    """Positions holding one instruction object get one renamed object,
+    built once and carrying its original's def-use mapped."""
+    import dataclasses
+
+    from repro.opt.liveness import def_use
+
+    builder = KernelBuilder()
+    shared = builder.lds(4, MemRef(base=Register(7), offset=8), width=64)
+    kept = builder.iadd(9, 9, 1)
+    instructions = (shared, kept, shared, kept)
+    def_use(shared)
+
+    copies = []
+    with_operands = Instruction.with_operands
+
+    def counting(self, dest, sources):
+        copies.append(self)
+        return with_operands(self, dest, sources)
+
+    monkeypatch.setattr(Instruction, "with_operands", counting)
+    renamed = rename_registers(instructions, {4: 10, 5: 11, 7: 2, 9: 9})
+    assert copies == [shared]
+    assert renamed[0] is renamed[2] and renamed[0] is not shared
+    assert renamed[1] is kept and renamed[3] is kept
+    assert renamed[0].dest == Register(10)
+    assert renamed[0].sources == (MemRef(base=Register(2), offset=8),)
+    carried = vars(renamed[0])["_def_use"]
+    assert (carried.reg_defs, carried.reg_uses) == ((10, 11), (2,))
+    assert carried == def_use(dataclasses.replace(renamed[0]))

@@ -10,7 +10,11 @@ the scalar :mod:`repro.sim.reference` oracle and the batched
 :mod:`repro.sim.vectorized` fast path — asserting bit-identical architectural
 state.  ``tests/sim/test_differential.py`` drives it from seeded RNG streams;
 ``tests/sim/test_fuzz_semantics.py`` drives the same decoder from hypothesis
-so failures shrink to a minimal program.
+so failures shrink to a minimal program.  :func:`recording_reference` and
+:func:`recording_vectorized` collect every warp's
+:class:`~repro.sim.vectorized.WarpTrace` decisions from the reference-mode
+timing loop and from the vectorized pre-pass, for :func:`trace_queues` to
+compare.
 
 Programs are race-free by construction (the only programs lock-step batching
 is defined for): every thread's memory traffic stays inside its own global
@@ -22,16 +26,18 @@ counter so control flow never diverges.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 import numpy as np
 
 from repro.isa import KernelBuilder
 from repro.isa.disassembler import format_instruction
-from repro.isa.instructions import ConstRef, MemRef
+from repro.isa.instructions import ConstRef, MemRef, Opcode
 from repro.isa.registers import RZ_INDEX, SpecialRegister, predicate, reg
-from repro.sim import BlockGrid, GlobalMemory, KernelParams, simulate_kernel
+from repro.sim import BlockGrid, GlobalMemory, KernelParams, SmSimulator, simulate_kernel, sm_sim
 from repro.sim.memory import SharedMemoryArray
 from repro.sim.reference import run_block_reference
-from repro.sim.vectorized import VectorizedEngine
+from repro.sim.vectorized import VectorizedEngine, WarpTrace
 from repro.sim.warp import build_warps_for_block
 
 # --------------------------------------------------------------------- #
@@ -416,3 +422,58 @@ def assert_timing_differential(gpu, spec: ProgramSpec, *,
             + "; ".join(mismatches) + f"\nprogram:\n{spec.listing}"
         )
     assert ref.executor == "reference" and vec.executor == "vectorized"
+
+
+# --------------------------------------------------------------------- #
+# Decision traces.                                                       #
+# --------------------------------------------------------------------- #
+
+
+def recording_reference(monkeypatch) -> dict[int, WarpTrace]:
+    """Record each warp's decisions as the reference-mode timing loop takes them."""
+    traces: dict[int, WarpTrace] = defaultdict(WarpTrace)
+    replays = SmSimulator._shared_memory_replays
+    branch_taken = SmSimulator._branch_taken
+    active_lanes = sm_sim._active_lanes
+
+    def record_replays(self, warp, instruction):
+        degree = replays(self, warp, instruction)
+        traces[warp.warp_id].replays.append(degree)
+        return degree
+
+    def record_branch(self, warp, instruction, functional):
+        taken = branch_taken(self, warp, instruction, functional)
+        traces[warp.warp_id].branches.append(taken)
+        return taken
+
+    def record_lanes(warp, instruction):
+        lanes = active_lanes(warp, instruction)
+        if instruction.opcode is Opcode.EXIT:
+            traces[warp.warp_id].exits.append(lanes > 0)
+        else:
+            traces[warp.warp_id].dram_lanes.append(lanes)
+        return lanes
+
+    monkeypatch.setattr(SmSimulator, "_shared_memory_replays", record_replays)
+    monkeypatch.setattr(SmSimulator, "_branch_taken", record_branch)
+    monkeypatch.setattr(sm_sim, "_active_lanes", record_lanes)
+    return traces
+
+
+def recording_vectorized(monkeypatch) -> dict[int, WarpTrace]:
+    """Collect the traces of every vectorized pre-pass, keyed by warp id."""
+    traces: dict[int, WarpTrace] = {}
+    run_block = VectorizedEngine.run_block
+
+    def record(self, warps, shared_memories, **kwargs):
+        traces.update(run_block(self, warps, shared_memories, **kwargs))
+        return traces
+
+    monkeypatch.setattr(VectorizedEngine, "run_block", record)
+    return traces
+
+
+def trace_queues(traces: dict[int, WarpTrace]) -> dict[int, tuple]:
+    """Each warp's decision queues, comparable across engines."""
+    return {warp: tuple(getattr(trace, queue) for queue in WarpTrace.__slots__)
+            for warp, trace in traces.items()}
