@@ -10,7 +10,10 @@ test-and-set the filesystem arbitrates for threads and processes alike:
   marker) and returns it without scheduling, lowering or simulating a thing;
 * a claim whose holder died (stale mtime, or a recorded pid that no longer
   exists) is broken and re-contended, so a crashed builder delays the next
-  requester instead of wedging the key forever.
+  requester instead of wedging the key forever.  A claim stamped with this
+  process's pid is judged by the nonces this process holds instead, not by
+  age, so a live builder here that takes longer than ``stale_after`` keeps
+  its claim; a claim that cannot be read is waited on, never broken.
 
 The claim file carries ``{pid, host, created_at, nonce}``.  Existence is
 what synchronises; the *nonce* is what makes release safe: a claim that was
@@ -42,6 +45,10 @@ STALE_CLAIM_S = 60.0
 #: Default poll interval while waiting on another builder (seconds).
 POLL_S = 0.02
 
+#: Nonces of the claims this process holds: added before a claim file is
+#: created, removed when the claim is released (even when the unlink fails).
+_HELD_NONCES: set[str] = set()
+
 
 class ClaimTimeout(KernelCacheError):
     """The per-request deadline lapsed waiting for a build to materialise."""
@@ -61,6 +68,9 @@ class BuildClaim:
     nonce: str = ""
 
     def release(self) -> None:
+        # No longer held here, whatever happens to the file: a claim left
+        # behind reads as dead to this process and ages out elsewhere.
+        _HELD_NONCES.discard(self.nonce)
         try:
             fault_point("kcache.locks.release")
         except OSError:
@@ -86,20 +96,33 @@ class BuildClaim:
 
 
 def _holder_alive(path: Path, stale_after: float) -> bool:
-    """Whether the claim at ``path`` still looks held by a live builder."""
+    """Whether the claim at ``path`` may still be held by a live builder.
+
+    A claim this process stamped is held exactly while its nonce is in
+    :data:`_HELD_NONCES`, however old.  Any other claim dies of age past
+    ``stale_after``, or when its pid is gone from this host.  A read that
+    fails for any reason but a vanished file is unknown, and unknown counts
+    as held: callers wait and read again rather than break a live claim.
+    """
     try:
         fault_point("kcache.locks.read")
         age = time.time() - path.stat().st_mtime
-    except OSError:
+        text = path.read_bytes()
+    except FileNotFoundError:
         return False  # vanished: not held
+    except OSError:
+        return True  # unknown: wait and read again
+    try:
+        payload = json.loads(text)
+        pid = int(payload.get("pid", 0))
+    except (ValueError, TypeError, AttributeError):
+        return age <= stale_after  # being written, or torn: age decides
+    local = payload.get("host") == os.uname().nodename
+    if local and pid == os.getpid():
+        return payload.get("nonce") in _HELD_NONCES
     if age > stale_after:
         return False
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        pid = int(payload.get("pid", 0))
-    except (OSError, json.JSONDecodeError, ValueError):
-        return True  # claim just being written: give it the benefit
-    if pid <= 0 or payload.get("host") != os.uname().nodename:
+    if pid <= 0 or not local:
         return True  # a foreign host's claim: age is the only signal
     try:
         os.kill(pid, 0)
@@ -130,22 +153,30 @@ def claim_build(path: Path, *, stale_after: float = STALE_CLAIM_S) -> BuildClaim
             "nonce": nonce,
         }
     )
-    for _ in range(2):  # at most: once fresh, once after breaking a stale claim
-        try:
-            fault_point("kcache.locks.claim")
-            handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if _holder_alive(path, stale_after):
-                return None
-            try:  # break the stale claim and re-contend
-                os.unlink(path)
-            except OSError:
-                pass
-            continue
-        with os.fdopen(handle, "w", encoding="utf-8") as f:
-            f.write(payload)
-        return BuildClaim(path=path, nonce=nonce)
-    return None
+    # Held before the file exists, so no reader here sees it unheld.
+    _HELD_NONCES.add(nonce)
+    claim = None
+    try:
+        for _ in range(2):  # at most: once fresh, once after breaking a stale claim
+            try:
+                fault_point("kcache.locks.claim")
+                handle = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                if _holder_alive(path, stale_after):
+                    return None
+                try:  # break the stale claim and re-contend
+                    os.unlink(path)
+                except OSError:
+                    pass
+                continue
+            with os.fdopen(handle, "w", encoding="utf-8") as f:
+                f.write(payload)
+            claim = BuildClaim(path=path, nonce=nonce)
+            return claim
+        return None
+    finally:
+        if claim is None:
+            _HELD_NONCES.discard(nonce)
 
 
 def wait_for(

@@ -13,17 +13,23 @@ values like any other configuration.
 
 Evaluations are independent, so the sweep fans out over a
 ``multiprocessing`` pool (``workers=1`` runs serially in-process, which the
-tests use).  Each candidate is built and simulated exactly once per sweep,
-and its outcome carries the **kernel content hash** (see
-:func:`repro.opt.rewrite.kernel_hash`) of what was measured; the best
-outcome also carries the measured kernel itself, which the kernel store
-(:mod:`repro.kcache`) publishes as the tuned winner with the sweep's own
-measurement of it.  Nothing is memoized here: the store is the only cache
-of tuning results.
+tests use).  Each candidate is lowered once per sweep.  A serial sweep
+optimizes and simulates each distinct naive kernel once: candidates are
+keyed by the naive kernel's **content hash** (see
+:func:`repro.opt.rewrite.kernel_hash`), the way a generator names each
+routine by a content hash and emits it once, and a repeat takes the earlier
+measurement under its own label, candidate, kernel name and bound.  A pool's
+workers share no table, so a pooled sweep measures every candidate; its
+leaderboard is the same.  Every outcome carries the content hash of what
+was measured; the best outcome also carries the measured kernel itself,
+which the kernel store (:mod:`repro.kcache`) publishes as the tuned winner
+with the sweep's own measurement of it.  The table lives for one sweep:
+the store is the only cache of tuning results.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -88,6 +94,38 @@ def rank(outcome: TuneOutcome) -> tuple:
 def without_kernel(outcome: TuneOutcome) -> TuneOutcome:
     """``outcome`` without its kernel (``outcome`` itself when it holds none)."""
     return outcome if outcome.kernel is None else replace(outcome, kernel=None)
+
+
+#: One sweep's measurements: (naive kernel hash, optimize) → the outcome of
+#: the first candidate that measured that kernel.
+Measured = dict[tuple[str, bool], TuneOutcome]
+
+
+def _remember(measured: Measured, key: tuple[str, bool], outcome: TuneOutcome) -> None:
+    """Add a measurement to the sweep's table.
+
+    Only the entries tied at the table's fewest cycles keep their kernels:
+    a repeat of any other entry can never rank first, so it never needs one.
+    """
+    best = min((entry.cycles for entry in measured.values()), default=math.inf)
+    if outcome.cycles < best:
+        for other, entry in measured.items():
+            measured[other] = without_kernel(entry)
+    measured[key] = outcome if outcome.cycles <= best else without_kernel(outcome)
+
+
+def _repeat(
+    earlier: TuneOutcome, candidate: WorkloadCandidate, naive: Kernel, bound: float | None
+) -> TuneOutcome:
+    """``earlier``'s measurement of an equal naive kernel, under ``candidate``'s
+    own label, kernel name and bound; its kernel, if kept, is renamed too."""
+    kernel = earlier.kernel
+    if kernel is not None:
+        kernel = replace(kernel, name=naive.name, metadata={**kernel.metadata, **naive.metadata})
+    return replace(
+        earlier, label=candidate.display_label, kernel_name=naive.name,
+        bound_gflops=bound, candidate=candidate, kernel=kernel,
+    )
 
 
 def _keeping_best_kernel(arriving) -> list[TuneOutcome]:
@@ -186,6 +224,7 @@ class WorkloadCandidate:
 def evaluate_workload_candidate(
     gpu: GpuSpec | str,
     candidate: WorkloadCandidate,
+    measured: Measured | None = None,
 ) -> TuneOutcome:
     """Generate, (optionally) optimize and simulate one candidate.
 
@@ -193,6 +232,10 @@ def evaluate_workload_candidate(
     call so candidates can cross process boundaries.  ``gpu`` may be a
     machine description (preserving any caller customisation) or a name
     resolved via :func:`get_gpu_spec`.
+
+    ``measured`` is a serial sweep's table (see :func:`autotune_workloads`):
+    a candidate whose naive kernel is in it is lowered but neither optimized
+    nor simulated, and a new measurement is added to it.
     """
     try:
         spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
@@ -205,17 +248,22 @@ def evaluate_workload_candidate(
         workload = get_workload(candidate.workload)
         config = candidate.config if candidate.config is not None else workload.default_config()
         naive = workload.generate_naive(config)
-        # Looked up on the module at call time, so a wrapper installed there
-        # (the benchmark's per-layer recorder) sees every optimization.
-        kernel = pipeline.optimize_kernel(naive, spec).kernel if candidate.optimize else naive
         try:
             bound = workload.bound(config, spec).potential_gflops
         except ReproError:
             bound = None
-        digest = kernel_hash(kernel)
+        naive_digest = kernel_hash(naive)
+        key = (naive_digest, candidate.optimize)
+        if measured is not None and key in measured:
+            counter_inc("autotune.sim_cache.hits")
+            return _repeat(measured[key], candidate, naive, bound)
+        # Looked up on the module at call time, so a wrapper installed there
+        # (the benchmark's per-layer recorder) sees every optimization.
+        kernel = pipeline.optimize_kernel(naive, spec).kernel if candidate.optimize else naive
+        digest = kernel_hash(kernel) if candidate.optimize else naive_digest
         conflicts = analyse_ffma_conflicts(kernel)
         result = simulate_one_block(spec, kernel)
-        return TuneOutcome(
+        outcome = TuneOutcome(
             label=candidate.display_label,
             kernel_name=kernel.name,
             kernel_hash=digest,
@@ -227,9 +275,12 @@ def evaluate_workload_candidate(
             register_count=kernel.register_count,
             bound_gflops=bound,
             candidate=candidate,
-            naive_kernel_hash=kernel_hash(naive) if candidate.optimize else digest,
+            naive_kernel_hash=naive_digest,
             kernel=kernel,
         )
+        if measured is not None:
+            _remember(measured, key, outcome)
+        return outcome
     except ReproError as exc:
         return _error_outcome(candidate, gpu_key, exc)
 
@@ -266,6 +317,7 @@ def autotune_workloads(
     candidates: list[WorkloadCandidate] | None = None,
     *,
     workers: int | None = None,
+    measured: Measured | None = None,
 ) -> list[TuneOutcome]:
     """Evaluate ``candidates`` on ``gpu``, best (fewest cycles) first.
 
@@ -280,10 +332,16 @@ def autotune_workloads(
         Process count for the multiprocessing pool; ``None`` uses the CPU
         count (capped by the candidate count), ``1`` runs serially
         in-process.
+    measured:
+        The table of the sweep this call is part of, when one sweep spans
+        several calls (a generative sweep's warm seeds, then its kept
+        candidates); ``None`` starts a table of this call's own.  Only a
+        serial call reads and fills it.
 
     Every candidate simulates under :func:`simulate_one_block`'s default
     cycle cap.  Only the best outcome keeps its measured kernel: the others
-    drop theirs as they arrive, so a sweep holds two kernels at most.
+    drop theirs as they arrive, and the table keeps only the kernels tied
+    at its fewest cycles, so a sweep holds few kernels at a time.
     """
     spec = get_gpu_spec(gpu) if isinstance(gpu, str) else gpu
     if candidates is None:
@@ -299,10 +357,14 @@ def autotune_workloads(
     with trace_span(
         "autotune.sweep", category="autotune", candidates=len(candidates), workers=workers
     ):
-        jobs = [(spec, candidate) for candidate in candidates]
         if workers == 1:
-            outcomes = _keeping_best_kernel(map(_evaluate_star, jobs))
+            table = {} if measured is None else measured
+            outcomes = _keeping_best_kernel(
+                evaluate_workload_candidate(spec, candidate, table)
+                for candidate in candidates
+            )
         else:
+            jobs = [(spec, candidate) for candidate in candidates]
             with multiprocessing.Pool(processes=workers) as pool:
                 outcomes = _keeping_best_kernel(pool.imap(_evaluate_star, jobs))
     if current().metrics is not None:

@@ -16,12 +16,15 @@ one problem shape:
   lowering imposes, plus the named staging/pipelining ablations
   (``nostage``/``noprefetch``/``w1``);
 * :func:`prune_by_bound` evaluates each candidate's **analytic upper bound**
-  (:func:`repro.tile.resources.proc_resources` feeding
+  (the workload's resources feeding
   :func:`repro.model.analyse_workload_bound`) and discards everything whose
   bound is far from the best before any simulation runs — the "where to
-  look" half of the paper's argument;
+  look" half of the paper's argument.  ``tile_sgemm`` prices a point in
+  closed form from its configuration, so only the kept points are ever
+  scheduled (for lowering);
 * :func:`repro.opt.autotune.autotune_workloads` simulates the survivors —
-  the one sweep harness every candidate goes through;
+  the one sweep harness every candidate goes through, which optimizes and
+  simulates each distinct naive kernel of a sweep once;
 * :func:`run_generative_sweep` chains the three, timing each phase, and
   simulates the caller's warm-start seed candidates ahead of them.
 """
@@ -37,6 +40,7 @@ from repro.context import current
 from repro.errors import ReproError, ResourceLimitError
 from repro.kernels.registry import get_workload
 from repro.opt.autotune import (
+    Measured,
     TuneOutcome,
     WorkloadCandidate,
     autotune_workloads,
@@ -46,8 +50,6 @@ from repro.opt.autotune import (
 from repro.prof.trace import trace_span
 from repro.telemetry.ledger import config_digest, record_run
 from repro.telemetry.metrics import counter_inc, observe
-from repro.tile.lower import launch_geometry
-from repro.tile.resources import proc_occupancy
 from repro.tile.workloads import TileSgemmConfig
 
 __all__ = [
@@ -220,9 +222,10 @@ class PruneReport:
     ``kept`` feed the simulator; ``pruned`` records (label, bound seconds)
     of everything discarded without simulating — occupancy-killed candidates
     (doubled tiles that cannot be resident) carry an infinite bound.
-    ``elapsed_s`` is the host-side wall time of the pruning pass itself; the
-    per-candidate schedule applications are memoized by schedule hash, so
-    repeated sweeps over overlapping spaces get cheaper, not slower.
+    ``elapsed_s`` is the host-side wall time of the pruning pass itself.
+    ``tile_sgemm`` points are priced from their configurations without
+    being scheduled; the other tile workloads' three points are scheduled
+    through the memo and priced off their procs.
     """
 
     kept: tuple[WorkloadCandidate, ...]
@@ -245,13 +248,12 @@ def prune_by_bound(
     """Discard candidates whose analytic bound is far from the best.
 
     ``candidates`` is one space: one workload at one problem shape, as
-    :func:`schedule_space` builds it.  Each candidate's scheduled proc
-    yields its compulsory traffic
-    (:func:`repro.tile.resources.proc_resources`), and the generalized
-    Eq. 6/8/9 bound turns that into a minimum execution time.  Candidates
-    whose bound exceeds :data:`KEEP_WITHIN` × the space's best bound are
-    pruned unsimulated.  This is a heuristic, not a guarantee: see
-    :data:`KEEP_WITHIN`.
+    :func:`schedule_space` builds it.  Each candidate's compulsory traffic
+    (:meth:`Workload.resources`; closed forms for ``tile_sgemm``) goes
+    through the generalized Eq. 6/8/9 bound to a minimum execution time.
+    Candidates whose bound exceeds :data:`KEEP_WITHIN` × the space's best
+    bound are pruned unsimulated.  This is a heuristic, not a guarantee:
+    see :data:`KEEP_WITHIN`.
 
     Occupancy prunes on top of the bound: a schedule whose shared-memory
     footprint cannot be resident on ``gpu`` at all — double-buffered tiles
@@ -292,10 +294,10 @@ def _prune_by_bound(
                 if candidate.config is not None
                 else workload.default_config()
             )
-            scheduled = getattr(workload, "cached_scheduled_proc", None)
-            if scheduled is not None:
+            occupancy = getattr(workload, "occupancy", None)
+            if occupancy is not None:
                 try:
-                    proc_occupancy(scheduled(config), spec)
+                    occupancy(config, spec)
                 except ResourceLimitError:
                     bounds[position] = math.inf
                     continue
@@ -448,8 +450,9 @@ def block_cycle_floor(workload, config, gpu: GpuSpec) -> float:
     simulated cycles): the issue loop retires at most
     :func:`_max_warp_issues_per_cycle` warp instructions per cycle, and the
     FFMA stream alone is ``flops / 2 / 32`` warp instructions.  Dividing the
-    whole problem's compulsory flops (:meth:`Workload.resources`, counted
-    off the scheduled IR) by the grid's block count gives the *average*
+    whole problem's compulsory flops (:meth:`Workload.resources`) by the
+    grid's block count (:meth:`TileWorkload.geometry`; both closed forms
+    for ``tile_sgemm``, so nothing is scheduled) gives the *average*
     per-block FFMA work, and block (0, 0) — an interior, full-tile block —
     never does less.  No pass pipeline removes FFMAs, so the figure is the
     same for naive and optimized candidates.
@@ -464,12 +467,11 @@ def block_cycle_floor(workload, config, gpu: GpuSpec) -> float:
     Returns 0.0 (prunes nothing) when the floor cannot be priced — e.g.
     flop-free workloads like the transposes.
     """
-    scheduled = getattr(workload, "cached_scheduled_proc", None)
-    if scheduled is None:
+    launch = getattr(workload, "geometry", None)
+    if launch is None:
         return 0.0
     try:
-        proc = scheduled(config)
-        geometry = launch_geometry(proc)
+        geometry = launch(config)
         resources = workload.resources(config)
     except ReproError:
         return 0.0
@@ -525,6 +527,10 @@ def run_generative_sweep(
     ``schedule_space(workload, config, **axes)``, with wall times captured
     where benchmarks need them.
 
+    Seeds and kept candidates share one table of measurements by naive
+    kernel (:func:`repro.opt.autotune.autotune_workloads`), so a serial
+    sweep optimizes and simulates each distinct naive kernel once.
+
     ``seeds`` are warm-start candidates; the kernel store builds them from
     the winners of its nearest tuned shapes.  They are simulated *first*,
     their best measured cycles then drop every bound-kept candidate whose
@@ -537,13 +543,16 @@ def run_generative_sweep(
     candidates = schedule_space(workload, config, **axes)
     seeds = list(seeds)
 
+    measured: Measured = {}
     started = time.perf_counter()
-    seed_outcomes = autotune_workloads(spec, seeds, workers=workers) if seeds else []
+    seed_outcomes = (
+        autotune_workloads(spec, seeds, workers=workers, measured=measured) if seeds else []
+    )
     seed_sim_s = time.perf_counter() - started
     report = prune_by_bound(spec, candidates)
     kept, warm_pruned = _warm_prune(list(report.kept), seeds, seed_outcomes, spec)
     started = time.perf_counter()
-    outcomes = autotune_workloads(spec, kept, workers=workers)
+    outcomes = autotune_workloads(spec, kept, workers=workers, measured=measured)
     if seeds:
         counter_inc("kcache.warm.seeds", len(seeds), _WARM_LABELS)
         counter_inc("kcache.warm.pruned", warm_pruned, _WARM_LABELS)

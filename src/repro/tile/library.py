@@ -45,6 +45,7 @@ __all__ = [
     "transpose_proc",
     "sgemv_proc",
     "decompose_sgemm",
+    "check_sgemm_schedule",
     "schedule_sgemm",
     "schedule_transpose",
     "schedule_sgemv",
@@ -257,6 +258,20 @@ def _decomposed(proc: Proc, tile: int, br: int) -> Proc:
     return proc
 
 
+def check_sgemm_schedule(
+    *, tile: int, register_blocking: int, b_window: int, stage: bool, double_buffer: bool
+) -> None:
+    """Raise :class:`ScheduleError` for a point :func:`schedule_sgemm` rejects
+    before it applies any primitive."""
+    br = register_blocking
+    if tile % br:
+        raise ScheduleError(f"register blocking {br} must divide the tile {tile}")
+    if br % b_window:
+        raise ScheduleError(f"b_window {b_window} must divide register blocking {br}")
+    if double_buffer and not stage:
+        raise ScheduleError("double_buffer requires staged shared tiles")
+
+
 def schedule_sgemm(
     proc: Proc,
     *,
@@ -286,13 +301,11 @@ def schedule_sgemm(
     extends; a decomposition made at another tile or blocking raises
     :class:`ScheduleError`.
     """
+    check_sgemm_schedule(
+        tile=tile, register_blocking=register_blocking, b_window=b_window,
+        stage=stage, double_buffer=double_buffer,
+    )
     br = register_blocking
-    if tile % br:
-        raise ScheduleError(f"register blocking {br} must divide the tile {tile}")
-    if br % b_window:
-        raise ScheduleError(f"b_window {b_window} must divide register blocking {br}")
-    if double_buffer and not stage:
-        raise ScheduleError("double_buffer requires staged shared tiles")
     p = _decomposed(proc, tile, br)
 
     # Software-pipelined staging loop over K in steps of the stride.

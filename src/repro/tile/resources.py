@@ -16,7 +16,9 @@ scheduled nest and multiplying by loop extents yields, exactly:
   costs one LDS, exactly the paper's ``2·B_R`` per-k-step accounting.
 
 Guarded statements count only the iterations whose predicate holds, so
-``predicate_tail`` schedules report the true (not rounded-up) traffic.
+``predicate_tail`` schedules report the true (not rounded-up) traffic.  The
+counts are exact fractions, rounded once (half to even) at the end, so a
+total never depends on the order the walk sums it in.
 
 The result plugs straight into
 :func:`repro.model.analyse_workload_bound` — deriving the paper's bound
@@ -25,6 +27,7 @@ inputs from the IR instead of re-deriving them per workload by hand.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from repro.arch.occupancy import OccupancyCalculator, OccupancyResult
@@ -88,11 +91,11 @@ def _expr_flops(expr: Expr) -> int:
     return 0
 
 
-def _enumerated_fraction(guards, ranges: dict[str, int]) -> float:
+def _enumerated_fraction(guards, ranges: dict[str, int]) -> Fraction:
     """Exact satisfied fraction of one guard group by enumeration."""
     involved = sorted({v for expr, _ in guards for v in expr.vars()})
     if not involved:
-        return 1.0 if all(expr.const < bound for expr, bound in guards) else 0.0
+        return Fraction(all(expr.const < bound for expr, bound in guards))
     total = 0
     satisfied = 0
     for values in product(*(range(ranges[v]) for v in involved)):
@@ -100,7 +103,7 @@ def _enumerated_fraction(guards, ranges: dict[str, int]) -> float:
         total += 1
         if all(expr.evaluate(env) < bound for expr, bound in guards):
             satisfied += 1
-    return satisfied / total if total else 1.0
+    return Fraction(satisfied, total) if total else Fraction(1)
 
 
 def _independent_groups(items, vars_of) -> list[tuple[set[str], list]]:
@@ -118,7 +121,7 @@ def _independent_groups(items, vars_of) -> list[tuple[set[str], list]]:
     return groups
 
 
-def _guard_fraction(guards, ranges: dict[str, int]) -> float:
+def _guard_fraction(guards, ranges: dict[str, int]) -> Fraction:
     """Fraction of iterations (over the guard expressions' variables) that
     satisfy every active guard.
 
@@ -127,16 +130,14 @@ def _guard_fraction(guards, ranges: dict[str, int]) -> float:
     predicated SGEMM each enumerate their own few hundred points instead of
     one cross product over the whole iteration space.
     """
-    if not guards:
-        return 1.0
-    fraction = 1.0
+    fraction = Fraction(1)
     for _, group_guards in _independent_groups(guards, lambda guard: guard[0].vars()):
         fraction *= _enumerated_fraction(group_guards, ranges)
     return fraction
 
 
 def _window_elements(base, sizes_by_dim: dict[int, int], limits,
-                     ranges: dict[str, int], rank: int) -> float:
+                     ranges: dict[str, int], rank: int) -> Fraction:
     """Mean in-bounds elements of one bulk-copy window per execution.
 
     Unclipped windows are their full size; clipped windows average the
@@ -167,7 +168,7 @@ def _window_elements(base, sizes_by_dim: dict[int, int], limits,
         total *= group_total
         for var in involved:
             count *= ranges[var]
-    return total / count
+    return Fraction(total, count)
 
 
 def proc_resources(proc: Proc) -> WorkloadResources:
@@ -184,11 +185,9 @@ def proc_resources(proc: Proc) -> WorkloadResources:
         b.name for b in proc.buffers if b.memory == "register"
     }
 
-    flops = 0.0
-    dram = 0.0
-    shared = 0.0
+    flops = dram = shared = Fraction(0)
 
-    def access(tensor: str, count: float) -> None:
+    def access(tensor: str, count: Fraction) -> None:
         nonlocal dram, shared
         if tensor in is_register:
             return
@@ -197,7 +196,7 @@ def proc_resources(proc: Proc) -> WorkloadResources:
         else:
             dram += 4 * count
 
-    def visit(stmts: tuple[Stmt, ...], trip: float, thread_trip: float,
+    def visit(stmts: tuple[Stmt, ...], trip: int, thread_trip: int,
               ranges: dict[str, int], guards, unrolled: dict[str, int]) -> None:
         nonlocal flops
         for stmt in stmts:
@@ -249,7 +248,7 @@ def proc_resources(proc: Proc) -> WorkloadResources:
                     full_window *= size
                 # The cooperative copy runs once per block: divide out the
                 # thread-loop multiplicity the IR's per-thread semantics add.
-                block_trip = trip / max(thread_trip, 1.0)
+                block_trip = Fraction(trip, max(thread_trip, 1))
                 access(stmt.tensor, block_trip * window)          # global reads
                 access(stmt.buffer, block_trip * full_window)     # shared writes
             elif isinstance(stmt, Unstage):
@@ -260,7 +259,7 @@ def proc_resources(proc: Proc) -> WorkloadResources:
                 )
                 access(stmt.tensor, trip * window)
 
-    visit(proc.body, 1.0, 1.0, {}, (), {})
+    visit(proc.body, 1, 1, {}, (), {})
     return WorkloadResources(
         flops=int(round(flops)),
         dram_bytes=int(round(dram)),

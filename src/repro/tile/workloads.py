@@ -12,6 +12,12 @@ way it sweeps the hand generators' knobs.
 The hand-written generators (``sgemm``, ``transpose``, ``sgemv``) stay
 registered as golden references; the equivalence tests in
 ``tests/tile/test_equivalence.py`` pin the DSL kernels to them bit-for-bit.
+
+A point's upper-bound inputs, launch geometry and shared footprint are read
+off its scheduled proc (:mod:`repro.tile.resources`), except for
+``tile_sgemm``, which prices them in closed form from the configuration
+alone, so the sweep's bound prune schedules none of the points it discards.
+``tests/tile/test_resources.py`` pins the closed forms to the proc walk.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.arch.occupancy import OccupancyCalculator, OccupancyResult
+from repro.arch.specs import GpuSpec
 from repro.errors import TileError
 from repro.isa.assembler import Kernel
 from repro.kernels.base import Workload, WorkloadLaunch
@@ -31,28 +39,15 @@ from repro.telemetry.metrics import counter_inc
 from repro.tile import library
 from repro.tile.interp import interpret
 from repro.tile.ir import Proc
-from repro.tile.lower import launch_geometry, lower
-from repro.tile.resources import proc_resources
-
-
-@dataclass
-class _Scheduled:
-    """One memo entry: a scheduled proc and, once priced, its resources.
-
-    The resources live here rather than on the proc, which the kernel store
-    pickles into its entries.
-    """
-
-    proc: Proc
-    resources: WorkloadResources | None = None
+from repro.tile.lower import LaunchGeometry, launch_geometry, lower
+from repro.tile.resources import REGISTER_BUDGET, proc_resources, proc_shared_footprint
 
 
 #: Memoized schedule applications, keyed by *schedule hash* — the (workload,
 #: frozen config) pair identifies the schedule point exactly, and a proc does
 #: not depend on the GPU.  Procs are immutable, so the sweep machinery (bound
 #: pruning, resource counting, lowering, launch plumbing) can re-request the
-#: same point without re-running ~30 primitive applications each time, and
-#: the bound prune and the sweep price each point's resources once.
+#: same point without re-running ~30 primitive applications each time.
 #: SGEMM decompositions (:func:`repro.tile.library.decompose_sgemm`) share
 #: the memo under ``(_DECOMPOSITION, (m, n, k, tile, register_blocking))``
 #: keys, so the points of one tile and blocking extend one decomposition.
@@ -60,7 +55,7 @@ class _Scheduled:
 #: counts schedule points, and the hit/miss/eviction counters count only
 #: them.
 _SCHEDULE_CACHE_LIMIT = 256
-_SCHEDULED_PROCS: dict[tuple[str, object], _Scheduled] = {}
+_SCHEDULED_PROCS: dict[tuple[str, object], Proc] = {}
 _DECOMPOSITION = "decompose_sgemm"
 
 #: Metrics-facade label set of the memo (a constant tuple, so the uninstalled
@@ -73,8 +68,8 @@ def clear_schedule_caches() -> None:
     _SCHEDULED_PROCS.clear()
 
 
-def _memoize(key: tuple[str, object], entry: _Scheduled) -> None:
-    """Add ``entry``; a schedule point past the cap evicts the oldest points.
+def _memoize(key: tuple[str, object], proc: Proc) -> None:
+    """Add ``proc``; a schedule point past the cap evicts the oldest points.
 
     Decompositions leave in the same FIFO order, uncounted, when they come
     before an evicted point; adding a decomposition never evicts.
@@ -87,7 +82,7 @@ def _memoize(key: tuple[str, object], entry: _Scheduled) -> None:
             if oldest[0] != _DECOMPOSITION:
                 points -= 1
                 counter_inc("tile.schedule_cache.evictions", 1, _SCHEDULED_LABELS)
-    _SCHEDULED_PROCS[key] = entry
+    _SCHEDULED_PROCS[key] = proc
 
 
 class TileWorkload(Workload):
@@ -108,21 +103,17 @@ class TileWorkload(Workload):
         """The golden schedule applied to the naive proc."""
         raise NotImplementedError
 
-    def _scheduled(self, config) -> _Scheduled:
-        """The memo entry of ``config``'s schedule point."""
-        key = (self.name, config)
-        entry = _SCHEDULED_PROCS.get(key)
-        if entry is not None:
-            counter_inc("tile.schedule_cache.hits", 1, _SCHEDULED_LABELS)
-            return entry
-        counter_inc("tile.schedule_cache.misses", 1, _SCHEDULED_LABELS)
-        entry = _Scheduled(self.scheduled_proc(config))
-        _memoize(key, entry)
-        return entry
-
     def cached_scheduled_proc(self, config) -> Proc:
         """The scheduled proc, memoized by schedule hash."""
-        return self._scheduled(config).proc
+        key = (self.name, config)
+        proc = _SCHEDULED_PROCS.get(key)
+        if proc is not None:
+            counter_inc("tile.schedule_cache.hits", 1, _SCHEDULED_LABELS)
+            return proc
+        counter_inc("tile.schedule_cache.misses", 1, _SCHEDULED_LABELS)
+        proc = self.scheduled_proc(config)
+        _memoize(key, proc)
+        return proc
 
     def lds_width_bits(self, config) -> int:
         return 64
@@ -139,15 +130,32 @@ class TileWorkload(Workload):
     def resources(self, config) -> WorkloadResources:
         """Upper-bound inputs derived from the scheduled loop nest itself.
 
-        No hand-derived traffic formulas: :func:`repro.tile.resources
-        .proc_resources` counts flops, DRAM and shared traffic off the IR
-        (and the tests pin it against the hand workloads' Eq. 6-style
-        accounting).  Priced once per memoized schedule point.
+        :func:`repro.tile.resources.proc_resources` counts flops, DRAM and
+        shared traffic off the IR (and the tests pin it against the hand
+        workloads' Eq. 6-style accounting).
         """
-        entry = self._scheduled(config)
-        if entry.resources is None:
-            entry.resources = proc_resources(entry.proc)
-        return entry.resources
+        return proc_resources(self.cached_scheduled_proc(config))
+
+    def geometry(self, config) -> LaunchGeometry:
+        """The launch geometry of ``config``'s scheduled proc."""
+        return launch_geometry(self.cached_scheduled_proc(config))
+
+    def shared_footprint(self, config) -> int:
+        """Shared-memory bytes one block of ``config`` allocates, as lowered."""
+        return proc_shared_footprint(self.cached_scheduled_proc(config))
+
+    def occupancy(self, config, gpu: GpuSpec) -> OccupancyResult:
+        """Occupancy of ``config`` on ``gpu`` at the lowering's register budget.
+
+        Raises :class:`~repro.errors.ResourceLimitError` when a block cannot
+        be resident at all (a double-buffered tile past the SM's shared
+        memory), the signal the bound prune discards a point on.
+        """
+        return OccupancyCalculator(gpu).resolve(
+            threads_per_block=self.geometry(config).threads_per_block,
+            registers_per_thread=REGISTER_BUDGET,
+            shared_memory_per_block=self.shared_footprint(config),
+        )
 
     def build_launch(self, config, inputs: dict[str, np.ndarray]) -> WorkloadLaunch:
         proc = self.cached_scheduled_proc(config)
@@ -237,11 +245,62 @@ class TileSgemmWorkload(TileWorkload):
     def naive_proc(self, config: TileSgemmConfig) -> Proc:
         return library.matmul_proc(config.m, config.n, config.k)
 
+    # The closed forms below equal proc_resources, launch_geometry and
+    # proc_shared_footprint of the scheduled proc (tests/tile/
+    # test_resources.py pins them), so pricing a point schedules nothing.
+
+    def _grid(self, config: TileSgemmConfig) -> tuple[int, int]:
+        """(g_x, g_y) = (⌈n/T⌉, ⌈m/T⌉) blocks, once ``schedule_sgemm`` would
+        accept the point at all."""
+        library.check_sgemm_schedule(
+            tile=config.tile, register_blocking=config.register_blocking,
+            b_window=config.b_window, stage=config.stage,
+            double_buffer=config.double_buffer,
+        )
+        return -(-config.n // config.tile), -(-config.m // config.tile)
+
+    def resources(self, config: TileSgemmConfig) -> WorkloadResources:
+        """The Eq. 6/8/9 inputs of ``config`` from the configuration alone.
+
+        With T the tile, L the stride and r = B_R when the inner loops
+        unroll (each loaded operand then serves B_R FFMAs), 1 otherwise:
+        ``2mnk`` flops; staged, each block reads its clipped A and B windows
+        from DRAM (``4(g_x·m·k + g_y·n·k)``) and writes C once (``4mn``),
+        writes both full T×L windows to shared memory once per stage
+        (``8·g_x·g_y·⌈k/L⌉·T·L``) and reads ``8mnk/r`` bytes back;
+        unstaged, the ``8mnk/r`` operand bytes come from DRAM.
+        """
+        grid_x, grid_y = self._grid(config)
+        m, n, k = config.m, config.n, config.k
+        reuse = config.register_blocking if config.unroll_inner else 1
+        operands = round(8 * m * n * k / reuse)
+        if config.stage:
+            stages = -(-k // config.stride)
+            dram = 4 * (grid_x * m * k + grid_y * n * k + m * n)
+            shared = 8 * grid_x * grid_y * stages * config.tile * config.stride + operands
+        else:
+            dram, shared = operands + 4 * m * n, 0
+        return WorkloadResources(flops=2 * m * n * k, dram_bytes=dram, shared_bytes=shared)
+
+    def geometry(self, config: TileSgemmConfig) -> LaunchGeometry:
+        grid_x, grid_y = self._grid(config)
+        threads = config.tile // config.register_blocking
+        return LaunchGeometry(grid_x=grid_x, grid_y=grid_y, threads_x=threads, threads_y=threads)
+
+    def shared_footprint(self, config: TileSgemmConfig) -> int:
+        """Both T×L tiles when staged; doubled, above the power-of-two parity
+        mask :func:`repro.tile.lower.shared_layout` places the copies at."""
+        self._grid(config)
+        window = 8 * config.stride * config.tile if config.stage else 0
+        if config.double_buffer:
+            return (1 << (window - 1).bit_length()) + window
+        return window
+
     def scheduled_proc(self, config: TileSgemmConfig) -> Proc:
         key = (_DECOMPOSITION, (config.m, config.n, config.k, config.tile,
                                 config.register_blocking))
-        entry = _SCHEDULED_PROCS.get(key)
-        decomposition = entry.proc if entry is not None else library.decompose_sgemm(
+        cached = _SCHEDULED_PROCS.get(key)
+        decomposition = cached if cached is not None else library.decompose_sgemm(
             self.naive_proc(config),
             tile=config.tile,
             register_blocking=config.register_blocking,
@@ -257,10 +316,10 @@ class TileSgemmWorkload(TileWorkload):
             unroll_inner=config.unroll_inner,
             double_buffer=config.double_buffer,
         )
-        if entry is None:
+        if cached is None:
             # Kept once a point has scheduled from it, so a point that fails
             # to schedule leaves nothing in the memo.
-            _memoize(key, _Scheduled(decomposition))
+            _memoize(key, decomposition)
         return replace(proc, name=config.kernel_name)
 
     def prepare_inputs(self, config: TileSgemmConfig, seed: int = 0) -> dict[str, np.ndarray]:

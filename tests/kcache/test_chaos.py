@@ -19,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -172,6 +173,57 @@ class TestChaosSchedules:
         assert kernel_hash(second.kernel) == golden_hash
         assert store.verify(second.key) is None
         assert store.doctor().clean
+
+
+def _slow_builds(monkeypatch, seconds):
+    """Make every build of the kernel service take ``seconds`` longer."""
+    import repro.kcache.service as service
+
+    build = service._build
+
+    def slow(*args, **kwargs):
+        time.sleep(seconds)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(service, "_build", slow)
+
+
+def _race(store):
+    """``THREADS`` concurrent requests; the sources of their replies."""
+    results = [None] * THREADS
+    threads = [
+        threading.Thread(target=_request, args=(store, results, index))
+        for index in range(THREADS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    assert [tag for tag, _ in results] == ["reply"] * THREADS, results
+    return [reply for _, reply in results]
+
+
+class TestLiveClaims:
+    """A live builder keeps its claim: neither its age nor a failed read of
+    its claim lets a requester in the same process build the key again."""
+
+    def test_a_build_slower_than_stale_after_builds_once(self, tmp_path, golden_hash,
+                                                         monkeypatch):
+        _slow_builds(monkeypatch, 2 * STALE_AFTER_S)
+        replies = _race(KernelStore(tmp_path / "kcache"))
+        assert sorted(reply.source for reply in replies).count("built") == 1
+        assert {reply.source for reply in replies} <= {"built", "deduped", "hit"}
+        assert {kernel_hash(reply.kernel) for reply in replies} == {golden_hash}
+
+    def test_a_failed_claim_read_breaks_no_live_claim(self, tmp_path, golden_hash,
+                                                      monkeypatch):
+        _slow_builds(monkeypatch, 0.5)
+        plan = FaultPlan([FaultRule(sites="kcache.locks.read", kind="eio")])
+        with session(faults=plan):
+            replies = _race(KernelStore(tmp_path / "kcache"))
+        assert plan.fired_count("eio") == 1
+        assert sorted(reply.source for reply in replies).count("built") == 1
+        assert {kernel_hash(reply.kernel) for reply in replies} == {golden_hash}
 
 
 def _abort_builder(root, site):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import time
 
 import pytest
 
+from repro.context import session
+from repro.faults import FaultPlan, FaultRule
 from repro.kcache import claim_build, wait_for
 from repro.kcache.locks import ClaimTimeout
 from repro.tile.workloads import TileSgemmConfig
@@ -74,14 +77,45 @@ class TestClaims:
         stolen.release()
 
     def test_old_claim_is_broken_by_age(self, tmp_path):
+        """Another live process's claim dies of age; this process's own
+        claims are judged by the nonces it holds instead (see below)."""
+        path = tmp_path / "key.lock"
+        first = claim_build(path)
+        assert first is not None
+        # Rewrite the claim as if a live process on this host held it.
+        payload = json.loads(path.read_text())
+        payload["pid"] = os.getppid()
+        path.write_text(json.dumps(payload))
+        old = time.time() - 120.0
+        os.utime(path, (old, old))
+        second = claim_build(path, stale_after=60.0)
+        assert second is not None
+        first.release()  # the file now carries the second claim's nonce
+        assert path.exists()
+        second.release()
+
+    def test_own_live_claim_outlives_its_age(self, tmp_path):
         path = tmp_path / "key.lock"
         first = claim_build(path)
         assert first is not None
         old = time.time() - 120.0
         os.utime(path, (old, old))
-        second = claim_build(path, stale_after=60.0)
-        assert second is not None
+        assert claim_build(path, stale_after=60.0) is None  # still held here
+        first.release()
+        assert not path.exists()
+
+    def test_own_released_claim_left_behind_is_dead_here(self, tmp_path):
+        """A claim whose release could not unlink it is no longer held, so
+        this process breaks it at once instead of waiting out its age."""
+        path = tmp_path / "key.lock"
+        first = claim_build(path)
+        with session(faults=FaultPlan([FaultRule(sites="kcache.locks.release", kind="eio")])):
+            first.release()
+        assert path.exists()
+        second = claim_build(path, stale_after=3600.0)
+        assert second is not None and second.nonce != first.nonce
         second.release()
+        assert not path.exists()
 
     def test_wait_for_returns_value_when_builder_publishes(self, tmp_path):
         path = tmp_path / "key.lock"

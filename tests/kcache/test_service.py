@@ -124,10 +124,26 @@ class TestTunedRequests:
         assert again.source == "hit"
 
 
+def _recording_sweeps(monkeypatch) -> list:
+    """Every sweep report a tuned build makes, in order."""
+    import repro.tile.autotune as tile_autotune
+
+    sweeps = []
+    sweep = tile_autotune.run_generative_sweep
+
+    def recording_sweep(*args, **kwargs):
+        sweeps.append(sweep(*args, **kwargs))
+        return sweeps[-1]
+
+    monkeypatch.setattr(tile_autotune, "run_generative_sweep", recording_sweep)
+    return sweeps
+
+
 class TestTunedBuildPublishesTheSweepMeasurement:
     def test_winner_is_not_simulated_again(self, tmp_path, fermi, monkeypatch):
-        """Every simulation of a cold tuned build is a sweep evaluation, and
-        the published figures are the winner's own run."""
+        """Every simulation of a cold tuned build is a sweep evaluation of a
+        distinct naive kernel, and the published figures are the winner's
+        own run."""
         import repro.opt.autotune as autotune
 
         runs = []
@@ -139,12 +155,20 @@ class TestTunedBuildPublishesTheSweepMeasurement:
             return result
 
         monkeypatch.setattr(autotune, "simulate_one_block", recording)
+        sweeps = _recording_sweeps(monkeypatch)
         reply = get_kernel(
             "tile_sgemm", TINY, fermi, store=KernelStore(tmp_path / "kcache"),
             tune=True, warm_start=False, space=SPACE,
         )
+        (report,) = sweeps
         metrics = reply.entry.meta["metrics"]
-        assert len(runs) == metrics["sweep_simulated"]
+        assert metrics["sweep_simulated"] == len(report.outcomes)
+        naive_kernels = {outcome.naive_kernel_hash for outcome in report.outcomes}
+        # This space holds repeats (b_window 1 and 2 lower alike), so the
+        # count below is below the row count.
+        assert len(naive_kernels) < len(report.outcomes)
+        assert len(runs) == len(naive_kernels)
+        assert len({digest for digest, _ in runs}) == len(runs)
         winner = reply.entry.meta["kernel_hashes"]["kernel_opt"]
         result = next(result for digest, result in runs if digest == winner)
         assert metrics["cycles"] == result.cycles
@@ -152,10 +176,10 @@ class TestTunedBuildPublishesTheSweepMeasurement:
         assert metrics["efficiency"] == result.efficiency(fermi)
 
     def test_each_simulated_candidate_is_built_once(self, tmp_path, fermi, monkeypatch):
-        """The winner is published as measured: no candidate, the winner
-        included, is lowered or optimized a second time."""
+        """The winner is published as measured: every leaderboard row is
+        lowered once, each distinct naive kernel is optimized once, and
+        nothing, the winner included, is lowered or optimized again."""
         import repro.opt.pipeline as pipeline
-        import repro.tile.autotune as tile_autotune
         import repro.tile.workloads as tile_workloads
 
         calls = {"lower": 0, "optimize": 0}
@@ -169,23 +193,19 @@ class TestTunedBuildPublishesTheSweepMeasurement:
             calls["optimize"] += 1
             return optimize(*args, **kwargs)
 
-        sweeps = []
-        sweep = tile_autotune.run_generative_sweep
-
-        def recording_sweep(*args, **kwargs):
-            sweeps.append(sweep(*args, **kwargs))
-            return sweeps[-1]
-
         monkeypatch.setattr(tile_workloads, "lower", counting_lower)
         monkeypatch.setattr(pipeline, "optimize_kernel", counting_optimize)
-        monkeypatch.setattr(tile_autotune, "run_generative_sweep", recording_sweep)
+        sweeps = _recording_sweeps(monkeypatch)
         reply = get_kernel(
             "tile_sgemm", TINY, fermi, store=KernelStore(tmp_path / "kcache"),
             tune=True, warm_start=False, space=SPACE,
         )
         (report,) = sweeps
         simulated = reply.entry.meta["metrics"]["sweep_simulated"]
-        assert calls == {"lower": simulated, "optimize": simulated}
+        assert simulated == len(report.outcomes)
+        distinct = len({outcome.naive_kernel_hash for outcome in report.outcomes})
+        assert distinct < simulated
+        assert calls == {"lower": simulated, "optimize": distinct}
 
         winner = report.outcomes[0]
         hashes = reply.entry.meta["kernel_hashes"]

@@ -6,23 +6,23 @@ what survives through the shared autotune harness, and check the sweep's
 winner actually beats the naive (unstaged, binding-only) schedule.
 """
 
+import pickle
 from dataclasses import replace
 
-from repro.opt.autotune import autotune_workloads
-from repro.tile.autotune import prune_by_bound, schedule_space
+from repro.context import session
+from repro.opt.autotune import WorkloadCandidate, autotune_workloads, evaluate_workload_candidate
+from repro.opt.rewrite import kernel_hash
+from repro.telemetry.metrics import MetricsRegistry
+from repro.tile.autotune import prune_by_bound, run_generative_sweep, schedule_space
 from repro.tile.workloads import TileSgemmConfig
+
+TINY = TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2, stride=2, b_window=2)
+TINY_AXES = {"tiles": (4, 8), "register_blockings": (2, 4), "strides": (2, 4), "b_windows": (1, 2)}
 
 
 def _tiny_space():
     """A doll-house sweep: one block, small tiles, every knob still live."""
-    return schedule_space(
-        "tile_sgemm",
-        TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2, stride=2, b_window=2),
-        tiles=(4, 8),
-        register_blockings=(2, 4),
-        strides=(2, 4),
-        b_windows=(1, 2),
-    )
+    return schedule_space("tile_sgemm", TINY, **TINY_AXES)
 
 
 def test_double_buffer_axis_in_the_space():
@@ -58,9 +58,8 @@ def test_prune_report_carries_wall_time(fermi):
     space = _tiny_space()
     first = prune_by_bound(fermi, space)
     assert first.elapsed_s > 0.0
-    # The schedule applications are memoized by schedule hash, so a repeated
-    # sweep is deterministic (and cheaper host-side — not asserted, wall
-    # clocks jitter).
+    # Pricing reads each point's configuration (tile_sgemm's closed forms
+    # schedule nothing), so a repeated prune decides alike.
     again = prune_by_bound(fermi, space)
     assert again.elapsed_s > 0.0
     assert [c.label for c in again.kept] == [c.label for c in first.kept]
@@ -101,3 +100,85 @@ def test_sweep_summary_one_liner(fermi):
     assert f"simulated {len(outcomes)}," in line
     best = outcomes[0]
     assert f"best {best.label} @ {best.cycles:.0f} cycles" in line
+
+
+def _warm_seed():
+    """A seed outside the space whose naive kernel equals ``noprefetch``'s:
+    at B_R = 2 the B window of 1 and of 2 lower alike."""
+    return WorkloadCandidate(
+        "tile_sgemm", replace(TINY, prefetch=False, b_window=1), label="tile_sgemm:warm0"
+    )
+
+
+class TestEachDistinctKernelOnce:
+    """A sweep optimizes and simulates each distinct naive kernel once, and
+    every leaderboard row reads as if its candidate had been measured alone."""
+
+    def test_rows_equal_one_candidate_at_a_time_evaluations(self, fermi):
+        sweep = run_generative_sweep(fermi, "tile_sgemm", TINY, workers=1, **TINY_AXES)
+        assert len({row.naive_kernel_hash for row in sweep.outcomes}) < len(sweep.outcomes)
+        for row in sweep.outcomes:
+            alone = evaluate_workload_candidate(fermi, row.candidate)
+            assert row.as_dict() == alone.as_dict(), row.label
+
+    def test_a_repeated_seed_is_measured_once_and_served_under_its_own_name(
+        self, fermi, monkeypatch,
+    ):
+        import repro.opt.autotune as autotune
+        import repro.opt.pipeline as pipeline
+
+        optimized, simulated = [], []
+        optimize, simulate = pipeline.optimize_kernel, autotune.simulate_one_block
+
+        def counting_optimize(kernel, gpu):
+            optimized.append(kernel_hash(kernel))
+            return optimize(kernel, gpu)
+
+        def counting_simulate(gpu, kernel, **kwargs):
+            simulated.append(kernel_hash(kernel))
+            return simulate(gpu, kernel, **kwargs)
+
+        monkeypatch.setattr(pipeline, "optimize_kernel", counting_optimize)
+        monkeypatch.setattr(autotune, "simulate_one_block", counting_simulate)
+        registry = MetricsRegistry()
+        with session(metrics=registry):
+            sweep = run_generative_sweep(
+                fermi, "tile_sgemm", TINY, seeds=(_warm_seed(),), workers=1, **TINY_AXES
+            )
+        rows = {row.label: row for row in sweep.outcomes}
+        seed, repeat = rows["tile_sgemm:warm0"], rows["tile_sgemm:noprefetch"]
+        assert seed.naive_kernel_hash == repeat.naive_kernel_hash
+        assert sorted(optimized) == sorted({row.naive_kernel_hash for row in sweep.outcomes})
+        assert len(simulated) == len(set(simulated)) == len(optimized)
+        repeats = len(sweep.outcomes) - len(optimized)
+        assert registry.counter_value("autotune.sim_cache.hits") == repeats > 0
+
+        # The repeat was evaluated after the seed and wins the tie on cycles
+        # by its smaller label, so it serves the seed's measured kernel
+        # under its own config's name: the bytes it would have built itself.
+        winner = sweep.outcomes[0]
+        assert winner is repeat
+        point = replace(TINY, prefetch=False)
+        assert winner.kernel_name == winner.kernel.name == point.kernel_name
+        assert winner.kernel.metadata["tile_proc"] == point.kernel_name
+        assert kernel_hash(winner.kernel) == winner.kernel_hash == seed.kernel_hash
+        alone = evaluate_workload_candidate(fermi, winner.candidate)
+        assert winner.as_dict() == alone.as_dict()
+        assert pickle.dumps(winner.kernel) == pickle.dumps(alone.kernel)
+        assert [row.kernel is not None for row in sweep.outcomes] == [True] + [False] * (
+            len(sweep.outcomes) - 1
+        )
+
+    def test_a_pooled_sweep_ranks_alike(self, fermi):
+        serial, pooled = (
+            run_generative_sweep(
+                fermi, "tile_sgemm", TINY, seeds=(_warm_seed(),), workers=workers,
+                **TINY_AXES,
+            )
+            for workers in (1, 2)
+        )
+        assert pooled.prune == serial.prune
+        assert [row.as_dict() for row in pooled.outcomes] == [
+            row.as_dict() for row in serial.outcomes
+        ]
+        assert pickle.dumps(pooled.outcomes[0].kernel) == pickle.dumps(serial.outcomes[0].kernel)
