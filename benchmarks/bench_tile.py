@@ -161,18 +161,22 @@ def test_bound_pruned_sweep_economics(benchmark, fermi):
 
     Tracks the sweep economics in BENCH_tile.json: how many candidates the
     analytic bound pruned without simulating, the host-side wall time of the
-    pruning pass, and how many candidates were simulated.  The winner's
-    cycles are recorded as ``best_cycles`` — deliberately not a cycle-ladder
-    key, since the sweep space (not the kernels) defines it.
+    pruning pass, and how many simulations ranked the kept candidates.  The
+    winner's cycles are recorded as ``best_cycles`` — deliberately not a
+    cycle-ladder key, since the sweep space (not the kernels) defines it.
 
-    The sweep runs under an installed metrics registry, so the schedule-memo
-    hit rate comes from the telemetry facade — the ``hit_rate`` figure lands
-    in BENCH_summary.json's rate ladder.
+    The SGEMM decomposition cache's hits and misses over the sweep come
+    from ``decompose_sgemm.cache_info()``; its ``hit_rate`` lands in
+    BENCH_summary.json's rate ladder.
     """
-    from repro.context import session
     from repro.opt.autotune import autotune_workloads
-    from repro.telemetry.metrics import MetricsRegistry
-    from repro.tile.autotune import prune_by_bound, schedule_space, sweep_summary
+    from repro.tile.autotune import (
+        prune_by_bound,
+        schedule_space,
+        simulations,
+        sweep_summary,
+    )
+    from repro.tile.library import decompose_sgemm
     from repro.tile.workloads import clear_schedule_caches
 
     base = TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2,
@@ -182,38 +186,33 @@ def test_bound_pruned_sweep_economics(benchmark, fermi):
         strides=(2, 4), b_windows=(1, 2),
     )
 
-    # Start the memos cold so the recorded hit rates measure this sweep's
+    # Start the cache cold so the recorded hit rate measures this sweep's
     # own reuse, not whatever earlier benchmarks happened to populate.
     clear_schedule_caches()
-    registry = MetricsRegistry()
-    with session(metrics=registry):
-        report = benchmark.pedantic(
-            lambda: prune_by_bound(fermi, space), rounds=1, iterations=1
-        )
-        assert report.kept and report.pruned
-        assert report.elapsed_s > 0.0
+    report = benchmark.pedantic(
+        lambda: prune_by_bound(fermi, space), rounds=1, iterations=1
+    )
+    assert report.kept and report.pruned
+    assert report.elapsed_s > 0.0
 
-        outcomes = autotune_workloads(fermi, list(report.kept), workers=1)
-        assert all(outcome.ok for outcome in outcomes)
-        summary_line = sweep_summary(report, outcomes)
+    outcomes = autotune_workloads(fermi, list(report.kept), workers=1)
+    assert all(outcome.ok for outcome in outcomes)
+    summary_line = sweep_summary(report, outcomes)
     best = outcomes[0]
 
-    snapshot = registry.snapshot()
-    memo_hits = snapshot.counter_total("tile.schedule_cache.hits")
-    memo_misses = snapshot.counter_total("tile.schedule_cache.misses")
-    memo_total = memo_hits + memo_misses
+    cache = decompose_sgemm.cache_info()
+    lookups = cache.hits + cache.misses
 
     record_tile_metric("tile_sgemm_bound_pruned_sweep", {
         "total_candidates": report.total,
         "pruned": len(report.pruned),
         "kept": len(report.kept),
         "prune_elapsed_s": round(report.elapsed_s, 3),
-        "simulated": len(outcomes),
-        "schedule_cache": {
-            "hits": memo_hits,
-            "misses": memo_misses,
-            "evictions": snapshot.counter_total("tile.schedule_cache.evictions"),
-            "hit_rate": round(memo_hits / memo_total, 4) if memo_total else 0.0,
+        "simulated": simulations(outcomes),
+        "decomposition_cache": {
+            "hits": cache.hits,
+            "misses": cache.misses,
+            "hit_rate": round(cache.hits / lookups, 4) if lookups else 0.0,
         },
         "fermi": {"best_label": best.label, "best_cycles": best.cycles},
     })

@@ -30,9 +30,8 @@ collected into a ``throughput_ladder`` and gated in the opposite direction:
 a fresh record more than the tolerance *below* the baseline fails, flagging
 a >2% simulator-throughput regression.
 
-Cache-economics rates recorded from the metrics facade
-(``benchmarks/bench_tile.py`` snapshots the schedule-memo hit rate of its
-sweep via :mod:`repro.telemetry`;
+Cache-economics rates (``benchmarks/bench_tile.py`` records the SGEMM
+decomposition cache's hit rate over its sweep;
 ``benchmarks/bench_kcache.py`` records the persistent kernel cache's
 warm-hit speedup and warm-start simulation savings) are collected into
 a ``rate_ladder`` — tracked for trajectory, not gated: a hit rate moves
@@ -81,8 +80,8 @@ THROUGHPUT_KEYS = frozenset({
 })
 
 #: Leaf-key suffixes of cache-economics figures (``hit_rate``,
-#: ``warm_speedup``, ``simulations_saved_rate``, ...) recorded from the
-#: metrics facade or the kernel-cache benchmark.
+#: ``warm_speedup``, ``simulations_saved_rate``, ...) recorded by the tile
+#: and kernel-cache benchmarks.
 #: Collected into the rate ladder for trajectory but not regression-gated.
 RATE_SUFFIXES = ("_rate", "speedup")
 

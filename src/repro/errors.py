@@ -98,21 +98,6 @@ class StoreUnavailableError(KernelCacheError):
         self.cause = cause
 
 
-class StoreCorruptionError(KernelCacheError):
-    """A committed entry's payload disagrees with its commit marker.
-
-    Raised only on explicit strict reads (``KernelStore.load(...,
-    on_corrupt="raise")``, the doctor's verification pass); the serving path
-    instead discards the damaged entry and rebuilds, so corruption can cost
-    a rebuild but never a wrong kernel.
-    """
-
-    def __init__(self, message: str, *, key: str = "", reason: str = "") -> None:
-        super().__init__(message)
-        self.key = key
-        self.reason = reason
-
-
 class BuildFailedError(KernelCacheError):
     """The build of one routine key failed deterministically.
 

@@ -379,7 +379,7 @@ def _build(store, key, workload, config, spec, gpu_key, *, tune, workers, warm_s
         metrics.update(
             sweep_candidates=float(sweep.prune.total),
             sweep_pruned=float(len(sweep.prune.pruned)),
-            sweep_simulated=float(len(sweep.outcomes)),
+            sweep_simulated=float(sweep.simulated),
             sweep_warm_seeds=float(len(sweep.seed_candidates)),
             sweep_warm_pruned=float(sweep.warm_pruned),
             sweep_seconds=float(sweep.total_elapsed_s),
@@ -446,8 +446,6 @@ def get_kernel(
     space: dict | None = None,
     timeout: float = 120.0,
     stale_after: float = STALE_CLAIM_S,
-    retry: RetryPolicy | None = None,
-    poison_ttl: float = DEFAULT_POISON_TTL_S,
 ) -> KernelReply:
     """Serve one kernel request from the store, deduping in-flight builds.
 
@@ -481,12 +479,10 @@ def get_kernel(
         :class:`~repro.kcache.locks.ClaimTimeout`.
     stale_after:
         Claim staleness threshold (seconds).
-    retry:
-        Backoff policy for transient store errors (:data:`DEFAULT_RETRY`
-        when None).
-    poison_ttl:
-        How long a deterministically failing build suppresses rebuilds of
-        its key (seconds).
+
+    Transient store errors back off on :data:`DEFAULT_RETRY`, and a
+    deterministically failing build suppresses rebuilds of its key for
+    :data:`repro.kcache.store.DEFAULT_POISON_TTL_S` seconds.
 
     Raises
     ------
@@ -511,7 +507,6 @@ def get_kernel(
         observe("kcache.lookup_seconds", lookup_s)
         return KernelReply(key=key, source="hit", entry=entry, lookup_s=lookup_s)
     counter_inc("kcache.misses", 1, labels)
-    retry = DEFAULT_RETRY if retry is None else retry
     rng = random.Random(key)  # deterministic jitter: replayed schedules replay
 
     def build_reply(durable: bool) -> KernelReply:
@@ -526,7 +521,7 @@ def get_kernel(
                 try:
                     return _retrying(
                         lambda: store.publish(key, meta, payload, artifacts),
-                        _RETRY_PUT, retry, rng, deadline,
+                        _RETRY_PUT, DEFAULT_RETRY, rng, deadline,
                     )
                 except OSError:
                     # Read-only, full, or failing past the retries: the
@@ -535,7 +530,9 @@ def get_kernel(
             return _park(store, key, meta, artifacts)
 
         built_at = time.perf_counter()
-        entry = _checked_build(build, store, key, retry, rng, deadline, poison_ttl)
+        entry = _checked_build(
+            build, store, key, DEFAULT_RETRY, rng, deadline, DEFAULT_POISON_TTL_S
+        )
         build_s = time.perf_counter() - built_at
         counter_inc("kcache.builds", 1, labels)
         observe("kcache.build_seconds", build_s)
@@ -549,7 +546,7 @@ def get_kernel(
         try:
             claim = _retrying(
                 lambda: claim_build(store.lock_path(key), stale_after=stale_after),
-                _RETRY_CLAIM, retry, rng, deadline,
+                _RETRY_CLAIM, DEFAULT_RETRY, rng, deadline,
             )
         except OSError:
             # Claims fail (read-only, full, or failing past the retries):

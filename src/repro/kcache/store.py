@@ -76,9 +76,9 @@ from hashlib import sha256
 from pathlib import Path
 from typing import Iterator
 
-from repro.errors import StoreCorruptionError
 from repro.faults import fault_mutate, fault_point
 from repro.kcache.keys import shard_of
+from repro.kcache.locks import _holder_alive
 
 __all__ = [
     "DEFAULT_KCACHE_ROOT",
@@ -278,29 +278,23 @@ class KernelStore:
     def poison_path(self, key: str) -> Path:
         return self.root / shard_of(key) / f"{key}.poison"
 
-    def _publish(
-        self, path: Path, data: bytes, sites: tuple[str, str, str] | None = None
-    ) -> None:
+    def _publish(self, path: Path, data: bytes, sites: tuple[str, str, str]) -> None:
         """Atomically place ``data`` at ``path`` (tmp file + rename).
 
         ``sites`` names the (write, pre-commit, post-commit) fault points;
         a torn fault at the write site truncates/corrupts the bytes that
         land, a crash at the commit sites models dying before/after the
-        rename.  ``None`` publishes without fault points (internal callers
-        that rewrite already-committed documents, e.g. gc bookkeeping).
+        rename.
         """
         path.parent.mkdir(parents=True, exist_ok=True)
-        if sites is not None:
-            fault_point(sites[0])
-            data = fault_mutate(sites[0], data)
+        fault_point(sites[0])
+        data = fault_mutate(sites[0], data)
         tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{next(_TMP_SEQ)}")
         with open(tmp, "wb") as handle:
             handle.write(data)
-        if sites is not None:
-            fault_point(sites[1])
+        fault_point(sites[1])
         os.replace(tmp, path)
-        if sites is not None:
-            fault_point(sites[2])
+        fault_point(sites[2])
 
     # ------------------------------------------------------------------ #
     # Write / read.                                                       #
@@ -430,7 +424,7 @@ class KernelStore:
             return "payload missing or unreadable"
         return _checked_artifacts(meta, payload)[1] or None
 
-    def load(self, key: str, *, on_corrupt: str = "discard") -> StoreEntry | None:
+    def load(self, key: str) -> StoreEntry | None:
         """The full entry of ``key``, integrity-checked; None on miss.
 
         The payload passes the same check as :meth:`verify`'s: byte count
@@ -440,9 +434,8 @@ class KernelStore:
         committed meta, or an unpicklable payload, such as one naming a
         reconstructor this code lacks) is *discarded* — both files removed —
         so the caller's rebuild republishes a clean entry instead of
-        tripping forever.  With ``on_corrupt="raise"`` a damaged entry
-        raises :class:`repro.errors.StoreCorruptionError` instead (the
-        doctor's strict mode).
+        tripping forever.  :meth:`verify` reports the same damage without
+        discarding anything.
         """
         from repro.telemetry.metrics import counter_inc
 
@@ -457,10 +450,6 @@ class KernelStore:
             payload = b""
         artifacts, reason = _checked_artifacts(meta, payload)
         if reason:
-            if on_corrupt == "raise":
-                raise StoreCorruptionError(
-                    f"entry {key!r} is corrupt: {reason}", key=key, reason=reason
-                )
             self.discard(key)
             counter_inc("kcache.store.corrupt", 1)
             return None
@@ -598,8 +587,11 @@ class KernelStore:
 
         Age is the committed ``created_at`` stamp (publish order), so a
         warm-serving entry that was recently *rebuilt* survives over a stale
-        one.  Locks older than ``stale_lock_s`` (dead builders) are swept in
-        the same pass.
+        one.  Claims whose holder is dead are swept in the same pass, by the
+        liveness rule claiming and waiting use
+        (:func:`repro.kcache.locks._holder_alive` with ``stale_lock_s``), so
+        gc never breaks a claim a live builder in this process holds,
+        however old.
         """
         aged = sorted(
             (float(meta.get("created_at", 0.0)), str(meta["key"]))
@@ -617,13 +609,13 @@ class KernelStore:
             freed += size
             kept -= size
         stale = 0
-        now = time.time()
         if self.root.is_dir():
             for lock in self.root.glob("*/*.lock"):
+                if _holder_alive(lock, stale_lock_s):
+                    continue
                 try:
-                    if now - lock.stat().st_mtime > stale_lock_s:
-                        os.unlink(lock)
-                        stale += 1
+                    os.unlink(lock)
+                    stale += 1
                 except OSError:
                     pass
         return GcReport(
@@ -650,8 +642,6 @@ class KernelStore:
         markers.  With ``repair=True`` torn entries are discarded and the
         debris removed; the following doctor pass reports ``clean``.
         """
-        from repro.kcache.locks import _holder_alive
-
         ok: list[str] = []
         torn: dict[str, str] = {}
         repaired: list[str] = []

@@ -148,27 +148,26 @@ def simulate_one_block(
     kernel,
     *,
     max_cycles: int = 2_000_000,
-    functional: bool = False,
     collect_profile: bool = False,
 ):
     """Timing-mode simulation of one block of ``kernel`` on one SM.
 
     The shared evaluation primitive behind the autotuner, the opt benchmark
     and the examples: one `threads_per_block`-wide block, no functional
-    execution unless requested.  ``collect_profile`` fills the result's
-    per-instruction counters (see :mod:`repro.prof`).
+    execution.  ``collect_profile`` fills the result's per-instruction
+    counters (see :mod:`repro.prof`).
 
-    Without ``functional`` the cycles are not the block's full run.  No
-    branch is taken (``SmSimulator._branch_taken``), so they cover one pass
-    through every loop body of block (0, 0), and they include no
-    shared-memory bank-conflict replays, because without addresses the
-    replay degree stays 1.  A sweep ranks candidates on these truncated
-    cycles; ROADMAP.md direction 2 records what that costs.
+    The cycles are not the block's full run.  No branch is taken
+    (``SmSimulator._branch_taken``), so they cover one pass through every
+    loop body of block (0, 0), and they include no shared-memory
+    bank-conflict replays, because without addresses the replay degree
+    stays 1.  A sweep ranks candidates on these truncated cycles;
+    ROADMAP.md direction 2 records what that costs.
     """
     simulator = SmSimulator(gpu, kernel)
     launch = LaunchConfig(
         grid=BlockGrid(grid_x=1, grid_y=1, block_x=kernel.threads_per_block or 256),
-        functional=functional,
+        functional=False,
         max_cycles=max_cycles,
     )
     return simulator.run(launch, block_indices=[(0, 0)], collect_profile=collect_profile)

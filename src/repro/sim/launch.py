@@ -64,8 +64,6 @@ class LaunchConfig:
     ----------
     grid:
         Grid/block geometry.
-    shared_memory_bytes:
-        Dynamic shared memory per block (added to the kernel's static amount).
     max_cycles:
         Safety limit on simulated cycles per SM.
     functional:
@@ -74,6 +72,5 @@ class LaunchConfig:
     """
 
     grid: BlockGrid
-    shared_memory_bytes: int = 0
     max_cycles: int = 5_000_000
     functional: bool = True

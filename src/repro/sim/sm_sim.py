@@ -196,6 +196,17 @@ def _release_barrier(status: list[int], rows: list[int]) -> None:
             status[row] = _RUNNABLE
 
 
+def max_warp_issues_per_cycle(gpu: GpuSpec) -> int:
+    """The issue loop's hard cap on warp instructions issued per cycle.
+
+    One issue per warp scheduler, except on Kepler, where each scheduler's
+    two dispatch units allow dual issue.
+    """
+    if gpu.generation is GpuGeneration.KEPLER:
+        return gpu.sm.dispatch_units
+    return max(1, gpu.sm.warp_schedulers)
+
+
 class SmSimulator:
     """Simulates the warps resident on a single SM executing one kernel."""
 
@@ -246,7 +257,7 @@ class SmSimulator:
     # ------------------------------------------------------------------ #
 
     def _build_blocks(self, config: LaunchConfig, block_indices: list[tuple[int, int]]) -> list[_BlockContext]:
-        shared_bytes = self._kernel.shared_memory_bytes + config.shared_memory_bytes
+        shared_bytes = self._kernel.shared_memory_bytes
         blocks: list[_BlockContext] = []
         warp_id = 0
         for block_id, block_idx in enumerate(block_indices):
@@ -408,10 +419,7 @@ class SmSimulator:
         ldst_free_at = 0.0
 
         issue_capacity = self._cost_model.issue_capacity_per_cycle * self._issue_efficiency
-        max_warp_issues_per_cycle = max(1, self._gpu.sm.warp_schedulers)
-        if self._gpu.generation is GpuGeneration.KEPLER:
-            # Each Kepler scheduler has two dispatch units; allow dual issue.
-            max_warp_issues_per_cycle = self._gpu.sm.dispatch_units
+        warp_issue_cap = max_warp_issues_per_cycle(self._gpu)
         # Token-bucket issue model: fractional per-cycle budget carries over so
         # that capacities slightly below a warp-instruction cost (e.g. 30.9
         # thread instructions per cycle on Fermi) still sustain the right
@@ -638,7 +646,7 @@ class SmSimulator:
                             pending = registers[index]
                     wake[row] = pending
 
-                    if issue_tokens < 32.0 or warp_issues >= max_warp_issues_per_cycle:
+                    if issue_tokens < 32.0 or warp_issues >= warp_issue_cap:
                         break
 
             # Release barriers whose blocks completed this cycle (a warp that

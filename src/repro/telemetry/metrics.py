@@ -13,7 +13,7 @@ Labels are passed as a tuple of ``(key, value)`` pairs rather than keyword
 arguments, so call sites with constant labels compile to a constant tuple
 (CPython folds nested constant tuples) and the no-op path allocates nothing::
 
-    counter_inc("tile.schedule_cache.hits", 1, (("cache", "scheduled_procs"),))
+    counter_inc("kcache.hits", 1, (("mode", "tuned"),))
 
 Example::
 

@@ -35,7 +35,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from repro.arch.specs import GpuGeneration, GpuSpec, get_gpu_spec, normalize_gpu
+from repro.arch.specs import GpuSpec, get_gpu_spec, normalize_gpu
 from repro.context import current
 from repro.errors import ReproError, ResourceLimitError
 from repro.kernels.registry import get_workload
@@ -48,6 +48,7 @@ from repro.opt.autotune import (
     without_kernel,
 )
 from repro.prof.trace import trace_span
+from repro.sim.sm_sim import max_warp_issues_per_cycle
 from repro.telemetry.ledger import config_digest, record_run
 from repro.telemetry.metrics import counter_inc, observe
 from repro.tile.workloads import TileSgemmConfig
@@ -59,6 +60,7 @@ __all__ = [
     "schedule_space",
     "prune_by_bound",
     "run_generative_sweep",
+    "simulations",
     "sweep_summary",
     "block_cycle_floor",
     "sgemm_point_valid",
@@ -225,7 +227,7 @@ class PruneReport:
     ``elapsed_s`` is the host-side wall time of the pruning pass itself.
     ``tile_sgemm`` points are priced from their configurations without
     being scheduled; the other tile workloads' three points are scheduled
-    through the memo and priced off their procs.
+    and priced off their procs.
     """
 
     kept: tuple[WorkloadCandidate, ...]
@@ -321,54 +323,39 @@ def _prune_by_bound(
     )
 
 
-def schedule_cache_stats() -> dict[str, float] | None:
-    """Schedule-memo economics read from the installed metrics facade.
+def simulations(outcomes) -> int:
+    """How many simulations a serial sweep ran to rank ``outcomes``.
 
-    The scheduled-proc memo (:mod:`repro.tile.workloads`) reports its hits,
-    misses and FIFO evictions through :mod:`repro.telemetry.metrics`; this
-    reads those series back.  Returns None when no registry is installed —
-    the memo's private dict is deliberately not consulted.
+    A serial sweep measures each distinct naive kernel (and optimize flag)
+    once, and a repeat takes the earlier measurement under its own label
+    (:func:`repro.opt.autotune.autotune_workloads`), so this counts the
+    distinct kernels among the successful outcomes.  A pooled sweep's
+    workers share no table and measure repeats again.
     """
-    registry = current().metrics
-    if registry is None:
-        return None
-    snapshot = registry.snapshot()
-    return {
-        "hits": snapshot.counter_total("tile.schedule_cache.hits"),
-        "misses": snapshot.counter_total("tile.schedule_cache.misses"),
-        "evictions": snapshot.counter_total("tile.schedule_cache.evictions"),
-    }
+    return len({
+        (outcome.naive_kernel_hash, outcome.candidate.optimize)
+        for outcome in outcomes
+        if outcome.ok
+    })
 
 
 def sweep_summary(report: PruneReport, outcomes: list[TuneOutcome]) -> str:
     """One-line sweep log: candidate economics at a glance.
 
     Surfaces the figures a sweep's cost is made of — how many candidates the
-    bound pruned (and how long pruning took), how many the simulator ran,
-    and the winner::
+    bound pruned (and how long pruning took), how many simulations ranked
+    the rest (:func:`simulations`), and the winner::
 
-        swept 32 candidates: pruned 23 by bound in 0.17s, simulated 9,
+        swept 32 candidates: pruned 23 by bound in 0.17s, simulated 7,
         best tile_sgemm:t96b6l8w2 @ 4879 cycles
-
-    With a metrics registry installed (:func:`repro.context.session`), the
-    schedule-memo economics — hits, misses and FIFO evictions — ride along,
-    read from the facade rather than from the memo's private state::
-
-        ...; schedule cache 30 hits / 12 misses / 3 evictions
     """
     best = next((outcome for outcome in outcomes if outcome.ok), None)
     line = (
         f"swept {report.total} candidates: pruned {len(report.pruned)} by bound "
-        f"in {report.elapsed_s:.2f}s, simulated {len(outcomes)}"
+        f"in {report.elapsed_s:.2f}s, simulated {simulations(outcomes)}"
     )
     if best is not None:
         line += f", best {best.label} @ {best.cycles:.0f} cycles"
-    stats = schedule_cache_stats()
-    if stats is not None:
-        line += (
-            f"; schedule cache {stats['hits']:.0f} hits / "
-            f"{stats['misses']:.0f} misses / {stats['evictions']:.0f} evictions"
-        )
     return line
 
 
@@ -409,6 +396,11 @@ class SweepReport:
     warm_pruned: int = 0
 
     @property
+    def simulated(self) -> int:
+        """Simulations the sweep ran, warm seeds included (:func:`simulations`)."""
+        return simulations(self.outcomes)
+
+    @property
     def total_elapsed_s(self) -> float:
         """End-to-end sweep wall time: pruning plus simulation."""
         return self.prune.elapsed_s + self.sim_elapsed_s
@@ -430,25 +422,13 @@ class SweepReport:
 _WARM_LABELS = (("stage", "warm_start"),)
 
 
-def _max_warp_issues_per_cycle(gpu: GpuSpec) -> float:
-    """The simulator's hard cap on warp instructions issued per cycle.
-
-    Mirrors :class:`repro.sim.sm_sim.SmSimulator`'s issue loop exactly: one
-    issue per warp scheduler, except Kepler where each scheduler's two
-    dispatch units allow dual issue.
-    """
-    if gpu.generation is GpuGeneration.KEPLER:
-        return float(gpu.sm.dispatch_units)
-    return float(max(1, gpu.sm.warp_schedulers))
-
-
 def block_cycle_floor(workload, config, gpu: GpuSpec) -> float:
     """An issue-rate floor on one full block's cycles for ``config``.
 
     Built on an *invariant of the simulator itself*, not the analytic
     performance model (whose clock normalisation is not comparable to
     simulated cycles): the issue loop retires at most
-    :func:`_max_warp_issues_per_cycle` warp instructions per cycle, and the
+    :func:`repro.sim.sm_sim.max_warp_issues_per_cycle` warp instructions per cycle, and the
     FFMA stream alone is ``flops / 2 / 32`` warp instructions.  Dividing the
     whole problem's compulsory flops (:meth:`Workload.resources`) by the
     grid's block count (:meth:`TileWorkload.geometry`; both closed forms
@@ -477,7 +457,7 @@ def block_cycle_floor(workload, config, gpu: GpuSpec) -> float:
         return 0.0
     blocks = max(1, geometry.grid_x * geometry.grid_y)
     ffma_warps_per_block = (resources.flops / 2.0) / blocks / 32.0
-    return ffma_warps_per_block / _max_warp_issues_per_cycle(gpu)
+    return ffma_warps_per_block / max_warp_issues_per_cycle(gpu)
 
 
 def _warm_prune(
@@ -588,7 +568,7 @@ def _ledger_sweep(
     metrics: dict[str, object] = {
         "candidates": sweep.prune.total,
         "pruned": len(sweep.prune.pruned),
-        "simulated": len(sweep.outcomes),
+        "simulated": sweep.simulated,
         "warm_seeds": len(sweep.seed_candidates),
         "warm_pruned": sweep.warm_pruned,
         "prune_seconds": sweep.prune.elapsed_s,

@@ -6,12 +6,13 @@ point of the tile IR.  The schedules below reproduce, step by step, the
 hand-written structure of the paper's kernels:
 
 * :func:`schedule_sgemm` rebuilds Section 5's SGEMM: block/thread/register
-  blocking by two levels of ``split`` (:func:`decompose_sgemm`, shared by
-  every point at one tile and register blocking), the accumulator tile via
-  ``stage_registers``, the software-pipelined shared-memory staging of the A
-  and B tiles via ``stage_shared`` (A transposed so its column is read with
-  unit stride, enabling LDS.64 pairing), and the unrolled
-  B-register-pair inner loop via a 2-wide ``split`` of the j tile.
+  blocking by two levels of ``split`` (:func:`decompose_sgemm`, cached by
+  value, so the points of one shape, tile and register blocking extend one
+  decomposition), the accumulator tile via ``stage_registers``, the
+  software-pipelined shared-memory staging of the A and B tiles via
+  ``stage_shared`` (A transposed so its column is read with unit stride,
+  enabling LDS.64 pairing), and the unrolled B-register-pair inner loop via
+  a 2-wide ``split`` of the j tile.
 * :func:`schedule_transpose` rebuilds the padded tiled transpose: the thread
   axes are deliberately bound *crosswise* (row loop → thread x) so the
   global stores stay coalesced, and the staging buffer takes the §5.1
@@ -25,6 +26,8 @@ The naive procs are also each schedule's oracle: tests require
 """
 
 from __future__ import annotations
+
+import functools
 
 from repro.errors import ScheduleError
 from repro.tile import schedule as S
@@ -196,10 +199,7 @@ def sgemv_proc(m: int, k: int) -> Proc:
 # --------------------------------------------------------------------------- #
 
 
-#: Loop variables of :func:`decompose_sgemm`'s result.
-_DECOMPOSED_LOOPS = frozenset(("by", "bx", "ty", "tx", "iq0", "jq0", "k", "iq1", "jq1"))
-
-
+@functools.lru_cache(maxsize=256)
 def decompose_sgemm(proc: Proc, *, tile: int = 96, register_blocking: int = 6) -> Proc:
     """The block/thread decomposition every SGEMM schedule starts with.
 
@@ -207,9 +207,13 @@ def decompose_sgemm(proc: Proc, *, tile: int = 96, register_blocking: int = 6) -
     shape, the block tile and the register blocking only: the ``i``/``j``
     block and thread splits, their binding, the register-resident
     accumulator tile, and the zero-initialisation split off so the k-loop
-    sits above the register-tile loops.  :func:`schedule_sgemm` extends the
-    result at the same ``tile`` and ``register_blocking``, so schedule
-    points that share those reuse one decomposition.
+    sits above the register-tile loops.
+
+    The result is a pure function of ``proc``'s value and the two
+    arguments, so it is cached by them (the least recently used of 256
+    entries leaves first; ``decompose_sgemm.cache_info()`` reports the
+    cache): the schedule points of one shape, tile and register blocking
+    extend one decomposition.  Procs are immutable, so sharing one is safe.
     """
     br = register_blocking
     if tile % br:
@@ -240,22 +244,6 @@ def decompose_sgemm(proc: Proc, *, tile: int = 96, register_blocking: int = 6) -
     p = S.fission(p, "iq")
     p = S.reorder(p, "jq1", "k")
     return S.reorder(p, "iq1", "k")
-
-
-def _decomposed(proc: Proc, tile: int, br: int) -> Proc:
-    """``proc``'s decomposition at (``tile``, ``br``); ``proc`` if it is one."""
-    loops = proc.loops()
-    if "by" not in loops:
-        return decompose_sgemm(proc, tile=tile, register_blocking=br)
-    extents = {"ty": tile // br, "tx": tile // br, "iq0": br, "jq0": br, "iq1": br, "jq1": br}
-    if loops.keys() != _DECOMPOSED_LOOPS or any(
-        loops[var].extent != extent for var, extent in extents.items()
-    ):
-        raise ScheduleError(
-            f"schedule_sgemm: proc '{proc.name}' is neither a naive matmul nor its "
-            f"decomposition at tile {tile}, register blocking {br}"
-        )
-    return proc
 
 
 def check_sgemm_schedule(
@@ -296,17 +284,16 @@ def schedule_sgemm(
     the lowered main loop pays one ``BAR.SYNC`` instead of two (at twice the
     shared-memory footprint).
 
-    ``proc`` is the naive triple loop or its :func:`decompose_sgemm` result
-    at the same ``tile`` and ``register_blocking``, which the schedule then
-    extends; a decomposition made at another tile or blocking raises
-    :class:`ScheduleError`.
+    ``proc`` is the naive triple loop.  The schedule extends its cached
+    :func:`decompose_sgemm` at ``tile`` and ``register_blocking``; a point
+    :func:`check_sgemm_schedule` rejects raises before anything is
+    decomposed, so it leaves the cache as it was.
     """
     check_sgemm_schedule(
         tile=tile, register_blocking=register_blocking, b_window=b_window,
         stage=stage, double_buffer=double_buffer,
     )
-    br = register_blocking
-    p = _decomposed(proc, tile, br)
+    p = decompose_sgemm(proc, tile=tile, register_blocking=register_blocking)
 
     # Software-pipelined staging loop over K in steps of the stride.
     p = S.predicate_tail(p, "k", stride, "ko", "ki")

@@ -35,7 +35,6 @@ from repro.kernels.registry import register_workload
 from repro.model.workload_bounds import WorkloadResources
 from repro.sim.launch import BlockGrid
 from repro.sim.memory import GlobalMemory, KernelParams
-from repro.telemetry.metrics import counter_inc
 from repro.tile import library
 from repro.tile.interp import interpret
 from repro.tile.ir import Proc
@@ -43,46 +42,10 @@ from repro.tile.lower import LaunchGeometry, launch_geometry, lower
 from repro.tile.resources import REGISTER_BUDGET, proc_resources, proc_shared_footprint
 
 
-#: Memoized schedule applications, keyed by *schedule hash* — the (workload,
-#: frozen config) pair identifies the schedule point exactly, and a proc does
-#: not depend on the GPU.  Procs are immutable, so the sweep machinery (bound
-#: pruning, resource counting, lowering, launch plumbing) can re-request the
-#: same point without re-running ~30 primitive applications each time.
-#: SGEMM decompositions (:func:`repro.tile.library.decompose_sgemm`) share
-#: the memo under ``(_DECOMPOSITION, (m, n, k, tile, register_blocking))``
-#: keys, so the points of one tile and blocking extend one decomposition.
-#: Capped FIFO so a long sweep cannot grow memory without bound: the cap
-#: counts schedule points, and the hit/miss/eviction counters count only
-#: them.
-_SCHEDULE_CACHE_LIMIT = 256
-_SCHEDULED_PROCS: dict[tuple[str, object], Proc] = {}
-_DECOMPOSITION = "decompose_sgemm"
-
-#: Metrics-facade label set of the memo (a constant tuple, so the uninstalled
-#: facade path allocates nothing at these call sites).
-_SCHEDULED_LABELS = (("cache", "scheduled_procs"),)
-
-
 def clear_schedule_caches() -> None:
-    """Drop the scheduled-proc memo (tests isolating cache-economics measurements)."""
-    _SCHEDULED_PROCS.clear()
-
-
-def _memoize(key: tuple[str, object], proc: Proc) -> None:
-    """Add ``proc``; a schedule point past the cap evicts the oldest points.
-
-    Decompositions leave in the same FIFO order, uncounted, when they come
-    before an evicted point; adding a decomposition never evicts.
-    """
-    if key[0] != _DECOMPOSITION and len(_SCHEDULED_PROCS) >= _SCHEDULE_CACHE_LIMIT:
-        points = sum(1 for cached in _SCHEDULED_PROCS if cached[0] != _DECOMPOSITION)
-        while points >= _SCHEDULE_CACHE_LIMIT:
-            oldest = next(iter(_SCHEDULED_PROCS))
-            del _SCHEDULED_PROCS[oldest]
-            if oldest[0] != _DECOMPOSITION:
-                points -= 1
-                counter_inc("tile.schedule_cache.evictions", 1, _SCHEDULED_LABELS)
-    _SCHEDULED_PROCS[key] = proc
+    """Drop the SGEMM decompositions :func:`repro.tile.library.decompose_sgemm`
+    cached, so tests and benchmarks start as a cold process would."""
+    library.decompose_sgemm.cache_clear()
 
 
 class TileWorkload(Workload):
@@ -92,7 +55,9 @@ class TileWorkload(Workload):
     :meth:`prepare_inputs` and :meth:`reference`; launch building, output
     read-back and the upper-bound :meth:`resources` are generic because the
     proc itself names its parameters (in ABI order), its outputs and — by
-    walking the nest — its traffic.
+    walking the nest — its traffic.  Scheduling never changes a proc's
+    parameters or outputs, so the launch plumbing reads them off the naive
+    nest and schedules nothing but what :meth:`geometry` needs.
     """
 
     def naive_proc(self, config) -> Proc:
@@ -103,25 +68,11 @@ class TileWorkload(Workload):
         """The golden schedule applied to the naive proc."""
         raise NotImplementedError
 
-    def cached_scheduled_proc(self, config) -> Proc:
-        """The scheduled proc, memoized by schedule hash."""
-        key = (self.name, config)
-        proc = _SCHEDULED_PROCS.get(key)
-        if proc is not None:
-            counter_inc("tile.schedule_cache.hits", 1, _SCHEDULED_LABELS)
-            return proc
-        counter_inc("tile.schedule_cache.misses", 1, _SCHEDULED_LABELS)
-        proc = self.scheduled_proc(config)
-        _memoize(key, proc)
-        return proc
-
     def lds_width_bits(self, config) -> int:
         return 64
 
     def generate_naive(self, config) -> Kernel:
-        return lower(
-            self.cached_scheduled_proc(config), lds_width_bits=self.lds_width_bits(config)
-        )
+        return lower(self.scheduled_proc(config), lds_width_bits=self.lds_width_bits(config))
 
     def oracle(self, config, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Interpret the *naive* proc on ``inputs`` — the ground truth."""
@@ -134,15 +85,15 @@ class TileWorkload(Workload):
         shared traffic off the IR (and the tests pin it against the hand
         workloads' Eq. 6-style accounting).
         """
-        return proc_resources(self.cached_scheduled_proc(config))
+        return proc_resources(self.scheduled_proc(config))
 
     def geometry(self, config) -> LaunchGeometry:
         """The launch geometry of ``config``'s scheduled proc."""
-        return launch_geometry(self.cached_scheduled_proc(config))
+        return launch_geometry(self.scheduled_proc(config))
 
     def shared_footprint(self, config) -> int:
         """Shared-memory bytes one block of ``config`` allocates, as lowered."""
-        return proc_shared_footprint(self.cached_scheduled_proc(config))
+        return proc_shared_footprint(self.scheduled_proc(config))
 
     def occupancy(self, config, gpu: GpuSpec) -> OccupancyResult:
         """Occupancy of ``config`` on ``gpu`` at the lowering's register budget.
@@ -158,7 +109,7 @@ class TileWorkload(Workload):
         )
 
     def build_launch(self, config, inputs: dict[str, np.ndarray]) -> WorkloadLaunch:
-        proc = self.cached_scheduled_proc(config)
+        proc = self.naive_proc(config)
         outputs = set(proc.outputs())
         memory = GlobalMemory()
         params = KernelParams()
@@ -170,7 +121,7 @@ class TileWorkload(Workload):
             params.add_pointer(param.name, base)
         if not outputs:
             raise TileError(f"proc '{proc.name}' writes no tensor parameter")
-        geometry = launch_geometry(proc)
+        geometry = self.geometry(config)
         grid = BlockGrid(
             grid_x=geometry.grid_x,
             grid_y=geometry.grid_y,
@@ -179,7 +130,7 @@ class TileWorkload(Workload):
         return WorkloadLaunch(memory=memory, params=params, grid=grid)
 
     def read_output(self, config, memory: GlobalMemory) -> np.ndarray:
-        proc = self.cached_scheduled_proc(config)
+        proc = self.naive_proc(config)
         (output,) = proc.outputs()
         return memory.read_array(output, np.float32, proc.param(output).shape)
 
@@ -297,16 +248,8 @@ class TileSgemmWorkload(TileWorkload):
         return window
 
     def scheduled_proc(self, config: TileSgemmConfig) -> Proc:
-        key = (_DECOMPOSITION, (config.m, config.n, config.k, config.tile,
-                                config.register_blocking))
-        cached = _SCHEDULED_PROCS.get(key)
-        decomposition = cached if cached is not None else library.decompose_sgemm(
-            self.naive_proc(config),
-            tile=config.tile,
-            register_blocking=config.register_blocking,
-        )
         proc = library.schedule_sgemm(
-            decomposition,
+            self.naive_proc(config),
             tile=config.tile,
             register_blocking=config.register_blocking,
             stride=config.stride,
@@ -316,10 +259,6 @@ class TileSgemmWorkload(TileWorkload):
             unroll_inner=config.unroll_inner,
             double_buffer=config.double_buffer,
         )
-        if cached is None:
-            # Kept once a point has scheduled from it, so a point that fails
-            # to schedule leaves nothing in the memo.
-            _memoize(key, decomposition)
         return replace(proc, name=config.kernel_name)
 
     def prepare_inputs(self, config: TileSgemmConfig, seed: int = 0) -> dict[str, np.ndarray]:

@@ -9,6 +9,7 @@ import pytest
 from repro.context import current, session
 from repro.kcache import KernelStore, get_kernel, routine_key
 from repro.opt.rewrite import kernel_hash
+from repro.prof.trace import Tracer
 from repro.telemetry.metrics import MetricsRegistry
 from repro.tile.workloads import TileSgemmConfig, clear_schedule_caches
 
@@ -53,15 +54,16 @@ class TestWarmHit:
         store = KernelStore(tmp_path / "kcache")
         built = get_kernel("tile_sgemm", TINY, fermi, store=store)
         clear_schedule_caches()
-        registry = MetricsRegistry()
-        with session(metrics=registry):
+        registry, tracer = MetricsRegistry(), Tracer()
+        with session(metrics=registry, tracer=tracer):
             reply = get_kernel("tile_sgemm", TINY, fermi, store=store)
         assert reply.source == "hit"
         snapshot = registry.snapshot()
         assert snapshot.counter_total("kcache.hits") == 1
         assert snapshot.counter_total("kcache.builds") == 0
         # No schedule application, no lowering, no simulation happened:
-        assert snapshot.counter_total("tile.schedule_cache.misses") == 0
+        spans = [event.name for event in tracer.events]
+        assert not [name for name in spans if name.startswith(("schedule.", "lower."))]
         assert snapshot.counter_total("autotune.candidates_evaluated") == 0
         assert kernel_hash(reply.kernel) == kernel_hash(built.kernel)
         assert reply.cycles == built.cycles
@@ -76,10 +78,10 @@ class TestWarmHit:
         assert current().store is None  # session restored the previous store
 
 
-class TestMemoStoreTier:
+class TestCacheTiers:
     def test_installed_store_keeps_only_the_tuned_entry(self, tmp_path, fermi):
-        """The kernel store is the only durable tier: the schedule memos a
-        tuned build runs through publish nothing of their own."""
+        """The kernel store is the only durable tier: the decomposition cache
+        a tuned build runs through publishes nothing of its own."""
         space = {"tiles": (4, 8), "register_blockings": (2, 4),
                  "strides": (2, 4), "b_windows": (1, 2)}
         store = KernelStore(tmp_path / "kcache")
@@ -89,16 +91,18 @@ class TestMemoStoreTier:
         assert store.keys() == [reply.key]
         assert store.stats().by_kind == {"tuned": 1}
 
-    def test_without_a_store_memos_behave_as_before(self, fermi):
+    def test_without_a_store_only_the_decomposition_cache_serves(self, fermi):
         from repro.kernels.registry import get_workload
+        from repro.tile.library import decompose_sgemm
 
         workload = get_workload("tile_sgemm")
         registry = MetricsRegistry()
         with session(metrics=registry):
             workload.generate_naive(TINY)
             workload.generate_naive(TINY)
+        info = decompose_sgemm.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         snapshot = registry.snapshot()
-        assert snapshot.counter_total("tile.schedule_cache.hits") >= 1
         assert snapshot.counter_total("kcache.hits") == 0
         assert snapshot.counter_total("kcache.misses") == 0
 
@@ -162,12 +166,13 @@ class TestTunedBuildPublishesTheSweepMeasurement:
         )
         (report,) = sweeps
         metrics = reply.entry.meta["metrics"]
-        assert metrics["sweep_simulated"] == len(report.outcomes)
         naive_kernels = {outcome.naive_kernel_hash for outcome in report.outcomes}
         # This space holds repeats (b_window 1 and 2 lower alike), so the
         # count below is below the row count.
         assert len(naive_kernels) < len(report.outcomes)
         assert len(runs) == len(naive_kernels)
+        # The entry reports the simulations that ran, not the rows.
+        assert metrics["sweep_simulated"] == report.simulated == len(runs)
         assert len({digest for digest, _ in runs}) == len(runs)
         winner = reply.entry.meta["kernel_hashes"]["kernel_opt"]
         result = next(result for digest, result in runs if digest == winner)
@@ -202,10 +207,10 @@ class TestTunedBuildPublishesTheSweepMeasurement:
         )
         (report,) = sweeps
         simulated = reply.entry.meta["metrics"]["sweep_simulated"]
-        assert simulated == len(report.outcomes)
+        rows = len(report.outcomes)
         distinct = len({outcome.naive_kernel_hash for outcome in report.outcomes})
-        assert distinct < simulated
-        assert calls == {"lower": simulated, "optimize": distinct}
+        assert simulated == distinct < rows
+        assert calls == {"lower": rows, "optimize": distinct}
 
         winner = report.outcomes[0]
         hashes = reply.entry.meta["kernel_hashes"]
@@ -280,7 +285,7 @@ class TestEntryHoldsOnlyTheServedKernel:
         key = routine_key("tile_sgemm", TINY, fermi.name)
         store.put(
             key, kind="tuned", workload="tile_sgemm", gpu=fermi.name, config=TINY,
-            artifacts={"proc": workload.cached_scheduled_proc(TINY),
+            artifacts={"proc": workload.scheduled_proc(TINY),
                        "kernel": naive, "kernel_opt": optimized},
             kernel_hashes={"kernel": kernel_hash(naive),
                            "kernel_opt": kernel_hash(optimized)},

@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.context import session
-from repro.errors import StoreCorruptionError
 from repro.kcache import KernelStore, routine_key
 from repro.opt.autotune import simulate_one_block
 from repro.opt.rewrite import kernel_hash
@@ -185,14 +184,14 @@ class TestCollectorPause:
         assert not store.payload_path("unloadable").exists()
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_unpicklable_payload_raises_when_asked(self, tmp_path, enabled):
+    def test_verify_reports_an_unpicklable_payload_and_keeps_it(self, tmp_path, enabled):
         store = KernelStore(tmp_path / "kcache")
         store.put("unloadable", kind="build", artifacts={"value": _Unloadable()})
         _set_collector(enabled)
-        with pytest.raises(StoreCorruptionError, match="does not unpickle"):
-            store.load("unloadable", on_corrupt="raise")
+        assert store.verify("unloadable") == "payload does not unpickle"
         assert gc.isenabled() is enabled
         assert store.meta_path("unloadable").exists()
+        assert store.payload_path("unloadable").exists()
 
 
 class TestEnumeration:
@@ -272,9 +271,8 @@ class TestGc:
             # Make eviction order deterministic regardless of clock resolution.
             meta = dict(entry.meta)
             meta["created_at"] = float(index)
-            store._publish(
-                store.meta_path(f"gc_key_{index}"),
-                (json.dumps(meta, sort_keys=True) + "\n").encode("utf-8"),
+            store.meta_path(f"gc_key_{index}").write_text(
+                json.dumps(meta, sort_keys=True) + "\n", encoding="utf-8"
             )
         total = store.stats().total_bytes
         budget = total - 1  # force at least one eviction
@@ -296,4 +294,26 @@ class TestGc:
         os.utime(lock, (old, old))
         report = store.gc(1 << 30, stale_lock_s=300.0)
         assert report.stale_locks_removed == 1
+        assert not lock.exists()
+
+    def test_gc_keeps_an_aged_claim_this_process_holds(self, tmp_path):
+        """gc judges claims by the rule claiming and waiting use: a claim a
+        live builder here holds survives, however old."""
+        import os
+        import time
+
+        from repro.kcache import claim_build
+
+        store = KernelStore(tmp_path / "kcache")
+        lock = store.lock_path("held_key")
+        claim = claim_build(lock, stale_after=300.0)
+        assert claim is not None
+        with claim:
+            old = time.time() - 3600
+            os.utime(lock, (old, old))
+            report = store.gc(1 << 30, stale_lock_s=300.0)
+            assert report.stale_locks_removed == 0
+            assert lock.exists()
+            # Nobody else can claim the key while the build runs.
+            assert claim_build(lock, stale_after=300.0) is None
         assert not lock.exists()

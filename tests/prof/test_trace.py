@@ -109,12 +109,6 @@ class TestChromeExport:
 
     def test_autotune_sweep_trace_schema(self, fermi, tmp_path):
         """One traced autotune sweep exports a valid, strict-JSON Chrome trace."""
-        # Other tests may have populated the tile layer's schedule/lowering
-        # memoization; drop it so the traced sweep actually builds kernels
-        # (and therefore emits schedule./lower. spans).
-        from repro.tile.workloads import clear_schedule_caches
-
-        clear_schedule_caches()
         config = TileTransposeConfig()
         candidates = [
             WorkloadCandidate(workload="tile_transpose", config=config,

@@ -19,6 +19,7 @@ from repro.context import session
 from repro.telemetry.ledger import RunLedger
 from repro.telemetry.metrics import MetricsRegistry
 from repro.tile.autotune import run_generative_sweep, sweep_summary
+from repro.tile.library import decompose_sgemm
 from repro.tile.workloads import clear_schedule_caches
 
 
@@ -73,7 +74,10 @@ class TestSweepTelemetry:
         assert record.metric("cycles") == best.cycles
         assert record.metric("candidates") == report.prune.total
         assert record.metric("pruned") == len(report.prune.pruned)
-        assert record.metric("simulated") == len(report.outcomes)
+        assert record.metric("simulated") == report.simulated
+        assert report.simulated == len({
+            (o.naive_kernel_hash, o.candidate.optimize) for o in report.outcomes if o.ok
+        })
         assert record.metrics["best_label"] == best.label
         assert record.kernel_hash == best.kernel_hash
         assert record.key.startswith("sweep:tile_sgemm:gtx580:")
@@ -101,29 +105,21 @@ class TestSweepTelemetry:
         assert registry.histogram_stat("autotune.prune_seconds").count == 1
 
 
-class TestScheduleCacheMetrics:
-    def test_hits_misses_evictions_counted(self, gpu):
+class TestSweepSummary:
+    def test_a_sweep_fills_the_decomposition_cache(self, gpu):
         clear_schedule_caches()
-        registry = MetricsRegistry()
-        with session(metrics=registry):
-            run_generative_sweep(gpu, "tile_sgemm")
-            snapshot = registry.snapshot()
-        assert snapshot.counter_total("tile.schedule_cache.misses") > 0
+        report = run_generative_sweep(gpu, "tile_sgemm")
+        info = decompose_sgemm.cache_info()
+        assert 0 < info.misses < info.misses + info.hits == len(report.outcomes)
 
-    def test_sweep_summary_reads_the_facade(self, gpu):
-        clear_schedule_caches()
+    def test_sweep_summary_is_one_line_with_or_without_the_facade(self, gpu):
+        report = run_generative_sweep(gpu, "tile_sgemm")
         with session(metrics=MetricsRegistry()):
-            report = run_generative_sweep(gpu, "tile_sgemm")
             line = sweep_summary(report.prune, list(report.outcomes))
         assert "\n" not in line
-        assert "schedule cache" in line
-        assert "evictions" in line
-
-    def test_sweep_summary_without_facade_is_unchanged(self, gpu):
-        report = run_generative_sweep(gpu, "tile_sgemm")
-        line = sweep_summary(report.prune, list(report.outcomes))
+        assert line == sweep_summary(report.prune, list(report.outcomes))
+        assert f"simulated {report.simulated}," in line
         assert "schedule cache" not in line
-        assert "swept" in line
 
 
 class TestPipelineTelemetry:

@@ -112,7 +112,7 @@ def _set_sweep_rates(bench_dir: Path) -> None:
     data = json.loads((bench_dir / "BENCH_tile.json").read_text())
     data["metrics"]["tile_sgemm_bound_pruned_sweep"] = {
         "sim_cache_hit_rate": 0.5,
-        "schedule_cache": {"hits": 30, "misses": 10, "hit_rate": 0.75},
+        "decomposition_cache": {"hits": 30, "misses": 10, "hit_rate": 0.75},
     }
     (bench_dir / "BENCH_tile.json").write_text(json.dumps(data))
 
@@ -124,11 +124,11 @@ def test_cache_hit_rates_collect_into_the_rate_ladder(trajectory):
     ladder = summary["rate_ladder"]
     key = "BENCH_tile:tile_sgemm_bound_pruned_sweep"
     assert ladder[f"{key}:sim_cache_hit_rate"] == 0.5
-    assert ladder[f"{key}:schedule_cache:hit_rate"] == 0.75
+    assert ladder[f"{key}:decomposition_cache:hit_rate"] == 0.75
     # Rates are tracked, not gated: raw hit/miss counts stay out of every
     # ladder, and the rate ladder never leaks into the cycle ladder.
     assert not any("hit_rate" in k for k in summary["cycle_ladder"])
-    assert f"{key}:schedule_cache:hits" not in summary["cycle_ladder"]
+    assert f"{key}:decomposition_cache:hits" not in summary["cycle_ladder"]
 
 
 def test_kcache_speedups_collect_into_the_rate_ladder(trajectory):

@@ -83,11 +83,21 @@ def test_tiny_sweep_prunes_and_the_winner_beats_naive(fermi):
     assert winner.label in {c.label for c in report.kept}
 
 
-def test_sweep_summary_one_liner(fermi):
+def test_sweep_summary_one_liner(fermi, monkeypatch):
     """The sweep log line names every cost figure: pruned count, prune wall
-    time, simulation count, and the winner."""
+    time, the simulations that ran (not the leaderboard rows), and the
+    winner."""
+    import repro.opt.autotune as autotune
     from repro.tile.autotune import sweep_summary
 
+    runs = []
+    simulate = autotune.simulate_one_block
+
+    def counting_simulate(gpu, kernel, **kwargs):
+        runs.append(kernel)
+        return simulate(gpu, kernel, **kwargs)
+
+    monkeypatch.setattr(autotune, "simulate_one_block", counting_simulate)
     space = _tiny_space()
     report = prune_by_bound(fermi, space)
     outcomes = autotune_workloads(fermi, list(report.kept), workers=1)
@@ -97,7 +107,9 @@ def test_sweep_summary_one_liner(fermi):
     assert f"swept {report.total} candidates" in line
     assert f"pruned {len(report.pruned)} by bound" in line
     assert f"in {report.elapsed_s:.2f}s" in line
-    assert f"simulated {len(outcomes)}," in line
+    # The tiny space holds repeats, so fewer simulations ran than rows.
+    assert len(runs) < len(outcomes)
+    assert f"simulated {len(runs)}," in line
     best = outcomes[0]
     assert f"best {best.label} @ {best.cycles:.0f} cycles" in line
 
@@ -149,7 +161,7 @@ class TestEachDistinctKernelOnce:
         seed, repeat = rows["tile_sgemm:warm0"], rows["tile_sgemm:noprefetch"]
         assert seed.naive_kernel_hash == repeat.naive_kernel_hash
         assert sorted(optimized) == sorted({row.naive_kernel_hash for row in sweep.outcomes})
-        assert len(simulated) == len(set(simulated)) == len(optimized)
+        assert len(simulated) == len(set(simulated)) == len(optimized) == sweep.simulated
         repeats = len(sweep.outcomes) - len(optimized)
         assert registry.counter_value("autotune.sim_cache.hits") == repeats > 0
 

@@ -9,9 +9,13 @@ from repro.context import session
 from repro.errors import ReproError, ScheduleError
 from repro.kernels import get_workload, run_workload, workload_cycles
 from repro.opt import autotune_workloads
-from repro.telemetry.metrics import MetricsRegistry
+from repro.prof.trace import Tracer
+from repro.sim.launch import BlockGrid, LaunchConfig
+from repro.sim.memory import GlobalMemory, KernelParams
+from repro.sim.sm_sim import SmSimulator
 from repro.tile import library
 from repro.tile.autotune import prune_by_bound, schedule_space
+from repro.tile.lower import launch_geometry
 from repro.tile.resources import proc_resources
 from repro.tile.workloads import (
     TileSgemmConfig,
@@ -191,82 +195,137 @@ SGEMM_KNOBS = ("tile", "register_blocking", "stride", "b_window", "stage", "pref
 
 
 class TestDecomposition:
-    """Schedule points extend one memoized decomposition per (shape, tile, B_R)."""
+    """Schedule points extend one cached decomposition per (shape, tile, B_R)."""
 
     @pytest.fixture(autouse=True)
-    def _cold_memo(self):
+    def _cold_cache(self):
         clear_schedule_caches()
         yield
         clear_schedule_caches()
 
     @pytest.mark.parametrize("shape", [(193, 161, 97), (67, 189, 26)])
-    def test_memo_path_equals_the_schedule_from_the_naive_nest(self, shape):
+    def test_a_cached_decomposition_schedules_as_a_cold_one(self, shape):
         workload = get_workload("tile_sgemm")
         m, n, k = shape
-        for candidate in schedule_space("tile_sgemm", TileSgemmConfig(m=m, n=n, k=k)):
+        space = schedule_space("tile_sgemm", TileSgemmConfig(m=m, n=n, k=k))
+        warm = [workload.scheduled_proc(candidate.config) for candidate in space]
+        assert library.decompose_sgemm.cache_info().hits > 0
+        for candidate, proc in zip(space, warm):
             config = candidate.config
-            direct = library.schedule_sgemm(
+            clear_schedule_caches()
+            cold = library.schedule_sgemm(
                 library.matmul_proc(m, n, k),
                 **{knob: getattr(config, knob) for knob in SGEMM_KNOBS},
             )
-            assert workload.cached_scheduled_proc(config) == replace(
-                direct, name=config.kernel_name
-            ), candidate.label
-            assert workload.resources(config) == proc_resources(direct), candidate.label
+            assert proc == replace(cold, name=config.kernel_name), candidate.label
+            assert workload.resources(config) == proc_resources(cold), candidate.label
 
-    def test_a_decomposition_at_another_tile_or_blocking_is_refused(self):
+    def test_a_schedule_starts_from_the_naive_nest_only(self):
         naive = library.matmul_proc(96, 96, 16)
-        for tile, blocking in ((48, 6), (96, 3)):
-            decomposed = library.decompose_sgemm(naive, tile=tile, register_blocking=blocking)
-            with pytest.raises(ScheduleError, match="decomposition at tile 96"):
-                library.schedule_sgemm(decomposed, tile=96, register_blocking=6)
         decomposed = library.decompose_sgemm(naive, tile=96, register_blocking=6)
-        assert library.schedule_sgemm(decomposed) == library.schedule_sgemm(naive)
+        with pytest.raises(ScheduleError):
+            library.schedule_sgemm(decomposed, tile=96, register_blocking=6)
 
-    def test_points_share_one_decomposition(self, monkeypatch):
+    def test_points_of_one_tile_and_blocking_share_one_decomposition(self):
         workload = get_workload("tile_sgemm")
-        schedule = library.schedule_sgemm
-        extended = []
-
-        def recording(proc, **knobs):
-            extended.append(proc)
-            return schedule(proc, **knobs)
-
-        monkeypatch.setattr(library, "schedule_sgemm", recording)
+        cache_info = library.decompose_sgemm.cache_info
         base = TileSgemmConfig(m=96, n=96, k=16)
-        for config in (base, replace(base, stride=8, b_window=1),
-                       replace(base, register_blocking=3, b_window=1)):
-            workload.cached_scheduled_proc(config)
-        assert extended[1] is extended[0]
-        assert extended[2] is not extended[0]
+        workload.scheduled_proc(base)
+        workload.scheduled_proc(replace(base, stride=8, b_window=1))
+        assert (cache_info().misses, cache_info().hits) == (1, 1)
+        workload.scheduled_proc(replace(base, register_blocking=3, b_window=1))
+        assert (cache_info().misses, cache_info().hits) == (2, 1)
+        # Keyed by value: an equal naive nest built anew finds the same object.
+        shared = library.decompose_sgemm(
+            library.matmul_proc(96, 96, 16), tile=96, register_blocking=6
+        )
+        assert shared is library.decompose_sgemm(
+            workload.naive_proc(base), tile=96, register_blocking=6
+        )
 
     @pytest.mark.parametrize(
         "knobs",
         [{"b_window": 4}, {"stage": False, "double_buffer": True}],
         ids=["window", "double-buffer"],
     )
-    def test_a_point_that_fails_to_schedule_leaves_the_memo_empty(self, knobs):
-        import repro.tile.workloads as tile_workloads
-
+    def test_a_rejected_point_leaves_the_cache_empty(self, knobs):
         workload = get_workload("tile_sgemm")
         with pytest.raises(ScheduleError):
-            workload.cached_scheduled_proc(TileSgemmConfig(m=96, n=96, k=16, **knobs))
-        assert tile_workloads._SCHEDULED_PROCS == {}
+            workload.scheduled_proc(TileSgemmConfig(m=96, n=96, k=16, **knobs))
+        info = library.decompose_sgemm.cache_info()
+        assert (info.currsize, info.misses) == (0, 0)
 
-    def test_memo_counters_count_schedule_points_only(self, monkeypatch):
-        """Hits, misses and evictions read as if only points were memoized."""
-        import repro.tile.workloads as tile_workloads
+    def test_the_cache_is_bounded(self):
+        assert library.decompose_sgemm.cache_info().maxsize == 256
 
-        monkeypatch.setattr(tile_workloads, "_SCHEDULE_CACHE_LIMIT", 2)
+
+def _scheduled_launch(workload, config, inputs):
+    """The params, grid, output and output shape the scheduled proc implies."""
+    proc = workload.scheduled_proc(config)
+    memory, params = GlobalMemory(), KernelParams()
+    for param in proc.params:
+        if param.name in inputs:
+            base = memory.allocate_array(param.name, inputs[param.name])
+        else:
+            base = memory.allocate(param.name, param.size * 4)
+        params.add_pointer(param.name, base)
+    geometry = launch_geometry(proc)
+    grid = BlockGrid(grid_x=geometry.grid_x, grid_y=geometry.grid_y,
+                     block_x=geometry.threads_per_block)
+    (output,) = proc.outputs()
+    return params, grid, output, proc.param(output).shape
+
+
+def _words(params: KernelParams) -> list[int]:
+    return [params.read_word(offset) for offset in range(0, len(params), 4)]
+
+
+def _launch_points():
+    points = [
+        (name, config) for name in TILE_WORKLOADS
+        for config in get_workload(name).config_space()
+    ]
+    points += [
+        ("tile_sgemm", candidate.config)
+        for candidate in schedule_space("tile_sgemm", TileSgemmConfig(m=193, n=161, k=97))
+    ]
+    return points
+
+
+class TestLaunchPlumbing:
+    """Launches read the ABI off the naive nest: scheduling never changes it."""
+
+    def test_the_naive_abi_is_the_scheduled_one(self):
+        points = _launch_points()
+        assert len(points) == 8 + 32
+        for name, config in points:
+            workload = get_workload(name)
+            inputs = workload.prepare_inputs(config)
+            launch = workload.build_launch(config, inputs)
+            params, grid, output, shape = _scheduled_launch(workload, config, inputs)
+            assert _words(launch.params) == _words(params), (name, config)
+            assert launch.grid == grid, (name, config)
+            result = workload.read_output(config, launch.memory)
+            assert result.shape == shape, (name, config)
+            assert np.array_equal(result, launch.memory.read_array(output, np.float32, shape))
+
+    def test_simulating_a_served_sgemm_kernel_schedules_and_lowers_nothing(self, fermi):
         workload = get_workload("tile_sgemm")
-        base = TileSgemmConfig(m=96, n=96, k=16)
-        points = [base, replace(base, stride=8), replace(base, b_window=1)]
-        registry = MetricsRegistry()
-        with session(metrics=registry):
-            for config in points + points[-1:]:
-                workload.cached_scheduled_proc(config)
-        snapshot = registry.snapshot()
-        assert [
-            snapshot.counter_total(f"tile.schedule_cache.{name}")
-            for name in ("hits", "misses", "evictions")
-        ] == [1, 3, 1]
+        config = TileSgemmConfig(m=16, n=16, k=8, tile=8, register_blocking=2, stride=2,
+                                 b_window=1)
+        kernel, _ = workload.generate_optimized(config, fermi)
+        clear_schedule_caches()
+        tracer = Tracer()
+        with session(tracer=tracer):
+            inputs = workload.prepare_inputs(config)
+            launch = workload.build_launch(config, inputs)
+            SmSimulator(fermi, kernel, global_memory=launch.memory,
+                        params=launch.params).run(
+                LaunchConfig(grid=launch.grid),
+                block_indices=launch.grid.block_indices(),
+            )
+            output = workload.read_output(config, launch.memory)
+        workload.validate(output, workload.reference(config, inputs))
+        spans = [event.name for event in tracer.events]
+        assert not [name for name in spans if name.startswith(("schedule.", "lower."))]
+        assert library.decompose_sgemm.cache_info().misses == 0
